@@ -7,7 +7,10 @@
 //! transferred" (paper Section 4).  Owners *push* field values along the
 //! `ghost_serving` lists recorded during scatter delivery, so no request
 //! round-trip is needed; the delivery half interpolates E and B at every
-//! particle.
+//! particle.  As in scatter, a stencil inside the rank's block reads the
+//! six field planes at the four offsets of [`Cic::interior_offsets`];
+//! any other stencil goes vertex by vertex through the block or the
+//! ghost cache.
 
 use pic_machine::{Outbox, PhaseKind, SpmdEngine, SpmdError};
 use pic_particles::Cic;
@@ -58,24 +61,15 @@ pub fn run<E: SpmdEngine<RankState>>(machine: &mut E, env: &PhaseEnv) -> Result<
                     cache.insert(k, v);
                 }
             }
-            // Interleave the padded field block once per delivery so the
-            // per-particle loop reads one contiguous `[f64; 6]` per
-            // vertex instead of six bounds-checked loads scattered over
-            // six component planes.
             let pw = fields.width();
-            let (ex, ey, ez) = (
+            let planes = [
                 fields.ex.as_slice(),
                 fields.ey.as_slice(),
                 fields.ez.as_slice(),
-            );
-            let (bx, by, bz) = (
                 fields.bx.as_slice(),
                 fields.by.as_slice(),
                 fields.bz.as_slice(),
-            );
-            let aos = &mut scratch.fields_aos;
-            aos.clear();
-            aos.extend((0..ex.len()).map(|i| [ex[i], ey[i], ez[i], bx[i], by[i], bz[i]]));
+            ];
             let n = particles.len();
             e_at.clear();
             b_at.clear();
@@ -84,29 +78,42 @@ pub fn run<E: SpmdEngine<RankState>>(machine: &mut E, env: &PhaseEnv) -> Result<
             for i in 0..n {
                 let cic = Cic::new(particles.x[i], particles.y[i], dx, dy, nx, ny);
                 ctx.charge_ops(4.0 * costs::GATHER_VERTEX);
-                let mut e = [0.0f64; 3];
-                let mut b = [0.0f64; 3];
-                for (k, (cx, cy)) in cic.corners(nx, ny).into_iter().enumerate() {
-                    let w = cic.w[k];
-                    let vals = if rect.contains(cx, cy) {
-                        let (lx, ly) = (cx - rect.x0 + 1, cy - rect.y0 + 1);
-                        aos[ly * pw + lx]
-                    } else {
-                        let key = cy as u32 * nxu + cx as u32;
-                        cache.get(key).unwrap_or_else(|| {
-                            panic!(
-                                "gather: ghost vertex {key} (cell {cx},{cy}) missing \
-                                 from scatter round"
-                            )
-                        })
-                    };
-                    for c in 0..3 {
-                        e[c] += w * vals[c];
-                        b[c] += w * vals[3 + c];
+                // each component sums its corners in corner order from
+                // 0.0, so both paths round exactly alike
+                let mut eb = [0.0f64; 6];
+                if let Some([o0, _, o2, _]) =
+                    cic.interior_offsets(rect.x0, rect.y0, rect.w, rect.h, pw, 1)
+                {
+                    for (acc, plane) in eb.iter_mut().zip(planes) {
+                        // the stencil is two adjacent pairs: slicing each
+                        // pair once bounds-checks two ranges, not four loads
+                        let (lo, hi) = (&plane[o0..o0 + 2], &plane[o2..o2 + 2]);
+                        for (v, w) in [lo[0], lo[1], hi[0], hi[1]].into_iter().zip(cic.w) {
+                            *acc += w * v;
+                        }
+                    }
+                } else {
+                    for (k, (cx, cy)) in cic.corners(nx, ny).into_iter().enumerate() {
+                        let w = cic.w[k];
+                        let vals = if rect.contains(cx, cy) {
+                            let o = (cy - rect.y0 + 1) * pw + (cx - rect.x0 + 1);
+                            planes.map(|plane| plane[o])
+                        } else {
+                            let key = cy as u32 * nxu + cx as u32;
+                            cache.get(key).unwrap_or_else(|| {
+                                panic!(
+                                    "gather: ghost vertex {key} (cell {cx},{cy}) missing \
+                                     from scatter round"
+                                )
+                            })
+                        };
+                        for (acc, val) in eb.iter_mut().zip(vals) {
+                            *acc += w * val;
+                        }
                     }
                 }
-                e_at.push(e);
-                b_at.push(b);
+                e_at.push([eb[0], eb[1], eb[2]]);
+                b_at.push([eb[3], eb[4], eb[5]]);
             }
         },
     )

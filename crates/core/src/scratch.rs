@@ -10,6 +10,10 @@
 //! kernels perform zero heap allocations (verified by the
 //! counting-allocator test in `tests/alloc_free.rs`).
 //!
+//! Gather reads the rank's own field block in place: a staging copy of
+//! the fields here would cost `O(padded cells)` every iteration, however
+//! few particles the rank holds.
+//!
 //! The arena is *transient* state: it is never snapshotted by
 //! checkpoints and never crosses the wire, so adding or resizing buffers
 //! cannot perturb simulation results.
@@ -44,11 +48,6 @@ pub struct ScratchArena {
     /// Gather-phase ghost field cache (vertex key -> E,B), rebuilt every
     /// iteration but keeping its table capacity.
     pub ghost_cache: GhostFieldCache,
-    /// Interleaved copy of the padded field block, `[Ex,Ey,Ez,Bx,By,Bz]`
-    /// per node: the gather interpolation reads one contiguous 48-byte
-    /// entry per vertex instead of six bounds-checked loads scattered
-    /// over six component planes.
-    pub fields_aos: Vec<[f64; 6]>,
 }
 
 impl ScratchArena {
@@ -70,8 +69,7 @@ impl ScratchArena {
             + self.visited.capacity() * size_of::<bool>()
             + self.counts.capacity() * size_of::<usize>()
             + self.pack_keys.capacity() * size_of::<u64>()
-            + self.pack_data.capacity() * size_of::<f64>()
-            + self.fields_aos.capacity() * size_of::<[f64; 6]>();
+            + self.pack_data.capacity() * size_of::<f64>();
         bytes += self.radix.idx.capacity() * size_of::<usize>()
             + self.radix.counts.capacity() * size_of::<usize>();
         bytes += self.ghost_cache.stamp.capacity() * size_of::<u32>()

@@ -55,9 +55,41 @@ impl Cic {
     /// `nx x ny` vertex grid.
     #[inline]
     pub fn corners(&self, nx: usize, ny: usize) -> [(usize, usize); 4] {
-        let xp = (self.ix + 1) % nx;
-        let yp = (self.iy + 1) % ny;
+        // ix < nx and iy < ny, so the upper neighbour wraps only from the
+        // last cell: a compare replaces the integer division of `%`.
+        let xp = if self.ix + 1 == nx { 0 } else { self.ix + 1 };
+        let yp = if self.iy + 1 == ny { 0 } else { self.iy + 1 };
         [(self.ix, self.iy), (xp, self.iy), (self.ix, yp), (xp, yp)]
+    }
+
+    /// Flat offsets of the four vertices, in corner order, in a row-major
+    /// array of row stride `stride` whose element `(pad, pad)` holds mesh
+    /// vertex `(x0, y0)` — `pad` is 0 for an unpadded `w x h` block and 1
+    /// for a block with a one-cell ghost ring.
+    ///
+    /// Returns `Some` only when all four vertices lie inside the `w x h`
+    /// block at `(x0, y0)`.  A stencil that reaches past the block's last
+    /// column or row, wraps around the periodic mesh, or starts outside
+    /// the block gives `None`; those go through [`Self::corners`].
+    #[inline]
+    pub fn interior_offsets(
+        &self,
+        x0: usize,
+        y0: usize,
+        w: usize,
+        h: usize,
+        stride: usize,
+        pad: usize,
+    ) -> Option<[usize; 4]> {
+        // a cell left of / below the block wraps to a huge local index
+        let lx = self.ix.wrapping_sub(x0);
+        let ly = self.iy.wrapping_sub(y0);
+        if lx < w.saturating_sub(1) && ly < h.saturating_sub(1) {
+            let base = (ly + pad) * stride + lx + pad;
+            Some([base, base + 1, base + stride, base + stride + 1])
+        } else {
+            None
+        }
     }
 
     /// Interpolate a per-vertex quantity to the particle: dot product of
@@ -102,6 +134,50 @@ mod tests {
     fn corners_wrap_periodically() {
         let c = Cic::new(7.5, 3.5, 1.0, 1.0, 8, 4);
         assert_eq!(c.corners(8, 4), [(7, 3), (0, 3), (7, 0), (0, 0)]);
+        let c = Cic::new(2.5, 1.5, 1.0, 1.0, 8, 4);
+        assert_eq!(c.corners(8, 4), [(2, 1), (3, 1), (2, 2), (3, 2)]);
+        // a one-cell-wide (or -tall) mesh wraps every upper neighbour
+        // back onto the cell itself
+        let c = Cic::new(0.5, 2.5, 1.0, 1.0, 1, 4);
+        assert_eq!(c.corners(1, 4), [(0, 2), (0, 2), (0, 3), (0, 3)]);
+        let c = Cic::new(5.5, 0.5, 1.0, 1.0, 8, 1);
+        assert_eq!(c.corners(8, 1), [(5, 0), (6, 0), (5, 0), (6, 0)]);
+        let c = Cic::new(0.25, 0.75, 1.0, 1.0, 1, 1);
+        assert_eq!(c.corners(1, 1), [(0, 0); 4]);
+    }
+
+    #[test]
+    fn interior_offsets_cover_exactly_the_in_block_stencils() {
+        // every cell of an 8x6 mesh against the 4x3 block at (2, 2), both
+        // unpadded (stride 4) and with a ghost ring (stride 6)
+        let (nx, ny) = (8, 6);
+        let (x0, y0, w, h) = (2, 2, 4, 3);
+        for iy in 0..ny {
+            for ix in 0..nx {
+                let c = Cic::new(ix as f64 + 0.5, iy as f64 + 0.5, 1.0, 1.0, nx, ny);
+                let inside = c
+                    .corners(nx, ny)
+                    .iter()
+                    .all(|&(cx, cy)| (x0..x0 + w).contains(&cx) && (y0..y0 + h).contains(&cy));
+                for (stride, pad) in [(w, 0), (w + 2, 1)] {
+                    let got = c.interior_offsets(x0, y0, w, h, stride, pad);
+                    let want = inside.then(|| {
+                        c.corners(nx, ny)
+                            .map(|(cx, cy)| (cy - y0 + pad) * stride + (cx - x0 + pad))
+                    });
+                    assert_eq!(got, want, "cell ({ix},{iy}) stride {stride}");
+                }
+            }
+        }
+        // a block spanning the whole mesh still rejects the wrapped
+        // stencil of its last column and row
+        let c = Cic::new(7.5, 1.5, 1.0, 1.0, 8, 6);
+        assert_eq!(c.interior_offsets(0, 0, 8, 6, 8, 0), None);
+        let c = Cic::new(1.5, 5.5, 1.0, 1.0, 8, 6);
+        assert_eq!(c.interior_offsets(0, 0, 8, 6, 8, 0), None);
+        // a one-cell-wide block has no interior stencil at all
+        let c = Cic::new(3.5, 1.5, 1.0, 1.0, 8, 6);
+        assert_eq!(c.interior_offsets(3, 0, 1, 6, 1, 0), None);
     }
 
     #[test]
