@@ -37,7 +37,9 @@ use std::time::Instant;
 use pic_bench::{iters_from_args, paper_cfg, write_csv};
 use pic_core::ThreadedPicSim;
 use pic_index::IndexScheme;
-use pic_machine::{MemoryRecorder, MetricsReport, PhaseKind, SharedRecorder, TraceEvent};
+use pic_machine::{
+    Instruments, MemoryRecorder, MetricsReport, PhaseKind, SharedRecorder, TraceEvent,
+};
 use pic_particles::ParticleDistribution;
 use pic_partition::{radix_sorted_order_into, sorted_order_comparison, PolicyKind, RadixScratch};
 
@@ -112,8 +114,12 @@ fn run_once(iters: usize) -> RunSample {
         PolicyKind::Periodic(5),
     );
     let shared = SharedRecorder::new(MemoryRecorder::new());
-    let mut sim = ThreadedPicSim::try_new_traced(cfg, None, Some(Box::new(shared.clone())))
-        .expect("fault-free construction");
+    let instruments = Instruments {
+        recorder: Some(Box::new(shared.clone())),
+        ..Instruments::default()
+    };
+    let mut sim =
+        ThreadedPicSim::try_new_instrumented(cfg, instruments).expect("fault-free construction");
     let warmup = (iters / 4).clamp(1, 5);
     let mut iter_s = Vec::with_capacity(iters);
     let mut allocs_at_warmup = 0u64;

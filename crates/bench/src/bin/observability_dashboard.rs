@@ -23,7 +23,9 @@
 use pic_bench::{render_dashboard, write_csv};
 use pic_core::{model_error_report, ModelErrorReport, SimConfig};
 use pic_index::IndexScheme;
-use pic_machine::{MachineConfig, MemoryRecorder, SharedMetrics, SharedRecorder, TraceEvent};
+use pic_machine::{
+    Instruments, MachineConfig, MemoryRecorder, SharedMetrics, SharedRecorder, TraceEvent,
+};
 use pic_particles::ParticleDistribution;
 use pic_partition::PolicyKind;
 
@@ -50,13 +52,13 @@ fn observed_run<E: pic_machine::SpmdEngine<pic_core::RankState>>(
 ) -> (Vec<TraceEvent>, SharedMetrics) {
     let recorder = SharedRecorder::new(MemoryRecorder::new());
     let metrics = SharedMetrics::new(cfg.machine.ranks);
-    let mut sim = pic_core::GenericPicSim::<E>::try_new_observed(
-        cfg,
-        None,
-        Some(Box::new(recorder.clone())),
-        Some(metrics.clone()),
-    )
-    .expect("fault-free setup");
+    let instruments = Instruments {
+        fault_plan: None,
+        recorder: Some(Box::new(recorder.clone())),
+        metrics: Some(metrics.clone()),
+    };
+    let mut sim = pic_core::GenericPicSim::<E>::try_new_instrumented(cfg, instruments)
+        .expect("fault-free setup");
     for _ in 0..iters {
         sim.try_step().expect("fault-free iteration");
     }

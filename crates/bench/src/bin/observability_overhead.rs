@@ -29,8 +29,8 @@ use pic_bench::{iters_from_args, write_csv};
 use pic_core::{SimConfig, ThreadedPicSim};
 use pic_machine::trace::chrome_trace;
 use pic_machine::{
-    JsonLinesRecorder, MachineConfig, MemoryRecorder, MetricsReport, MultiRecorder, Recorder,
-    SharedMetrics, SharedRecorder, TraceEvent,
+    Instruments, JsonLinesRecorder, MachineConfig, MemoryRecorder, MetricsReport, MultiRecorder,
+    Recorder, SharedMetrics, SharedRecorder, TraceEvent,
 };
 use pic_partition::PolicyKind;
 
@@ -57,12 +57,17 @@ fn run_once(
     metrics: Option<SharedMetrics>,
 ) -> f64 {
     let start = Instant::now();
-    let mut sim = ThreadedPicSim::try_new_observed(bench_cfg(), None, recorder, metrics)
+    let instruments = Instruments {
+        fault_plan: None,
+        recorder,
+        metrics,
+    };
+    let mut sim = ThreadedPicSim::try_new_instrumented(bench_cfg(), instruments)
         .expect("fault-free construction");
     for _ in 0..iters {
         sim.try_step().expect("fault-free iteration");
     }
-    if let Some(rec) = sim.recorder_mut() {
+    if let Some(rec) = &mut sim.instruments_mut().recorder {
         rec.flush();
     }
     start.elapsed().as_secs_f64()

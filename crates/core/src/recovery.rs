@@ -19,7 +19,8 @@
 use std::sync::Arc;
 
 use pic_machine::{
-    CheckpointAction, CheckpointEvent, FaultPlan, Recorder, SpmdEngine, SpmdError, TraceEvent,
+    CheckpointAction, CheckpointEvent, FaultPlan, Instruments, Recorder, SpmdEngine, SpmdError,
+    TraceEvent,
 };
 
 use crate::checkpoint::Checkpoint;
@@ -82,7 +83,12 @@ pub fn run_with_recovery_traced<E: SpmdEngine<RankState>>(
     max_restarts: usize,
     recorder: Option<Box<dyn Recorder>>,
 ) -> Result<RecoveryOutcome<E>, SpmdError> {
-    let mut sim = GenericPicSim::<E>::try_new_traced(cfg.clone(), plan.clone(), recorder)?;
+    let instruments = Instruments {
+        fault_plan: plan,
+        recorder,
+        metrics: None,
+    };
+    let mut sim = GenericPicSim::<E>::try_new_instrumented(cfg.clone(), instruments)?;
     let mut latest = sim.checkpoint().encode();
     emit_checkpoint(&mut sim, 0, latest.len(), CheckpointAction::Saved);
     let mut records: Vec<IterationRecord> = Vec::with_capacity(iterations);
@@ -111,11 +117,9 @@ pub fn run_with_recovery_traced<E: SpmdEngine<RankState>>(
                 // they will be re-executed
                 records.truncate(ck.iter as usize);
                 let mut fresh = GenericPicSim::<E>::resume_from(cfg.clone(), &ck);
-                if let Some(p) = &plan {
-                    fresh.set_fault_plan(Some(Arc::clone(p)));
-                }
-                // carry the event stream into the resumed simulation
-                fresh.set_recorder(sim.take_recorder());
+                // carry the fault plan and the event stream into the
+                // resumed simulation
+                *fresh.instruments_mut() = std::mem::take(sim.instruments_mut());
                 sim = fresh;
                 emit_checkpoint(&mut sim, ck.iter, latest.len(), CheckpointAction::Restored);
             }
@@ -137,7 +141,7 @@ fn emit_checkpoint<E: SpmdEngine<RankState>>(
     bytes: usize,
     action: CheckpointAction,
 ) {
-    if let Some(rec) = sim.recorder_mut() {
+    if let Some(rec) = &mut sim.instruments_mut().recorder {
         rec.record(&TraceEvent::Checkpoint(CheckpointEvent {
             iter,
             bytes: bytes as u64,

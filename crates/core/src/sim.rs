@@ -1,12 +1,10 @@
 //! The parallel PIC simulation driver.
 
-use std::sync::Arc;
-
 use pic_field::{HaloPlan, MaxwellSolver};
 use pic_index::CellIndexer;
 use pic_machine::{
-    FailureCause, FaultEvent, FaultPlan, IterationEvent, Machine, PhaseKind, PolicyDecisionEvent,
-    RankLoadEvent, Recorder, RedistributionEvent, RedistributionTrigger, SharedMetrics, SpmdEngine,
+    FailureCause, FaultEvent, Instruments, IterationEvent, Machine, PhaseKind, PolicyDecisionEvent,
+    RankLoadEvent, RedistributionEvent, RedistributionTrigger, SharedMetrics, SpmdEngine,
     SpmdError, StatsLog, SuperstepStats, ThreadedMachine, TraceEvent,
 };
 use pic_partition::{sfc_block_layout, PolicyDecision, RedistributionPolicy};
@@ -221,62 +219,28 @@ impl<E: SpmdEngine<RankState>> GenericPicSim<E> {
     /// # Panics
     /// Panics on an invalid configuration.
     pub fn try_new(cfg: SimConfig) -> Result<Self, SpmdError> {
-        Self::try_new_with(cfg, None)
+        Self::try_new_instrumented(cfg, Instruments::default())
     }
 
-    /// [`GenericPicSim::try_new`] with a fault plan installed *before*
-    /// the initial distribution, so plan entries against epoch 0 can
-    /// target setup itself.
+    /// [`GenericPicSim::try_new`] with `instruments` installed on the
+    /// executor *before* the initial distribution: fault plan entries
+    /// against epoch 0 can target set-up itself, the set-up collectives
+    /// and the set-up [`RedistributionEvent`] land in the recorder, and
+    /// the set-up collectives count toward the metrics registry's
+    /// communication matrix, whose structure gauges (alignment, curve
+    /// locality) are sampled at startup.
     ///
     /// # Errors
     /// Returns the [`SpmdError`] when the initial distribution fails.
     ///
     /// # Panics
     /// Panics on an invalid configuration.
-    pub fn try_new_with(cfg: SimConfig, plan: Option<Arc<FaultPlan>>) -> Result<Self, SpmdError> {
-        Self::try_new_traced(cfg, plan, None)
-    }
-
-    /// [`GenericPicSim::try_new_with`] with an observability
-    /// [`Recorder`] installed *before* the initial distribution, so the
-    /// setup collectives and the setup [`RedistributionEvent`] land in
-    /// the trace too (a recorder installed later via
-    /// [`GenericPicSim::set_recorder`] misses them).
-    ///
-    /// # Errors
-    /// Returns the [`SpmdError`] when the initial distribution fails.
-    ///
-    /// # Panics
-    /// Panics on an invalid configuration.
-    pub fn try_new_traced(
+    pub fn try_new_instrumented(
         cfg: SimConfig,
-        plan: Option<Arc<FaultPlan>>,
-        recorder: Option<Box<dyn Recorder>>,
-    ) -> Result<Self, SpmdError> {
-        Self::try_new_observed(cfg, plan, recorder, None)
-    }
-
-    /// [`GenericPicSim::try_new_traced`] with a [`SharedMetrics`]
-    /// registry additionally installed *before* the initial
-    /// distribution, so the setup collectives count toward the
-    /// communication matrix and the structure gauges (alignment,
-    /// curve locality) are sampled at startup.
-    ///
-    /// # Errors
-    /// Returns the [`SpmdError`] when the initial distribution fails.
-    ///
-    /// # Panics
-    /// Panics on an invalid configuration.
-    pub fn try_new_observed(
-        cfg: SimConfig,
-        plan: Option<Arc<FaultPlan>>,
-        recorder: Option<Box<dyn Recorder>>,
-        metrics: Option<SharedMetrics>,
+        instruments: Instruments,
     ) -> Result<Self, SpmdError> {
         let mut sim = Self::construct(cfg, true);
-        sim.machine.set_recorder(recorder);
-        sim.machine.set_metrics(metrics);
-        sim.machine.set_fault_plan(plan);
+        *sim.machine.instruments_mut() = instruments;
         sim.machine.set_fault_epoch(0);
         // initial distribution (also under Eulerian: a one-time spatial
         // assignment so particles start on their owning ranks)
@@ -302,9 +266,14 @@ impl<E: SpmdEngine<RankState>> GenericPicSim<E> {
 
     /// Forward one driver-level event to the executor's recorder, if any.
     fn emit(&mut self, event: TraceEvent) {
-        if let Some(rec) = self.machine.recorder_mut() {
+        if let Some(rec) = &mut self.machine.instruments_mut().recorder {
             rec.record(&event);
         }
+    }
+
+    /// A handle to the installed metrics registry, if any.
+    fn metrics(&self) -> Option<SharedMetrics> {
+        self.machine.instruments().metrics.clone()
     }
 
     /// Sample the *structure* gauges — curve-locality statistics
@@ -315,7 +284,7 @@ impl<E: SpmdEngine<RankState>> GenericPicSim<E> {
     /// after each redistribution (when they actually change), never per
     /// iteration; see DESIGN.md §10 for the overhead policy.
     fn sample_structure_gauges(&mut self) {
-        let Some(metrics) = self.machine.metrics() else {
+        let Some(metrics) = self.metrics() else {
             return;
         };
         let jumps = pic_index::locality::neighbor_jump_stats(self.indexer.as_ref());
@@ -340,14 +309,14 @@ impl<E: SpmdEngine<RankState>> GenericPicSim<E> {
     /// cheap `O(p)` gauges and counters for the registry.
     fn observe_iteration(&mut self, counts: &[usize], redistributed: bool) {
         let now_s = self.machine.elapsed_s();
-        if self.machine.recorder_mut().is_some() {
+        if self.machine.instruments().recorder.is_some() {
             self.emit(TraceEvent::RankLoad(RankLoadEvent {
                 iter: self.iter as u64,
                 time_s: now_s,
                 counts: counts.iter().map(|&c| c as u64).collect(),
             }));
         }
-        let Some(metrics) = self.machine.metrics() else {
+        let Some(metrics) = self.metrics() else {
             return;
         };
         let max = counts.iter().copied().max().unwrap_or(0) as f64;
@@ -373,40 +342,16 @@ impl<E: SpmdEngine<RankState>> GenericPicSim<E> {
         });
     }
 
-    /// Install (or clear) an observability sink on the executor.  All
-    /// subsequent supersteps, collectives, and driver events (iterations,
-    /// redistributions, faults) are emitted to it; see
-    /// [`pic_machine::trace`].  To also capture setup, use
-    /// [`GenericPicSim::try_new_traced`].
-    pub fn set_recorder(&mut self, recorder: Option<Box<dyn Recorder>>) {
-        self.machine.set_recorder(recorder);
-    }
-
-    /// Remove and return the installed recorder (flush it or hand it to a
-    /// resumed simulation).
-    pub fn take_recorder(&mut self) -> Option<Box<dyn Recorder>> {
-        self.machine.take_recorder()
-    }
-
-    /// Mutable access to the installed recorder, if any (callers can
-    /// flush it or append their own events to the stream).
-    pub fn recorder_mut(&mut self) -> Option<&mut (dyn Recorder + '_)> {
-        self.machine.recorder_mut()
-    }
-
-    /// Install (or clear) a metrics registry on the executor.  All
-    /// subsequent supersteps and collectives feed the per-phase families
-    /// and the rank-pair communication matrix; the driver additionally
-    /// maintains iteration/redistribution/fault counters and the load
-    /// gauges.  To also capture setup, use
-    /// [`GenericPicSim::try_new_observed`].
-    pub fn set_metrics(&mut self, metrics: Option<SharedMetrics>) {
-        self.machine.set_metrics(metrics);
-    }
-
-    /// A handle to the installed metrics registry, if any.
-    pub fn metrics(&self) -> Option<SharedMetrics> {
-        self.machine.metrics()
+    /// The executor's installed fault plan, recorder and metrics
+    /// registry, to install, replace or take any of them between
+    /// iterations.  The driver stamps every iteration's number into the
+    /// executor as the *fault epoch*, so plan entries written against
+    /// iteration numbers fire in the right place; the recorder also
+    /// receives the driver's iteration, redistribution, policy and fault
+    /// events, and the registry its counters and load gauges.  To also
+    /// observe set-up, use [`GenericPicSim::try_new_instrumented`].
+    pub fn instruments_mut(&mut self) -> &mut Instruments {
+        self.machine.instruments_mut()
     }
 
     /// [`GenericPicSim::try_new`], panicking on failure (the historical
@@ -472,19 +417,6 @@ impl<E: SpmdEngine<RankState>> GenericPicSim<E> {
         }
     }
 
-    /// Install (or clear) a fault-injection plan on the executor.  The
-    /// driver stamps every iteration's number into the executor as the
-    /// *fault epoch*, so plan entries written against iteration numbers
-    /// fire in the right place.
-    pub fn set_fault_plan(&mut self, plan: Option<Arc<FaultPlan>>) {
-        self.machine.set_fault_plan(plan);
-    }
-
-    /// The installed fault plan, if any.
-    pub fn fault_plan(&self) -> Option<Arc<FaultPlan>> {
-        self.machine.fault_plan()
-    }
-
     /// Run one iteration (scatter → field solve → gather → push, then the
     /// redistribution policy), reporting failures as typed errors.
     ///
@@ -513,7 +445,7 @@ impl<E: SpmdEngine<RankState>> GenericPicSim<E> {
                     epoch: err.epoch,
                     cause: err.cause.to_string(),
                 }));
-                if let Some(metrics) = self.machine.metrics() {
+                if let Some(metrics) = self.metrics() {
                     metrics.with(|reg| reg.inc("pic_faults_total", 1));
                 }
                 Err(err)
@@ -587,7 +519,7 @@ impl<E: SpmdEngine<RankState>> GenericPicSim<E> {
                 threshold_s: decision.threshold_s,
                 fired: fire,
             }));
-            if let Some(metrics) = self.machine.metrics() {
+            if let Some(metrics) = self.metrics() {
                 metrics.with(|reg| {
                     reg.inc("pic_policy_decisions_total", 1);
                     if fire {

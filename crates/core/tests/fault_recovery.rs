@@ -11,7 +11,9 @@ use std::sync::Arc;
 
 use pic_core::state::RankState;
 use pic_core::{run_with_recovery, Checkpoint, GenericPicSim, ParallelPicSim, SimConfig};
-use pic_machine::{FailureCause, FaultPlan, MachineConfig, SpmdEngine, ThreadedMachine};
+use pic_machine::{
+    FailureCause, FaultPlan, Instruments, MachineConfig, SpmdEngine, ThreadedMachine,
+};
 use pic_partition::PolicyKind;
 
 fn bits_eq(a: &[f64], b: &[f64]) -> bool {
@@ -108,7 +110,7 @@ fn benign_noise_never_changes_simulation_results() {
 
     for seed in [1u64, 2, 3] {
         let mut noisy = GenericPicSim::<ThreadedMachine<RankState>>::new(cfg.clone());
-        noisy.set_fault_plan(Some(Arc::new(FaultPlan::benign(seed))));
+        noisy.instruments_mut().fault_plan = Some(Arc::new(FaultPlan::benign(seed)));
         noisy.run(12);
         let noisy_ranks = noisy.into_machine().into_ranks();
         assert_states_identical(&clean_ranks, &noisy_ranks);
@@ -122,10 +124,15 @@ fn benign_noise_never_changes_simulation_results() {
 fn kill_during_setup_fails_construction() {
     let cfg = recovery_cfg(4, 512, 10);
     let plan = Arc::new(FaultPlan::new(3).kill(0, 0));
-    let err = match GenericPicSim::<ThreadedMachine<RankState>>::try_new_with(cfg, Some(plan)) {
-        Ok(_) => panic!("a kill at epoch 0 must fail the initial distribution"),
-        Err(err) => err,
+    let instruments = Instruments {
+        fault_plan: Some(plan),
+        ..Instruments::default()
     };
+    let err =
+        match GenericPicSim::<ThreadedMachine<RankState>>::try_new_instrumented(cfg, instruments) {
+            Ok(_) => panic!("a kill at epoch 0 must fail the initial distribution"),
+            Err(err) => err,
+        };
     assert!(err.is_injected_kill(), "unexpected error: {err}");
     assert_eq!(err.rank, Some(0));
     assert_eq!(err.epoch, Some(0));

@@ -6,7 +6,7 @@
 use pic_core::{GenericPicSim, SimConfig};
 use pic_index::IndexScheme;
 use pic_machine::{
-    Machine, MachineConfig, MemoryRecorder, SharedMetrics, SharedRecorder, SpmdEngine,
+    Instruments, Machine, MachineConfig, MemoryRecorder, SharedMetrics, SharedRecorder, SpmdEngine,
     ThreadedMachine, TraceEvent,
 };
 use pic_particles::ParticleDistribution;
@@ -35,13 +35,12 @@ fn observed_run<E: SpmdEngine<pic_core::RankState>>(
 ) -> (Vec<TraceEvent>, SharedMetrics) {
     let recorder = SharedRecorder::new(MemoryRecorder::new());
     let metrics = SharedMetrics::new(cfg.machine.ranks);
-    let mut sim = GenericPicSim::<E>::try_new_observed(
-        cfg,
-        None,
-        Some(Box::new(recorder.clone())),
-        Some(metrics.clone()),
-    )
-    .expect("setup");
+    let instruments = Instruments {
+        fault_plan: None,
+        recorder: Some(Box::new(recorder.clone())),
+        metrics: Some(metrics.clone()),
+    };
+    let mut sim = GenericPicSim::<E>::try_new_instrumented(cfg, instruments).expect("setup");
     for _ in 0..iters {
         sim.try_step().expect("iteration");
     }

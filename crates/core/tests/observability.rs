@@ -9,8 +9,8 @@ use std::sync::Arc;
 use pic_core::state::RankState;
 use pic_core::{run_with_recovery_traced, ParallelPicSim, SimConfig};
 use pic_machine::{
-    CheckpointAction, FaultPlan, MachineConfig, MemoryRecorder, PhaseKind, SharedRecorder,
-    TraceEvent,
+    CheckpointAction, FaultPlan, Instruments, MachineConfig, MemoryRecorder, PhaseKind,
+    SharedRecorder, TraceEvent,
 };
 use pic_partition::PolicyKind;
 
@@ -25,10 +25,12 @@ fn traced_cfg(ranks: usize, policy: PolicyKind) -> SimConfig {
 #[test]
 fn traced_run_emits_full_event_story() {
     let shared = SharedRecorder::new(MemoryRecorder::new());
-    let mut sim = ParallelPicSim::try_new_traced(
+    let mut sim = ParallelPicSim::try_new_instrumented(
         traced_cfg(4, PolicyKind::Periodic(2)),
-        None,
-        Some(Box::new(shared.clone())),
+        Instruments {
+            recorder: Some(Box::new(shared.clone())),
+            ..Instruments::default()
+        },
     )
     .expect("fault-free construction");
     for _ in 0..5 {

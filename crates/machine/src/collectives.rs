@@ -7,121 +7,31 @@
 //! each rank `stages * tau + (p - 1) * share_bytes * mu`, with `stages`
 //! depending on the topology.
 
-use crate::clock::Clock;
 use crate::machine::Machine;
-use crate::stats::{PhaseKind, SuperstepStats};
-use crate::trace::{SpanEvent, SuperstepEvent, TraceEvent};
+use crate::record::CollectiveShape;
+use crate::stats::PhaseKind;
 
 impl<S: Send> Machine<S> {
     /// Charge every rank for a collective moving `share_bytes` per rank
-    /// and synchronize the clocks.  Used internally by the typed
-    /// collectives below.
-    fn charge_collective(&mut self, phase: PhaseKind, share_bytes: usize) {
+    /// in `shape`, synchronize the clocks and account the operation.
+    fn charge_collective(&mut self, phase: PhaseKind, shape: CollectiveShape, share_bytes: usize) {
         let cfg = *self.config();
         let p = cfg.ranks;
         let stages = cfg.topology.collective_stages(p) as f64;
-        let comm = if p > 1 {
-            stages * cfg.tau + ((p - 1) * share_bytes) as f64 * cfg.mu
-        } else {
-            0.0
+        let comm = match shape {
+            _ if p == 1 => 0.0,
+            CollectiveShape::Doubling => stages * cfg.tau + ((p - 1) * share_bytes) as f64 * cfg.mu,
+            CollectiveShape::Pipelined => cfg.collective_cost(share_bytes),
         };
         let start = self.elapsed_s();
-        for c in self.clocks_mut() {
+        for c in &mut self.clocks {
             c.advance_comm(comm);
         }
-        let per_rank_msgs = if p > 1 { stages as u64 } else { 0 };
-        let per_rank_bytes = ((p - 1) * share_bytes) as u64;
-        let total_msgs = if p > 1 { stages as u64 * p as u64 } else { 0 };
-        let total_bytes = ((p - 1) * share_bytes * p) as u64;
-        self.stats_mut().push(SuperstepStats {
-            phase,
-            max_msgs_sent: per_rank_msgs,
-            max_msgs_recv: per_rank_msgs,
-            max_bytes_sent: per_rank_bytes,
-            max_bytes_recv: per_rank_bytes,
-            total_msgs,
-            total_bytes,
-            max_compute_s: 0.0,
-            max_comm_s: comm,
-            elapsed_s: comm,
-        });
-        self.metrics_collective(phase, comm, share_bytes as u64, total_msgs, total_bytes);
-        self.trace_collective(
-            phase,
-            start,
-            comm,
-            per_rank_msgs,
-            per_rank_bytes,
-            total_msgs,
-            total_bytes,
-        );
-    }
-
-    /// Feed an installed metrics registry with one collective superstep
-    /// (uniform pair attribution; see [`crate::metrics`]).
-    fn metrics_collective(
-        &mut self,
-        phase: PhaseKind,
-        elapsed_s: f64,
-        share_bytes: u64,
-        total_msgs: u64,
-        total_bytes: u64,
-    ) {
-        if let Some(metrics) = self.metrics() {
-            metrics.with(|reg| {
-                reg.observe_collective(phase, elapsed_s, share_bytes, total_msgs, total_bytes);
-            });
-        }
-    }
-
-    /// Emit the trace events of a collective: one uniform span per rank
-    /// (collectives charge every rank identically under the model) plus
-    /// the aggregated superstep event.
-    #[allow(clippy::too_many_arguments)]
-    fn trace_collective(
-        &mut self,
-        phase: PhaseKind,
-        start: f64,
-        comm: f64,
-        per_rank_msgs: u64,
-        per_rank_bytes: u64,
-        total_msgs: u64,
-        total_bytes: u64,
-    ) {
-        if !self.has_recorder() {
-            return;
-        }
-        let p = self.config().ranks;
-        let step = self.next_trace_step();
         let epoch = self.fault_epoch();
-        for rank in 0..p {
-            self.record_event(&TraceEvent::Span(SpanEvent {
-                rank,
-                phase,
-                superstep: step,
-                epoch,
-                start_s: start,
-                compute_s: 0.0,
-                comm_s: comm,
-                end_s: start + comm,
-                msgs_sent: per_rank_msgs,
-                msgs_recv: per_rank_msgs,
-                bytes_sent: per_rank_bytes,
-                bytes_recv: per_rank_bytes,
-            }));
-        }
-        self.record_event(&TraceEvent::Superstep(SuperstepEvent {
-            phase,
-            superstep: step,
-            epoch,
-            start_s: start,
-            elapsed_s: comm,
-            max_compute_s: 0.0,
-            max_comm_s: comm,
-            total_msgs,
-            total_bytes,
-            collective: true,
-        }));
+        self.acct
+            .begin(phase, epoch, start)
+            .set_collective(&cfg, shape, share_bytes, comm);
+        self.acct.commit();
     }
 
     /// Global concatenation: every rank contributes one value extracted
@@ -147,7 +57,7 @@ impl<S: Send> Machine<S> {
         for (r, s) in self.ranks_mut().iter_mut().enumerate() {
             apply(r, s, &gathered);
         }
-        self.charge_collective(phase, bytes_per_item);
+        self.charge_collective(phase, CollectiveShape::Doubling, bytes_per_item);
     }
 
     /// Global concatenation of *vectors*: rank `r` contributes a `Vec<T>`;
@@ -176,7 +86,7 @@ impl<S: Send> Machine<S> {
         for (r, s) in self.ranks_mut().iter_mut().enumerate() {
             apply(r, s, &concat);
         }
-        self.charge_collective(phase, max_share * bytes_per_item);
+        self.charge_collective(phase, CollectiveShape::Doubling, max_share * bytes_per_item);
     }
 
     /// All-reduce with a caller-supplied fold, 8-byte shares (one f64/u64).
@@ -193,7 +103,7 @@ impl<S: Send> Machine<S> {
         for (r, s) in self.ranks_mut().iter_mut().enumerate() {
             apply(r, s, &folded);
         }
-        self.charge_collective(phase, 8);
+        self.charge_collective(phase, CollectiveShape::Doubling, 8);
     }
 
     /// Element-wise all-reduce of a per-rank array (e.g. the replicated
@@ -229,60 +139,15 @@ impl<S: Send> Machine<S> {
         for (r, s) in self.ranks_mut().iter_mut().enumerate() {
             apply(r, s, &acc);
         }
-        // charge a pipelined tree: stages * (tau + share * mu)
-        let cfg = *self.config();
-        let p = cfg.ranks;
-        let stages = cfg.topology.collective_stages(p) as f64;
-        let comm = if p > 1 {
-            stages * (cfg.tau + share_bytes as f64 * cfg.mu)
-        } else {
-            0.0
-        };
-        let start = self.elapsed_s();
-        for c in self.clocks_mut() {
-            c.advance_comm(comm);
-        }
-        let per_rank_msgs = if p > 1 { stages as u64 } else { 0 };
-        let per_rank_bytes = (stages as u64) * share_bytes as u64;
-        let total_msgs = if p > 1 { stages as u64 * p as u64 } else { 0 };
-        let total_bytes = (stages as u64) * (share_bytes * p) as u64;
-        self.stats_mut().push(SuperstepStats {
-            phase,
-            max_msgs_sent: per_rank_msgs,
-            max_msgs_recv: per_rank_msgs,
-            max_bytes_sent: per_rank_bytes,
-            max_bytes_recv: per_rank_bytes,
-            total_msgs,
-            total_bytes,
-            max_compute_s: 0.0,
-            max_comm_s: comm,
-            elapsed_s: comm,
-        });
-        self.metrics_collective(phase, comm, share_bytes as u64, total_msgs, total_bytes);
-        self.trace_collective(
-            phase,
-            start,
-            comm,
-            per_rank_msgs,
-            per_rank_bytes,
-            total_msgs,
-            total_bytes,
-        );
+        self.charge_collective(phase, CollectiveShape::Pipelined, share_bytes);
     }
 
     /// Barrier: level all clocks to the slowest rank (idle -> comm).
     pub fn barrier(&mut self) {
         let barrier = self.elapsed_s();
-        for c in self.clocks_mut() {
+        for c in &mut self.clocks {
             c.sync_to(barrier);
         }
-    }
-
-    /// Mutable clock access for the collectives (crate-internal).
-    pub(crate) fn clocks_mut(&mut self) -> &mut [Clock] {
-        // Safety note: plain field access; lives here to keep `machine.rs`
-        // field privacy intact from the outside.
-        self.clocks_mut_impl()
     }
 }
 

@@ -21,24 +21,22 @@
 //! rank failure — panic, receive timeout, injected kill, poisoned
 //! mailbox — surfaces as a typed value carrying the failing rank, the
 //! phase, the engine's superstep index, and the driver's fault epoch.
-//! Fault schedules are installed via [`SpmdEngine::set_fault_plan`] and
-//! scoped in time by [`SpmdEngine::set_fault_epoch`] (the PIC driver sets
+//! Fault schedules are installed as the `fault_plan` of
+//! [`SpmdEngine::instruments_mut`] and scoped in time by
+//! [`SpmdEngine::set_fault_epoch`] (the PIC driver sets
 //! the epoch to the iteration number every iteration).  The modeled
 //! machine honors only kill faults — it has no real wires for benign
 //! delay/reorder/drop faults to act on; the threaded machine honors all
 //! of them at the mailbox layer.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
 
 use crate::config::MachineConfig;
-use crate::error::SpmdError;
-use crate::fault::FaultPlan;
+use crate::error::{FailureCause, SpmdError};
 use crate::machine::{ExecMode, Machine, Outbox, PhaseCtx};
-use crate::metrics::SharedMetrics;
 use crate::payload::Payload;
+use crate::record::Instruments;
 use crate::stats::{PhaseKind, StatsLog};
-use crate::trace::Recorder;
 
 /// A machine that can run SPMD phase programs over rank states of type `S`.
 ///
@@ -80,12 +78,6 @@ pub trait SpmdEngine<S: Send>: Sized {
     /// Mutable statistics log (drained per iteration by the PIC driver).
     fn stats_mut(&mut self) -> &mut StatsLog;
 
-    /// Install (or clear) a fault schedule for subsequent operations.
-    fn set_fault_plan(&mut self, plan: Option<Arc<FaultPlan>>);
-
-    /// The installed fault schedule, if any.
-    fn fault_plan(&self) -> Option<Arc<FaultPlan>>;
-
     /// Set the fault epoch faults are matched against (drivers use their
     /// iteration counter, so plans can say "kill rank 2 at iteration 25").
     fn set_fault_epoch(&mut self, epoch: u64);
@@ -93,32 +85,19 @@ pub trait SpmdEngine<S: Send>: Sized {
     /// The current fault epoch.
     fn fault_epoch(&self) -> u64;
 
-    /// Install (or clear) an observability sink.  Every subsequent
+    /// The installed fault schedule, recorder and metrics registry.
+    fn instruments(&self) -> &Instruments;
+
+    /// Mutable access to the installed [`Instruments`]: install, replace
+    /// or take any of them between operations.  Every subsequent
     /// superstep and collective emits per-rank
-    /// [`SpanEvent`](crate::trace::SpanEvent)s and one aggregated
-    /// [`SuperstepEvent`](crate::trace::SuperstepEvent) to it — modeled
-    /// seconds on the BSP machine, wall-clock seconds on the threaded
-    /// one (see [`crate::trace`]).
-    fn set_recorder(&mut self, recorder: Option<Box<dyn Recorder>>);
-
-    /// Remove and return the installed recorder (used to carry a sink
-    /// across an engine rebuild, e.g. on checkpoint restart).
-    fn take_recorder(&mut self) -> Option<Box<dyn Recorder>>;
-
-    /// Mutable access to the installed recorder, if any.  Drivers use it
-    /// to emit their own iteration/redistribution/fault events into the
-    /// same stream.
-    fn recorder_mut(&mut self) -> Option<&mut (dyn Recorder + '_)>;
-
-    /// Install (or clear) a shared metrics registry.  While installed,
-    /// every superstep and collective feeds its phase family and the
-    /// rank-pair communication matrix (see [`crate::metrics`]); the
-    /// registry is locked once per superstep, never per message, and a
-    /// machine without one pays a single branch.
-    fn set_metrics(&mut self, metrics: Option<SharedMetrics>);
-
-    /// A clone of the installed metrics handle, if any.
-    fn metrics(&self) -> Option<SharedMetrics>;
+    /// [`SpanEvent`](crate::trace::SpanEvent)s and one
+    /// [`SuperstepEvent`](crate::trace::SuperstepEvent) to the recorder —
+    /// modeled seconds on the BSP machine, wall-clock seconds on the
+    /// threaded one (see [`crate::trace`]) — and feeds the registry's
+    /// phase family and communication matrix (see [`crate::metrics`]).
+    /// Drivers append their own events to the same recorder.
+    fn instruments_mut(&mut self) -> &mut Instruments;
 
     /// Run one superstep: `compute` on every rank (may send messages),
     /// then `deliver` on every rank with its inbox sorted by sender rank
@@ -251,14 +230,6 @@ impl<S: Send> SpmdEngine<S> for Machine<S> {
         Machine::stats_mut(self)
     }
 
-    fn set_fault_plan(&mut self, plan: Option<Arc<FaultPlan>>) {
-        Machine::set_fault_plan(self, plan);
-    }
-
-    fn fault_plan(&self) -> Option<Arc<FaultPlan>> {
-        Machine::fault_plan(self)
-    }
-
     fn set_fault_epoch(&mut self, epoch: u64) {
         Machine::set_fault_epoch(self, epoch);
     }
@@ -267,24 +238,12 @@ impl<S: Send> SpmdEngine<S> for Machine<S> {
         Machine::fault_epoch(self)
     }
 
-    fn set_recorder(&mut self, recorder: Option<Box<dyn Recorder>>) {
-        Machine::set_recorder(self, recorder);
+    fn instruments(&self) -> &Instruments {
+        &self.acct.instruments
     }
 
-    fn take_recorder(&mut self) -> Option<Box<dyn Recorder>> {
-        Machine::take_recorder(self)
-    }
-
-    fn recorder_mut(&mut self) -> Option<&mut (dyn Recorder + '_)> {
-        Machine::recorder_mut(self)
-    }
-
-    fn set_metrics(&mut self, metrics: Option<SharedMetrics>) {
-        Machine::set_metrics(self, metrics);
-    }
-
-    fn metrics(&self) -> Option<SharedMetrics> {
-        Machine::metrics(self)
+    fn instruments_mut(&mut self) -> &mut Instruments {
+        &mut self.acct.instruments
     }
 
     fn superstep<M, F, G>(
@@ -298,12 +257,7 @@ impl<S: Send> SpmdEngine<S> for Machine<S> {
         F: Fn(usize, &mut S, &mut PhaseCtx, &mut Outbox<M>) + Sync,
         G: Fn(usize, &mut S, &mut PhaseCtx, Vec<(usize, M)>) + Sync,
     {
-        let step = self.fault_guard(phase)?;
-        let epoch = Machine::fault_epoch(self);
-        catch_unwind(AssertUnwindSafe(|| {
-            Machine::superstep(self, phase, compute, deliver)
-        }))
-        .map_err(|p| SpmdError::from_panic_payload(p).in_phase(phase, step, epoch))
+        self.guarded(phase, |m| m.superstep(phase, compute, deliver))
     }
 
     fn allgather<T, F, G>(
@@ -318,12 +272,9 @@ impl<S: Send> SpmdEngine<S> for Machine<S> {
         F: Fn(usize, &S) -> T + Sync,
         G: Fn(usize, &mut S, &[T]) + Sync,
     {
-        let step = self.fault_guard(phase)?;
-        let epoch = Machine::fault_epoch(self);
-        catch_unwind(AssertUnwindSafe(|| {
-            Machine::allgather(self, phase, bytes_per_item, extract, apply)
-        }))
-        .map_err(|p| SpmdError::from_panic_payload(p).in_phase(phase, step, epoch))
+        self.guarded(phase, |m| {
+            m.allgather(phase, bytes_per_item, extract, apply)
+        })
     }
 
     fn allgatherv<T, F, G>(
@@ -338,12 +289,9 @@ impl<S: Send> SpmdEngine<S> for Machine<S> {
         F: Fn(usize, &S) -> Vec<T> + Sync,
         G: Fn(usize, &mut S, &[T]) + Sync,
     {
-        let step = self.fault_guard(phase)?;
-        let epoch = Machine::fault_epoch(self);
-        catch_unwind(AssertUnwindSafe(|| {
-            Machine::allgatherv(self, phase, bytes_per_item, extract, apply)
-        }))
-        .map_err(|p| SpmdError::from_panic_payload(p).in_phase(phase, step, epoch))
+        self.guarded(phase, |m| {
+            m.allgatherv(phase, bytes_per_item, extract, apply)
+        })
     }
 
     fn allreduce<T, F, R, G>(
@@ -359,12 +307,7 @@ impl<S: Send> SpmdEngine<S> for Machine<S> {
         R: Fn(T, T) -> T + Sync,
         G: Fn(usize, &mut S, &T) + Sync,
     {
-        let step = self.fault_guard(phase)?;
-        let epoch = Machine::fault_epoch(self);
-        catch_unwind(AssertUnwindSafe(|| {
-            Machine::allreduce(self, phase, extract, reduce, apply)
-        }))
-        .map_err(|p| SpmdError::from_panic_payload(p).in_phase(phase, step, epoch))
+        self.guarded(phase, |m| m.allreduce(phase, extract, reduce, apply))
     }
 
     fn allreduce_elementwise<T, F, R, G>(
@@ -381,18 +324,32 @@ impl<S: Send> SpmdEngine<S> for Machine<S> {
         R: Fn(&T, &T) -> T + Sync,
         G: Fn(usize, &mut S, &[T]) + Sync,
     {
-        let step = self.fault_guard(phase)?;
-        let epoch = Machine::fault_epoch(self);
-        catch_unwind(AssertUnwindSafe(|| {
-            Machine::allreduce_elementwise(self, phase, share_bytes, extract, reduce, apply)
-        }))
-        .map_err(|p| SpmdError::from_panic_payload(p).in_phase(phase, step, epoch))
+        self.guarded(phase, |m| {
+            m.allreduce_elementwise(phase, share_bytes, extract, reduce, apply)
+        })
     }
 
     fn barrier(&mut self) -> Result<(), SpmdError> {
-        let step = self.fault_guard(PhaseKind::Other)?;
-        let epoch = Machine::fault_epoch(self);
-        catch_unwind(AssertUnwindSafe(|| Machine::barrier(self)))
-            .map_err(|p| SpmdError::from_panic_payload(p).in_phase(PhaseKind::Other, step, epoch))
+        self.guarded(PhaseKind::Other, Machine::barrier)
+    }
+}
+
+impl<S: Send> Machine<S> {
+    /// Run one engine-trait operation: bump the superstep counter, fail
+    /// first if a kill fault strikes any rank now, and turn a panic
+    /// inside `op` into a typed error carrying the phase, superstep index
+    /// and fault epoch.
+    fn guarded(&mut self, phase: PhaseKind, op: impl FnOnce(&mut Self)) -> Result<(), SpmdError> {
+        let step = self.supersteps;
+        self.supersteps += 1;
+        let epoch = self.fault_epoch();
+        if let Some(plan) = &self.acct.instruments.fault_plan {
+            if let Some(r) = (0..self.num_ranks()).find(|&r| plan.consume_kill(r, epoch, phase)) {
+                let cause = FailureCause::Killed { epoch };
+                return Err(SpmdError::on_rank(r, cause).in_phase(phase, step, epoch));
+            }
+        }
+        catch_unwind(AssertUnwindSafe(|| op(self)))
+            .map_err(|p| SpmdError::from_panic_payload(p).in_phase(phase, step, epoch))
     }
 }

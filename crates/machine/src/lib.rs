@@ -61,6 +61,7 @@ mod host_par;
 pub mod machine;
 pub mod metrics;
 pub mod payload;
+mod record;
 pub mod stats;
 pub mod threaded;
 pub mod threaded_engine;
@@ -74,6 +75,7 @@ pub use fault::{FaultKind, FaultNoise, FaultPlan, FaultSession, FaultSpec, SendF
 pub use machine::{ExecMode, Machine, Outbox, PhaseCtx};
 pub use metrics::{CommMatrix, Histogram, MetricsRegistry, PhaseFamily, SharedMetrics};
 pub use payload::Payload;
+pub use record::Instruments;
 pub use stats::{PhaseKind, PhaseTotals, StatsLog, SuperstepStats};
 pub use threaded_engine::ThreadedMachine;
 pub use trace::{

@@ -14,17 +14,12 @@
 //! Self-messages are delivered but cost nothing, matching the paper's
 //! machine model where only *off-processor* accesses pay τ/μ.
 
-use std::sync::Arc;
-
 use crate::clock::Clock;
 use crate::config::MachineConfig;
-use crate::error::{FailureCause, SpmdError};
-use crate::fault::FaultPlan;
 use crate::host_par;
-use crate::metrics::SharedMetrics;
 use crate::payload::Payload;
-use crate::stats::{PhaseKind, StatsLog, SuperstepStats};
-use crate::trace::{Recorder, SpanEvent, SuperstepEvent, TraceEvent};
+use crate::record::{Accounting, RankEntry};
+use crate::stats::{PhaseKind, StatsLog};
 
 /// How virtual ranks are executed on the host.
 ///
@@ -110,23 +105,16 @@ pub struct Machine<S> {
     cfg: MachineConfig,
     mode: ExecMode,
     states: Vec<S>,
-    clocks: Vec<Clock>,
-    stats: StatsLog,
-    /// Fault schedule honored by the engine-trait wrappers (the modeled
-    /// machine has no real wires, so only kill faults apply).
-    fault_plan: Option<Arc<FaultPlan>>,
+    pub(crate) clocks: Vec<Clock>,
+    /// Statistics log, installed instruments and the operation record.
+    /// The modeled machine has no real wires: of an installed fault
+    /// plan, only the kill faults apply.
+    pub(crate) acct: Accounting,
     /// Driver-set fault epoch (the PIC driver uses the iteration number).
     fault_epoch: u64,
     /// Operations issued through the engine trait (superstep index in
     /// error context).
-    supersteps: u64,
-    /// Installed observability sink, if any (see [`crate::trace`]).
-    recorder: Option<Box<dyn Recorder>>,
-    /// Supersteps/collectives emitted to the recorder.  Separate from
-    /// `supersteps`, which only counts engine-trait entry points.
-    traced_steps: u64,
-    /// Installed metrics registry, if any (see [`crate::metrics`]).
-    metrics: Option<SharedMetrics>,
+    pub(crate) supersteps: u64,
 }
 
 impl<S: Send> Machine<S> {
@@ -148,80 +136,10 @@ impl<S: Send> Machine<S> {
             mode,
             states,
             clocks,
-            stats: StatsLog::new(),
-            fault_plan: None,
+            acct: Accounting::new(false),
             fault_epoch: 0,
             supersteps: 0,
-            recorder: None,
-            traced_steps: 0,
-            metrics: None,
         }
-    }
-
-    /// Install (or clear) a shared metrics registry.  While installed,
-    /// every superstep and collective feeds its phase family and the
-    /// rank-pair communication matrix (see [`crate::metrics`]).
-    pub fn set_metrics(&mut self, metrics: Option<SharedMetrics>) {
-        self.metrics = metrics;
-    }
-
-    /// A clone of the installed metrics handle, if any.
-    pub fn metrics(&self) -> Option<SharedMetrics> {
-        self.metrics.clone()
-    }
-
-    /// Install (or clear) an observability sink.  Every subsequent
-    /// superstep and collective emits per-rank [`SpanEvent`]s and one
-    /// aggregated [`SuperstepEvent`] to it (see [`crate::trace`]).
-    pub fn set_recorder(&mut self, recorder: Option<Box<dyn Recorder>>) {
-        self.recorder = recorder;
-    }
-
-    /// Remove and return the installed recorder (used to carry a sink
-    /// across an engine rebuild, e.g. on checkpoint restart).
-    pub fn take_recorder(&mut self) -> Option<Box<dyn Recorder>> {
-        self.recorder.take()
-    }
-
-    /// Mutable access to the installed recorder, if any (drivers use it
-    /// to emit their own iteration/redistribution events).
-    pub fn recorder_mut(&mut self) -> Option<&mut (dyn Recorder + '_)> {
-        match self.recorder.as_mut() {
-            Some(rec) => Some(rec.as_mut()),
-            None => None,
-        }
-    }
-
-    /// True when a recorder is installed (crate-internal fast path so
-    /// emission work is skipped entirely when tracing is off).
-    pub(crate) fn has_recorder(&self) -> bool {
-        self.recorder.is_some()
-    }
-
-    /// Forward one event to the recorder, if any (crate-internal).
-    pub(crate) fn record_event(&mut self, event: &TraceEvent) {
-        if let Some(rec) = &mut self.recorder {
-            rec.record(event);
-        }
-    }
-
-    /// Allocate the next trace superstep index (crate-internal).
-    pub(crate) fn next_trace_step(&mut self) -> u64 {
-        let step = self.traced_steps;
-        self.traced_steps += 1;
-        step
-    }
-
-    /// Install (or clear) a fault schedule.  The modeled machine has no
-    /// real wires, so only kill faults apply; benign delay/reorder/drop
-    /// faults are executor-level phenomena and are ignored here.
-    pub fn set_fault_plan(&mut self, plan: Option<Arc<FaultPlan>>) {
-        self.fault_plan = plan;
-    }
-
-    /// The installed fault schedule, if any.
-    pub fn fault_plan(&self) -> Option<Arc<FaultPlan>> {
-        self.fault_plan.clone()
     }
 
     /// Advance the fault epoch (the PIC driver sets it to the iteration
@@ -233,28 +151,6 @@ impl<S: Send> Machine<S> {
     /// The current fault epoch.
     pub fn fault_epoch(&self) -> u64 {
         self.fault_epoch
-    }
-
-    /// Engine-trait bookkeeping: bump the superstep counter and fail if
-    /// a kill fault strikes any rank now.  Returns the operation's
-    /// superstep index for error context.
-    pub(crate) fn fault_guard(&mut self, phase: PhaseKind) -> Result<u64, SpmdError> {
-        let step = self.supersteps;
-        self.supersteps += 1;
-        if let Some(plan) = &self.fault_plan {
-            for r in 0..self.cfg.ranks {
-                if plan.consume_kill(r, self.fault_epoch, phase) {
-                    return Err(SpmdError::on_rank(
-                        r,
-                        FailureCause::Killed {
-                            epoch: self.fault_epoch,
-                        },
-                    )
-                    .in_phase(phase, step, self.fault_epoch));
-                }
-            }
-        }
-        Ok(step)
     }
 
     /// Machine configuration.
@@ -295,12 +191,12 @@ impl<S: Send> Machine<S> {
 
     /// Superstep statistics log.
     pub fn stats(&self) -> &StatsLog {
-        &self.stats
+        &self.acct.stats
     }
 
     /// Mutable statistics log (the PIC driver drains it per iteration).
     pub fn stats_mut(&mut self) -> &mut StatsLog {
-        &mut self.stats
+        &mut self.acct.stats
     }
 
     /// Run one superstep of `phase`.
@@ -334,27 +230,27 @@ impl<S: Send> Machine<S> {
         };
 
         // --- route -------------------------------------------------------------
-        let mut compute_ops = vec![0.0f64; p];
-        let mut send_msgs = vec![0u64; p];
-        let mut send_bytes = vec![0u64; p];
-        let mut recv_msgs = vec![0u64; p];
-        let mut recv_bytes = vec![0u64; p];
+        // Per-pair tallies for the metrics comm matrix are only collected
+        // when a registry is installed.  The router sees both ends of
+        // every transfer, so it logs the sender and the receiver side.
+        let log_pairs = self.acct.instruments.metrics.is_some();
+        let start = self.clocks.first().map_or(0.0, Clock::total_s);
+        let rec = self.acct.begin(phase, self.fault_epoch, start);
+        rec.ranks.resize(p, RankEntry::default());
         let mut inboxes: Vec<Vec<(usize, M)>> = (0..p).map(|_| Vec::new()).collect();
-        // Per-pair tallies for the metrics comm matrix; only collected
-        // when a registry is installed so the hot path stays alloc-free.
-        let mut pair_log: Vec<(usize, usize, u64)> = Vec::new();
-        let log_pairs = self.metrics.is_some();
         for (from, (msgs, ops)) in outputs.into_iter().enumerate() {
-            compute_ops[from] = ops;
+            // op units until the clocks are charged below
+            rec.ranks[from].compute_s = ops;
             for (to, msg) in msgs {
                 if to != from {
                     let bytes = msg.size_bytes() as u64;
-                    send_msgs[from] += 1;
-                    send_bytes[from] += bytes;
-                    recv_msgs[to] += 1;
-                    recv_bytes[to] += bytes;
+                    rec.ranks[from].msgs_sent += 1;
+                    rec.ranks[from].bytes_sent += bytes;
+                    rec.ranks[to].msgs_recv += 1;
+                    rec.ranks[to].bytes_recv += bytes;
                     if log_pairs {
-                        pair_log.push((from, to, bytes));
+                        rec.sent_pairs.push((from, to, bytes));
+                        rec.recv_pairs.push((from, to, bytes));
                     }
                 }
                 inboxes[to].push((from, msg));
@@ -381,92 +277,22 @@ impl<S: Send> Machine<S> {
         };
 
         // --- charge clocks and barrier -----------------------------------------
-        let start = self.clocks.first().map_or(0.0, Clock::total_s);
-        let mut compute_secs = vec![0.0f64; p];
-        let mut comm_secs = vec![0.0f64; p];
-        let mut max_compute = 0.0f64;
-        let mut max_comm = 0.0f64;
-        for r in 0..p {
-            let compute_s = self.cfg.compute_cost(compute_ops[r] + deliver_ops[r]);
-            let comm_s = send_msgs[r] as f64 * self.cfg.tau
-                + send_bytes[r] as f64 * self.cfg.mu
-                + recv_msgs[r] as f64 * self.cfg.tau
-                + recv_bytes[r] as f64 * self.cfg.mu;
-            self.clocks[r].advance_compute(compute_s);
-            self.clocks[r].advance_comm(comm_s);
-            compute_secs[r] = compute_s;
-            comm_secs[r] = comm_s;
-            max_compute = max_compute.max(compute_s);
-            max_comm = max_comm.max(comm_s);
+        let cfg = &self.cfg;
+        for ((e, clock), ops) in rec.ranks.iter_mut().zip(&mut self.clocks).zip(deliver_ops) {
+            e.compute_s = cfg.compute_cost(e.compute_s + ops);
+            e.comm_s = e.msgs_sent as f64 * cfg.tau
+                + e.bytes_sent as f64 * cfg.mu
+                + e.msgs_recv as f64 * cfg.tau
+                + e.bytes_recv as f64 * cfg.mu;
+            clock.advance_compute(e.compute_s);
+            clock.advance_comm(e.comm_s);
         }
-        let elapsed = self.clocks.iter().map(Clock::total_s).fold(0.0, f64::max) - start;
-        let barrier = start + elapsed;
+        rec.elapsed_s = self.clocks.iter().map(Clock::total_s).fold(0.0, f64::max) - start;
+        let barrier = start + rec.elapsed_s;
         for c in &mut self.clocks {
             c.sync_to(barrier);
         }
-
-        let total_msgs: u64 = send_msgs.iter().sum();
-        let total_bytes: u64 = send_bytes.iter().sum();
-        self.stats.push(SuperstepStats {
-            phase,
-            max_msgs_sent: send_msgs.iter().copied().max().unwrap_or(0),
-            max_msgs_recv: recv_msgs.iter().copied().max().unwrap_or(0),
-            max_bytes_sent: send_bytes.iter().copied().max().unwrap_or(0),
-            max_bytes_recv: recv_bytes.iter().copied().max().unwrap_or(0),
-            total_msgs,
-            total_bytes,
-            max_compute_s: max_compute,
-            max_comm_s: max_comm,
-            elapsed_s: elapsed,
-        });
-
-        if let Some(metrics) = &self.metrics {
-            // One lock per superstep.  The modeled router sees both ends
-            // of every transfer, so sender- and receiver-side matrix
-            // entries are recorded from the same pair log here; the
-            // threaded engine records the two sides from the two ends of
-            // its mailbox exchange.
-            metrics.with(|reg| {
-                for &(from, to, bytes) in &pair_log {
-                    reg.comm_mut().record_send(from, to, 1, bytes);
-                    reg.comm_mut().record_recv(to, from, 1, bytes);
-                }
-                reg.observe_superstep(phase, elapsed, total_msgs, total_bytes);
-            });
-        }
-
-        if self.has_recorder() {
-            let step = self.next_trace_step();
-            let epoch = self.fault_epoch;
-            for r in 0..p {
-                self.record_event(&TraceEvent::Span(SpanEvent {
-                    rank: r,
-                    phase,
-                    superstep: step,
-                    epoch,
-                    start_s: start,
-                    compute_s: compute_secs[r],
-                    comm_s: comm_secs[r],
-                    end_s: start + compute_secs[r] + comm_secs[r],
-                    msgs_sent: send_msgs[r],
-                    msgs_recv: recv_msgs[r],
-                    bytes_sent: send_bytes[r],
-                    bytes_recv: recv_bytes[r],
-                }));
-            }
-            self.record_event(&TraceEvent::Superstep(SuperstepEvent {
-                phase,
-                superstep: step,
-                epoch,
-                start_s: start,
-                elapsed_s: elapsed,
-                max_compute_s: max_compute,
-                max_comm_s: max_comm,
-                total_msgs,
-                total_bytes,
-                collective: false,
-            }));
-        }
+        self.acct.commit();
     }
 
     /// A communication-free superstep: every rank runs `compute` locally.
@@ -484,11 +310,6 @@ impl<S: Send> Machine<S> {
     /// Consume the machine, returning the final rank states.
     pub fn into_ranks(self) -> Vec<S> {
         self.states
-    }
-
-    /// Mutable clock access for the collectives module.
-    pub(crate) fn clocks_mut_impl(&mut self) -> &mut [Clock] {
-        &mut self.clocks
     }
 }
 

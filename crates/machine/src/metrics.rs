@@ -4,8 +4,8 @@
 //! The trace layer ([`crate::trace`]) answers *"what happened, in
 //! order?"* — an event stream.  This module answers *"how much, in
 //! total?"* — cheap aggregates a long-running service can expose on a
-//! scrape endpoint.  The two are fed from the same instrumentation
-//! points in the engines, and both are strictly pay-when-enabled: a
+//! scrape endpoint.  The two are fed from the same per-operation record
+//! in the engines, and both are strictly pay-when-enabled: a
 //! machine with no [`SharedMetrics`] installed takes a single
 //! `Option::is_some` branch per superstep and allocates nothing (the
 //! `alloc_free` oracle test runs without metrics and still asserts zero
@@ -25,8 +25,9 @@
 //! * [`Histogram`] — fixed log-spaced buckets; no allocation after
 //!   construction.
 //! * [`SharedMetrics`] — `Arc<Mutex<MetricsRegistry>>` handle cloned
-//!   into engines and the driver.  Engines lock it **once per
-//!   superstep**, never per message.
+//!   into engines (through their [`Instruments`](crate::Instruments))
+//!   and the driver.  Engines lock it **once per superstep**, never per
+//!   message.
 //! * [`MetricsRegistry::prometheus_text`] — Prometheus text-format
 //!   snapshot writer (the first of the two exporters; the second is the
 //!   HTML/SVG dashboard in `pic-bench`).
@@ -38,6 +39,7 @@
 //! matrices of a cross-validated modeled/threaded pair of runs are
 //! comparable entry for entry.
 
+use crate::record::SuperstepRecord;
 use crate::stats::PhaseKind;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
@@ -289,13 +291,33 @@ impl MetricsRegistry {
         &self.comm
     }
 
-    /// Mutable communication matrix (engines feed it directly).
+    /// Mutable communication matrix.
     pub fn comm_mut(&mut self) -> &mut CommMatrix {
         &mut self.comm
     }
 
+    /// Record one operation: its phase family entry plus its
+    /// communication-matrix tallies.  A point-to-point superstep adds
+    /// the sender- and receiver-side pair tallies its engine logged; a
+    /// collective is attributed uniformly (every ordered pair `i != j`
+    /// exchanges one logical message of the collective's share).
+    pub(crate) fn observe(&mut self, rec: &SuperstepRecord) {
+        let (msgs, bytes) = (rec.total_msgs(), rec.total_bytes());
+        if let Some(share) = rec.collective_share {
+            self.observe_collective(rec.phase, rec.elapsed_s, share, msgs, bytes);
+            return;
+        }
+        for &(from, to, bytes) in &rec.sent_pairs {
+            self.comm.record_send(from, to, 1, bytes);
+        }
+        for &(from, to, bytes) in &rec.recv_pairs {
+            self.comm.record_recv(to, from, 1, bytes);
+        }
+        self.observe_superstep(rec.phase, rec.elapsed_s, msgs, bytes);
+    }
+
     /// Record one superstep into `phase`'s family.
-    pub fn observe_superstep(&mut self, phase: PhaseKind, elapsed_s: f64, msgs: u64, bytes: u64) {
+    fn observe_superstep(&mut self, phase: PhaseKind, elapsed_s: f64, msgs: u64, bytes: u64) {
         let fam = &mut self.phases[phase_slot(phase)];
         fam.supersteps += 1;
         fam.seconds += elapsed_s;
@@ -305,9 +327,8 @@ impl MetricsRegistry {
     }
 
     /// Record a collective superstep: the phase family entry plus the
-    /// modeled uniform pair attribution (every ordered pair `i != j`
-    /// exchanges one logical message of `share_bytes`).
-    pub fn observe_collective(
+    /// uniform pair attribution of `share_bytes`.
+    fn observe_collective(
         &mut self,
         phase: PhaseKind,
         elapsed_s: f64,

@@ -7,6 +7,8 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::record::SuperstepRecord;
+
 /// Which PIC phase a superstep belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum PhaseKind {
@@ -98,6 +100,22 @@ impl SuperstepStats {
             elapsed_s: 0.0,
         }
     }
+
+    /// The row an engine logs for one operation's record.
+    pub(crate) fn from_record(rec: &SuperstepRecord) -> Self {
+        Self {
+            phase: rec.phase,
+            max_msgs_sent: rec.max_of(|e| e.msgs_sent),
+            max_msgs_recv: rec.max_of(|e| e.msgs_recv),
+            max_bytes_sent: rec.max_of(|e| e.bytes_sent),
+            max_bytes_recv: rec.max_of(|e| e.bytes_recv),
+            total_msgs: rec.total_msgs(),
+            total_bytes: rec.total_bytes(),
+            max_compute_s: rec.max_compute_s(),
+            max_comm_s: rec.max_comm_s(),
+            elapsed_s: rec.elapsed_s,
+        }
+    }
 }
 
 /// Per-phase totals aggregated over a [`StatsLog`] (see
@@ -168,17 +186,8 @@ impl StatsLog {
     /// Collapse the log into per-phase totals, ordered by descending
     /// elapsed time.  Phases with no records are omitted.
     pub fn aggregate(&self) -> Vec<PhaseTotals> {
-        let all_phases = [
-            PhaseKind::Scatter,
-            PhaseKind::FieldSolve,
-            PhaseKind::Gather,
-            PhaseKind::Push,
-            PhaseKind::Redistribute,
-            PhaseKind::Setup,
-            PhaseKind::Other,
-        ];
         let mut out = Vec::new();
-        for phase in all_phases {
+        for phase in PhaseKind::ALL {
             let mut totals = PhaseTotals {
                 phase,
                 supersteps: 0,

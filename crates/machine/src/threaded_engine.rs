@@ -24,9 +24,10 @@
 //! Failure semantics come from the mailbox layer: a failing rank poisons
 //! its peers and every entry point returns the *root* failure as a typed
 //! [`SpmdError`] within bounded time (see [`crate::threaded`]).  An
-//! installed [`FaultPlan`] is threaded into every rank's mailbox as a
-//! per-(rank, epoch) [`FaultSession`](crate::fault::FaultSession), so
-//! this engine honors benign wire faults *and* kills.
+//! installed [`FaultPlan`](crate::FaultPlan) is threaded into every
+//! rank's mailbox as a per-(rank, epoch)
+//! [`FaultSession`](crate::fault::FaultSession), so this engine honors
+//! benign wire faults *and* kills.
 
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -37,31 +38,29 @@ use std::time::{Duration, Instant};
 use crate::config::MachineConfig;
 use crate::engine::SpmdEngine;
 use crate::error::SpmdError;
-use crate::fault::FaultPlan;
 use crate::machine::{ExecMode, Outbox, PhaseCtx};
-use crate::metrics::SharedMetrics;
 use crate::payload::Payload;
-use crate::stats::{PhaseKind, StatsLog, SuperstepStats};
+use crate::record::{Accounting, CollectiveShape, Instruments, RankEntry};
+use crate::stats::{PhaseKind, StatsLog};
 use crate::threaded::{
     make_mailboxes, poison_all, resolve_rank_results, Mailbox, DEFAULT_RECV_TIMEOUT,
 };
-use crate::trace::{Recorder, SpanEvent, SuperstepEvent, TraceEvent};
 
 /// Per-rank accounting returned from a superstep's rank thread.
 struct RankReport {
-    compute: Duration,
-    sent_msgs: u64,
-    sent_bytes: u64,
-    recv_msgs: u64,
-    recv_bytes: u64,
-    /// `(to, msgs, bytes)` tallies recorded on the send side of the
-    /// mailbox exchange; populated only when metrics are enabled.
-    sent_pairs: Vec<(usize, u64, u64)>,
-    /// `(from, msgs, bytes)` tallies recorded independently on the
-    /// receive side; populated only when metrics are enabled.  Keeping
-    /// the two sides separate is what lets the comm-matrix conservation
-    /// test (`sent(i→j) == recv(j←i)`) verify the transport end to end.
-    recv_pairs: Vec<(usize, u64, u64)>,
+    /// Compute seconds and off-rank traffic; `comm_s` is filled in once
+    /// the operation's wall time is known.
+    entry: RankEntry,
+    /// `(to, bytes)` of every off-rank message, recorded on the send
+    /// side of the mailbox exchange; populated only when metrics are
+    /// enabled.
+    sent_pairs: Vec<(usize, u64)>,
+    /// `(from, bytes)` of every off-rank message, recorded
+    /// independently on the receive side; populated only when metrics
+    /// are enabled.  Keeping the two sides separate is what lets the
+    /// comm-matrix conservation test (`sent(i→j) == recv(j←i)`) verify
+    /// the transport end to end.
+    recv_pairs: Vec<(usize, u64)>,
 }
 
 /// A dispatched unit of rank work.  Jobs never unwind: the rank program
@@ -192,24 +191,18 @@ impl Drop for RankPool {
 pub struct ThreadedMachine<S> {
     cfg: MachineConfig,
     states: Vec<S>,
-    stats: StatsLog,
+    /// Statistics log, installed instruments and the operation record.
+    /// Records are committed from the driving thread after the rank
+    /// threads join, so recorders need `Send` but never see concurrent
+    /// calls.
+    acct: Accounting,
     /// Accumulated wall-clock seconds across operations.
     elapsed_wall_s: f64,
     /// Accumulated per-superstep maximum rank compute wall seconds.
     compute_wall_s: f64,
     timeout: Duration,
-    fault_plan: Option<Arc<FaultPlan>>,
     fault_epoch: u64,
     supersteps: u64,
-    /// Installed observability sink, if any (see [`crate::trace`]).
-    /// Events are emitted from the driving thread after the rank threads
-    /// join, so recorders need `Send` but never see concurrent calls.
-    recorder: Option<Box<dyn Recorder>>,
-    /// Supersteps/collectives emitted to the recorder.
-    traced_steps: u64,
-    /// Installed metrics registry, if any (see [`crate::metrics`]).
-    /// Fed from the driving thread after rank threads join.
-    metrics: Option<SharedMetrics>,
     /// Persistent rank worker threads, created on the first operation.
     pool: Option<RankPool>,
 }
@@ -230,16 +223,12 @@ impl<S: Send> ThreadedMachine<S> {
         Self {
             cfg,
             states,
-            stats: StatsLog::new(),
+            acct: Accounting::new(true),
             elapsed_wall_s: 0.0,
             compute_wall_s: 0.0,
             timeout: DEFAULT_RECV_TIMEOUT,
-            fault_plan: None,
             fault_epoch: 0,
             supersteps: 0,
-            recorder: None,
-            traced_steps: 0,
-            metrics: None,
             pool: None,
         }
     }
@@ -272,7 +261,7 @@ impl<S: Send> ThreadedMachine<S> {
         let start = Instant::now();
         let p = self.cfg.ranks;
         let mut mailboxes = make_mailboxes::<M>(p, self.timeout);
-        if let Some(plan) = &self.fault_plan {
+        if let Some(plan) = &self.acct.instruments.fault_plan {
             for (rank, mb) in mailboxes.iter_mut().enumerate() {
                 mb.set_fault(Some(plan.session(rank, epoch, phase)));
             }
@@ -327,189 +316,52 @@ impl<S: Send> ThreadedMachine<S> {
         }
     }
 
-    /// Record a collective with the same modeled message/byte counts the
-    /// BSP machine would charge (they describe the algorithm, not the
-    /// executor) but wall-clock elapsed time.
-    fn push_collective_stats(&mut self, phase: PhaseKind, share_bytes: usize, wall: Duration) {
-        let p = self.cfg.ranks;
-        let stages = self.cfg.topology.collective_stages(p) as u64;
-        let wall_s = wall.as_secs_f64();
-        let start = self.elapsed_wall_s;
-        self.elapsed_wall_s += wall_s;
-        let per_rank_msgs = if p > 1 { stages } else { 0 };
-        let per_rank_bytes = ((p - 1) * share_bytes) as u64;
-        let total_msgs = if p > 1 { stages * p as u64 } else { 0 };
-        let total_bytes = ((p - 1) * share_bytes * p) as u64;
-        self.stats.push(SuperstepStats {
-            phase,
-            max_msgs_sent: per_rank_msgs,
-            max_msgs_recv: per_rank_msgs,
-            max_bytes_sent: per_rank_bytes,
-            max_bytes_recv: per_rank_bytes,
-            total_msgs,
-            total_bytes,
-            max_compute_s: 0.0,
-            max_comm_s: wall_s,
-            elapsed_s: wall_s,
-        });
-        if let Some(metrics) = &self.metrics {
-            metrics.with(|reg| {
-                reg.observe_collective(phase, wall_s, share_bytes as u64, total_msgs, total_bytes);
-            });
-        }
-        self.trace_collective(
-            phase,
-            start,
-            wall_s,
-            per_rank_msgs,
-            per_rank_bytes,
-            total_msgs,
-            total_bytes,
-        );
-    }
-
-    /// Record the stats row and trace events of one (possibly
-    /// communication-free) superstep from its per-rank reports and wall
-    /// time — shared by [`SpmdEngine::superstep`] and the specialized
-    /// [`SpmdEngine::local_step`].
-    fn record_superstep(&mut self, phase: PhaseKind, reports: &[RankReport], wall: Duration) {
-        let wall_s = wall.as_secs_f64();
-        let max_compute_s = reports
-            .iter()
-            .map(|rep| rep.compute.as_secs_f64())
-            .fold(0.0, f64::max);
-        let start = self.elapsed_wall_s;
-        self.elapsed_wall_s += wall_s;
-        self.compute_wall_s += max_compute_s;
-        let total_msgs: u64 = reports.iter().map(|r| r.sent_msgs).sum();
-        let total_bytes: u64 = reports.iter().map(|r| r.sent_bytes).sum();
-        self.stats.push(SuperstepStats {
-            phase,
-            max_msgs_sent: reports.iter().map(|r| r.sent_msgs).max().unwrap_or(0),
-            max_msgs_recv: reports.iter().map(|r| r.recv_msgs).max().unwrap_or(0),
-            max_bytes_sent: reports.iter().map(|r| r.sent_bytes).max().unwrap_or(0),
-            max_bytes_recv: reports.iter().map(|r| r.recv_bytes).max().unwrap_or(0),
-            total_msgs,
-            total_bytes,
-            max_compute_s,
-            max_comm_s: (wall_s - max_compute_s).max(0.0),
-            elapsed_s: wall_s,
-        });
-        if let Some(metrics) = &self.metrics {
-            metrics.with(|reg| {
-                for (rank, rep) in reports.iter().enumerate() {
-                    for &(to, msgs, bytes) in &rep.sent_pairs {
-                        reg.comm_mut().record_send(rank, to, msgs, bytes);
-                    }
-                    for &(from, msgs, bytes) in &rep.recv_pairs {
-                        reg.comm_mut().record_recv(rank, from, msgs, bytes);
-                    }
-                }
-                reg.observe_superstep(phase, wall_s, total_msgs, total_bytes);
-            });
-        }
-        if self.recorder.is_some() {
-            let step = self.next_trace_step();
-            let epoch = self.fault_epoch;
-            for (rank, rep) in reports.iter().enumerate() {
-                // A rank is busy for the op's full wall time (the driving
-                // thread waits for every rank before proceeding): anything
-                // not spent computing is communication + idle, mirroring
-                // the modeled machine's idle-to-comm accounting.
-                let compute_s = rep.compute.as_secs_f64();
-                let comm_s = (wall_s - compute_s).max(0.0);
-                self.record_event(&TraceEvent::Span(SpanEvent {
-                    rank,
-                    phase,
-                    superstep: step,
-                    epoch,
-                    start_s: start,
-                    compute_s,
-                    comm_s,
-                    end_s: start + compute_s + comm_s,
-                    msgs_sent: rep.sent_msgs,
-                    msgs_recv: rep.recv_msgs,
-                    bytes_sent: rep.sent_bytes,
-                    bytes_recv: rep.recv_bytes,
-                }));
-            }
-            self.record_event(&TraceEvent::Superstep(SuperstepEvent {
-                phase,
-                superstep: step,
-                epoch,
-                start_s: start,
-                elapsed_s: wall_s,
-                max_compute_s,
-                max_comm_s: (wall_s - max_compute_s).max(0.0),
-                total_msgs,
-                total_bytes,
-                collective: false,
-            }));
-        }
-    }
-
-    /// Forward one event to the recorder, if any.
-    fn record_event(&mut self, event: &TraceEvent) {
-        if let Some(rec) = &mut self.recorder {
-            rec.record(event);
-        }
-    }
-
-    /// Allocate the next trace superstep index.
-    fn next_trace_step(&mut self) -> u64 {
-        let step = self.traced_steps;
-        self.traced_steps += 1;
-        step
-    }
-
-    /// Emit the trace events of a collective: one uniform span per rank
-    /// (all ranks participate for the operation's full wall time) plus
-    /// the aggregated superstep event.
-    #[allow(clippy::too_many_arguments)]
-    fn trace_collective(
+    /// Account a collective: the message and byte counts the modeled
+    /// machine charges (they describe the algorithm, not the executor)
+    /// over the measured wall time.
+    fn account_collective(
         &mut self,
         phase: PhaseKind,
-        start: f64,
-        wall_s: f64,
-        per_rank_msgs: u64,
-        per_rank_bytes: u64,
-        total_msgs: u64,
-        total_bytes: u64,
+        shape: CollectiveShape,
+        share_bytes: usize,
+        wall: Duration,
     ) {
-        if self.recorder.is_none() {
-            return;
+        let wall_s = wall.as_secs_f64();
+        let start = self.elapsed_wall_s;
+        self.elapsed_wall_s += wall_s;
+        self.acct
+            .begin(phase, self.fault_epoch, start)
+            .set_collective(&self.cfg, shape, share_bytes, wall_s);
+        self.acct.commit();
+    }
+
+    /// Account one (possibly communication-free) superstep from its
+    /// per-rank reports and wall time — shared by
+    /// [`SpmdEngine::superstep`] and the specialized
+    /// [`SpmdEngine::local_step`].  A rank is busy for the operation's
+    /// full wall time (the driving thread waits for every rank), so
+    /// whatever it did not spend computing is its communication + idle.
+    fn account_superstep(&mut self, phase: PhaseKind, reports: &[RankReport], wall: Duration) {
+        let wall_s = wall.as_secs_f64();
+        let start = self.elapsed_wall_s;
+        self.elapsed_wall_s += wall_s;
+        let rec = self.acct.begin(phase, self.fault_epoch, start);
+        rec.elapsed_s = wall_s;
+        for (rank, rep) in reports.iter().enumerate() {
+            let sent = rep.sent_pairs.iter().map(|&(to, bytes)| (rank, to, bytes));
+            rec.sent_pairs.extend(sent);
+            let recv = rep
+                .recv_pairs
+                .iter()
+                .map(|&(from, bytes)| (from, rank, bytes));
+            rec.recv_pairs.extend(recv);
+            rec.ranks.push(RankEntry {
+                comm_s: (wall_s - rep.entry.compute_s).max(0.0),
+                ..rep.entry
+            });
         }
-        let p = self.cfg.ranks;
-        let step = self.next_trace_step();
-        let epoch = self.fault_epoch;
-        for rank in 0..p {
-            self.record_event(&TraceEvent::Span(SpanEvent {
-                rank,
-                phase,
-                superstep: step,
-                epoch,
-                start_s: start,
-                compute_s: 0.0,
-                comm_s: wall_s,
-                end_s: start + wall_s,
-                msgs_sent: per_rank_msgs,
-                msgs_recv: per_rank_msgs,
-                bytes_sent: per_rank_bytes,
-                bytes_recv: per_rank_bytes,
-            }));
-        }
-        self.record_event(&TraceEvent::Superstep(SuperstepEvent {
-            phase,
-            superstep: step,
-            epoch,
-            start_s: start,
-            elapsed_s: wall_s,
-            max_compute_s: 0.0,
-            max_comm_s: wall_s,
-            total_msgs,
-            total_bytes,
-            collective: true,
-        }));
+        self.compute_wall_s += rec.max_compute_s();
+        self.acct.commit();
     }
 }
 
@@ -549,19 +401,11 @@ impl<S: Send> SpmdEngine<S> for ThreadedMachine<S> {
     }
 
     fn stats(&self) -> &StatsLog {
-        &self.stats
+        &self.acct.stats
     }
 
     fn stats_mut(&mut self) -> &mut StatsLog {
-        &mut self.stats
-    }
-
-    fn set_fault_plan(&mut self, plan: Option<Arc<FaultPlan>>) {
-        self.fault_plan = plan;
-    }
-
-    fn fault_plan(&self) -> Option<Arc<FaultPlan>> {
-        self.fault_plan.clone()
+        &mut self.acct.stats
     }
 
     fn set_fault_epoch(&mut self, epoch: u64) {
@@ -572,27 +416,12 @@ impl<S: Send> SpmdEngine<S> for ThreadedMachine<S> {
         self.fault_epoch
     }
 
-    fn set_recorder(&mut self, recorder: Option<Box<dyn Recorder>>) {
-        self.recorder = recorder;
+    fn instruments(&self) -> &Instruments {
+        &self.acct.instruments
     }
 
-    fn take_recorder(&mut self) -> Option<Box<dyn Recorder>> {
-        self.recorder.take()
-    }
-
-    fn recorder_mut(&mut self) -> Option<&mut (dyn Recorder + '_)> {
-        match self.recorder.as_mut() {
-            Some(rec) => Some(rec.as_mut()),
-            None => None,
-        }
-    }
-
-    fn set_metrics(&mut self, metrics: Option<SharedMetrics>) {
-        self.metrics = metrics;
-    }
-
-    fn metrics(&self) -> Option<SharedMetrics> {
-        self.metrics.clone()
+    fn instruments_mut(&mut self) -> &mut Instruments {
+        &mut self.acct.instruments
     }
 
     fn superstep<M, F, G>(
@@ -607,7 +436,7 @@ impl<S: Send> SpmdEngine<S> for ThreadedMachine<S> {
         G: Fn(usize, &mut S, &mut PhaseCtx, Vec<(usize, M)>) + Sync,
     {
         let p = self.cfg.ranks;
-        let track_pairs = self.metrics.is_some();
+        let track_pairs = self.acct.instruments.metrics.is_some();
         let compute = &compute;
         let deliver = &deliver;
         let (reports, wall) = self.run_ranks::<M, RankReport, _>(phase, move |r, s, mut mb| {
@@ -618,26 +447,29 @@ impl<S: Send> SpmdEngine<S> for ThreadedMachine<S> {
             let outgoing = outbox.into_msgs();
             let compute_half = t0.elapsed();
 
-            let (mut sent_msgs, mut sent_bytes) = (0u64, 0u64);
-            let mut sent_pairs = Vec::new();
+            let mut rep = RankReport {
+                entry: RankEntry::default(),
+                sent_pairs: Vec::new(),
+                recv_pairs: Vec::new(),
+            };
             for (to, msg) in &outgoing {
                 if *to != r {
-                    sent_msgs += 1;
-                    sent_bytes += msg.size_bytes() as u64;
+                    let bytes = msg.size_bytes() as u64;
+                    rep.entry.msgs_sent += 1;
+                    rep.entry.bytes_sent += bytes;
                     if track_pairs {
-                        sent_pairs.push((*to, 1, msg.size_bytes() as u64));
+                        rep.sent_pairs.push((*to, bytes));
                     }
                 }
             }
             let inbox = mb.exchange(outgoing);
-            let (mut recv_msgs, mut recv_bytes) = (0u64, 0u64);
-            let mut recv_pairs = Vec::new();
             for (from, msg) in &inbox {
                 if *from != r {
-                    recv_msgs += 1;
-                    recv_bytes += msg.size_bytes() as u64;
+                    let bytes = msg.size_bytes() as u64;
+                    rep.entry.msgs_recv += 1;
+                    rep.entry.bytes_recv += bytes;
                     if track_pairs {
-                        recv_pairs.push((*from, 1, msg.size_bytes() as u64));
+                        rep.recv_pairs.push((*from, bytes));
                     }
                 }
             }
@@ -645,22 +477,14 @@ impl<S: Send> SpmdEngine<S> for ThreadedMachine<S> {
             let t1 = Instant::now();
             let mut ctx = PhaseCtx::default();
             deliver(r, s, &mut ctx, inbox);
-            let deliver_half = t1.elapsed();
+            rep.entry.compute_s = (compute_half + t1.elapsed()).as_secs_f64();
             // No trailing barrier: mailboxes are fresh per operation (no
             // traffic can leak into the next superstep) and the pool's
             // completion wait already synchronizes all ranks before the
             // driving thread proceeds.
-            RankReport {
-                compute: compute_half + deliver_half,
-                sent_msgs,
-                sent_bytes,
-                recv_msgs,
-                recv_bytes,
-                sent_pairs,
-                recv_pairs,
-            }
+            rep
         })?;
-        self.record_superstep(phase, &reports, wall);
+        self.account_superstep(phase, &reports, wall);
         Ok(())
     }
 
@@ -681,16 +505,15 @@ impl<S: Send> SpmdEngine<S> for ThreadedMachine<S> {
             let mut ctx = PhaseCtx::default();
             compute(r, s, &mut ctx);
             RankReport {
-                compute: t0.elapsed(),
-                sent_msgs: 0,
-                sent_bytes: 0,
-                recv_msgs: 0,
-                recv_bytes: 0,
+                entry: RankEntry {
+                    compute_s: t0.elapsed().as_secs_f64(),
+                    ..RankEntry::default()
+                },
                 sent_pairs: Vec::new(),
                 recv_pairs: Vec::new(),
             }
         })?;
-        self.record_superstep(phase, &reports, wall);
+        self.account_superstep(phase, &reports, wall);
         Ok(())
     }
 
@@ -712,7 +535,7 @@ impl<S: Send> SpmdEngine<S> for ThreadedMachine<S> {
             let all = mb.allgather(extract(r, s));
             apply(r, s, &all);
         })?;
-        self.push_collective_stats(phase, bytes_per_item, wall);
+        self.account_collective(phase, CollectiveShape::Doubling, bytes_per_item, wall);
         Ok(())
     }
 
@@ -738,7 +561,12 @@ impl<S: Send> SpmdEngine<S> for ThreadedMachine<S> {
             share
         })?;
         let max_share = lens.into_iter().max().unwrap_or(0);
-        self.push_collective_stats(phase, max_share * bytes_per_item, wall);
+        self.account_collective(
+            phase,
+            CollectiveShape::Doubling,
+            max_share * bytes_per_item,
+            wall,
+        );
         Ok(())
     }
 
@@ -767,7 +595,7 @@ impl<S: Send> SpmdEngine<S> for ThreadedMachine<S> {
             let folded = it.fold(first, reduce);
             apply(r, s, &folded);
         })?;
-        self.push_collective_stats(phase, 8, wall);
+        self.account_collective(phase, CollectiveShape::Doubling, 8, wall);
         Ok(())
     }
 
@@ -799,42 +627,7 @@ impl<S: Send> SpmdEngine<S> for ThreadedMachine<S> {
             }
             apply(r, s, &acc);
         })?;
-        // Mirror the modeled machine's pipelined-tree accounting.
-        let p = self.cfg.ranks;
-        let stages = self.cfg.topology.collective_stages(p) as u64;
-        let wall_s = wall.as_secs_f64();
-        let start = self.elapsed_wall_s;
-        self.elapsed_wall_s += wall_s;
-        let per_rank_msgs = if p > 1 { stages } else { 0 };
-        let per_rank_bytes = stages * share_bytes as u64;
-        let total_msgs = if p > 1 { stages * p as u64 } else { 0 };
-        let total_bytes = stages * (share_bytes * p) as u64;
-        self.stats.push(SuperstepStats {
-            phase,
-            max_msgs_sent: per_rank_msgs,
-            max_msgs_recv: per_rank_msgs,
-            max_bytes_sent: per_rank_bytes,
-            max_bytes_recv: per_rank_bytes,
-            total_msgs,
-            total_bytes,
-            max_compute_s: 0.0,
-            max_comm_s: wall_s,
-            elapsed_s: wall_s,
-        });
-        if let Some(metrics) = &self.metrics {
-            metrics.with(|reg| {
-                reg.observe_collective(phase, wall_s, share_bytes as u64, total_msgs, total_bytes);
-            });
-        }
-        self.trace_collective(
-            phase,
-            start,
-            wall_s,
-            per_rank_msgs,
-            per_rank_bytes,
-            total_msgs,
-            total_bytes,
-        );
+        self.account_collective(phase, CollectiveShape::Pipelined, share_bytes, wall);
         Ok(())
     }
 
@@ -849,7 +642,7 @@ impl<S: Send> SpmdEngine<S> for ThreadedMachine<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Topology;
+    use crate::{FaultPlan, Topology};
 
     fn tiny(p: usize) -> MachineConfig {
         MachineConfig {
@@ -1057,7 +850,7 @@ mod tests {
     fn injected_kill_carries_phase_and_epoch() {
         let mut m =
             ThreadedMachine::new(tiny(4), vec![0u64; 4]).with_timeout(Duration::from_secs(10));
-        m.set_fault_plan(Some(Arc::new(FaultPlan::new(1).kill(1, 7))));
+        m.instruments_mut().fault_plan = Some(Arc::new(FaultPlan::new(1).kill(1, 7)));
         m.set_fault_epoch(6);
         m.barrier().expect("epoch 6: no fault armed");
         m.set_fault_epoch(7);
@@ -1072,7 +865,7 @@ mod tests {
     #[test]
     fn modeled_machine_honors_kill_faults_identically() {
         let mut m = crate::Machine::new(tiny(4), ExecMode::Sequential, vec![0u64; 4]);
-        SpmdEngine::set_fault_plan(&mut m, Some(Arc::new(FaultPlan::new(1).kill(2, 3))));
+        m.instruments_mut().fault_plan = Some(Arc::new(FaultPlan::new(1).kill(2, 3)));
         SpmdEngine::set_fault_epoch(&mut m, 3);
         // qualified call: the inherent (panicking) `local_step` would
         // otherwise shadow the trait method

@@ -29,9 +29,9 @@
 //!
 //! ## Recorders
 //!
-//! A [`Recorder`] is installed on an engine with
-//! [`SpmdEngine::set_recorder`](crate::SpmdEngine::set_recorder) and
-//! receives every event as it happens:
+//! A [`Recorder`] is installed on an engine as the `recorder` of its
+//! [`Instruments`](crate::Instruments) and receives every event as it
+//! happens:
 //!
 //! * [`MemoryRecorder`] — unbounded in-memory vector (exporter input);
 //! * [`RingRecorder`] — bounded ring that keeps the most recent events;
@@ -55,7 +55,7 @@
 //!
 //! let rec = SharedRecorder::new(MemoryRecorder::new());
 //! let mut m = Machine::new(MachineConfig::cm5(4), ExecMode::Sequential, vec![0u64; 4]);
-//! m.set_recorder(Some(Box::new(rec.clone())));
+//! m.instruments_mut().recorder = Some(Box::new(rec.clone()));
 //! SpmdEngine::local_step(&mut m, PhaseKind::Push, |_r, s, ctx| {
 //!     *s += 1;
 //!     ctx.charge_ops(10.0);
@@ -74,6 +74,7 @@ use std::io::{self, BufWriter, Write};
 use std::path::Path;
 use std::sync::{Arc, Mutex};
 
+use crate::record::SuperstepRecord;
 use crate::stats::PhaseKind;
 
 /// One rank's slice of one superstep or collective.
@@ -599,8 +600,8 @@ fn csv_escape(s: &str) -> String {
 
 /// A sink for [`TraceEvent`]s.
 ///
-/// Recorders are installed on an engine via
-/// [`SpmdEngine::set_recorder`](crate::SpmdEngine::set_recorder) and
+/// Recorders are installed on an engine through its
+/// [`Instruments`](crate::Instruments) and
 /// invoked from the engine's driving thread — never from rank threads —
 /// so implementations need `Send` but not `Sync`.
 pub trait Recorder: Send {
@@ -877,6 +878,39 @@ impl<R: Recorder> Recorder for SharedRecorder<R> {
     fn dropped(&self) -> u64 {
         self.with(|r| Recorder::dropped(r))
     }
+}
+
+/// Emit one operation's events: a span per rank, then the aggregated
+/// superstep event, all numbered `step`.
+pub(crate) fn record_superstep(recorder: &mut dyn Recorder, rec: &SuperstepRecord, step: u64) {
+    for (rank, e) in rec.ranks.iter().enumerate() {
+        recorder.record(&TraceEvent::Span(SpanEvent {
+            rank,
+            phase: rec.phase,
+            superstep: step,
+            epoch: rec.epoch,
+            start_s: rec.start_s,
+            compute_s: e.compute_s,
+            comm_s: e.comm_s,
+            end_s: rec.start_s + e.compute_s + e.comm_s,
+            msgs_sent: e.msgs_sent,
+            msgs_recv: e.msgs_recv,
+            bytes_sent: e.bytes_sent,
+            bytes_recv: e.bytes_recv,
+        }));
+    }
+    recorder.record(&TraceEvent::Superstep(SuperstepEvent {
+        phase: rec.phase,
+        superstep: step,
+        epoch: rec.epoch,
+        start_s: rec.start_s,
+        elapsed_s: rec.elapsed_s,
+        max_compute_s: rec.max_compute_s(),
+        max_comm_s: rec.max_comm_s(),
+        total_msgs: rec.total_msgs(),
+        total_bytes: rec.total_bytes(),
+        collective: rec.collective_share.is_some(),
+    }));
 }
 
 // ---------------------------------------------------------------------------

@@ -1,16 +1,17 @@
-//! Property tests: the trace event stream agrees with the superstep
-//! statistics the machine already reports.
+//! Property tests: the trace event stream, the superstep statistics and
+//! the metrics registry agree.
 //!
-//! The [`StatsLog`](pic_machine::StatsLog) is the oracle: it is computed
-//! from the same per-rank counters the span events are built from, but
-//! through an independent code path (max/sum folds at the barrier vs.
-//! per-rank event emission).  Any disagreement means one of the two
-//! aggregations dropped a rank, double-charged a collective, or mixed
-//! up supersteps.
+//! All three are derived from one per-operation record, so they agree by
+//! construction; these tests keep that a checked fact.  The per-rank
+//! spans are folded here (max/sum over ranks) and compared with the
+//! [`StatsLog`](pic_machine::StatsLog) row, and the three sinks are
+//! compared phase by phase on both executors.  Any disagreement means a
+//! derivation dropped a rank, double-charged a collective, or mixed up
+//! supersteps.
 
 use pic_machine::{
-    ExecMode, Machine, MachineConfig, MemoryRecorder, PhaseKind, SharedRecorder, SpmdEngine,
-    ThreadedMachine, Topology, TraceEvent,
+    ExecMode, Machine, MachineConfig, MemoryRecorder, Outbox, PhaseKind, SharedMetrics,
+    SharedRecorder, SpmdEngine, StatsLog, ThreadedMachine, Topology, TraceEvent,
 };
 use proptest::prelude::*;
 
@@ -55,11 +56,11 @@ proptest! {
     ) {
         let shared = SharedRecorder::new(MemoryRecorder::new());
         let mut m = Machine::new(cfg(p), ExecMode::Sequential, vec![0u64; p]);
-        m.set_recorder(Some(Box::new(shared.clone())));
+        m.instruments_mut().recorder = Some(Box::new(shared.clone()));
         for step in 0..steps {
             m.superstep(
                 PhaseKind::Scatter,
-                |r, s, ctx, out: &mut pic_machine::Outbox<Vec<u64>>| {
+                |r, s, ctx, out: &mut Outbox<Vec<u64>>| {
                     ctx.charge_ops((ops as f64) * (r as f64 + 1.0));
                     for k in 0..fanout {
                         let to = (r + k + step) % p;
@@ -129,7 +130,7 @@ proptest! {
         let shared = SharedRecorder::new(MemoryRecorder::new());
         let states: Vec<(u64, u64)> = (0..p).map(|r| (salt + r as u64, 0)).collect();
         let mut m = Machine::new(cfg(p), ExecMode::Sequential, states);
-        SpmdEngine::set_recorder(&mut m, Some(Box::new(shared.clone())));
+        m.instruments_mut().recorder = Some(Box::new(shared.clone()));
         m.allgather(
             PhaseKind::Setup,
             8,
@@ -171,12 +172,12 @@ fn threaded_recorder_captures_spans_and_collectives() {
     let p = 4;
     let shared = SharedRecorder::new(MemoryRecorder::new());
     let mut m = ThreadedMachine::new(cfg(p), vec![0u64; p]);
-    m.set_recorder(Some(Box::new(shared.clone())));
+    m.instruments_mut().recorder = Some(Box::new(shared.clone()));
 
     SpmdEngine::superstep(
         &mut m,
         PhaseKind::Push,
-        |r, s: &mut u64, _ctx, out: &mut pic_machine::Outbox<Vec<u64>>| {
+        |r, s: &mut u64, _ctx, out: &mut Outbox<Vec<u64>>| {
             out.send((r + 1) % 4, vec![r as u64]);
             *s += 1;
         },
@@ -224,7 +225,7 @@ fn threaded_recorder_captures_spans_and_collectives() {
     assert_eq!(aggs[0].superstep + 1, aggs[1].superstep);
 }
 
-/// `take_recorder` hands the live recorder back (with its sink intact)
+/// Taking the recorder out of the instruments hands the live sink back
 /// and leaves the machine silent; re-installing resumes the stream.
 #[test]
 fn take_and_reinstall_recorder_round_trips() {
@@ -240,20 +241,180 @@ fn take_and_reinstall_recorder_round_trips() {
 
     let shared = SharedRecorder::new(MemoryRecorder::new());
     let mut m = ThreadedMachine::new(cfg(3), vec![1u64; 3]);
-    m.set_recorder(Some(Box::new(shared.clone())));
+    m.instruments_mut().recorder = Some(Box::new(shared.clone()));
     drive(&mut m);
     let n_traced = shared.with(|rec| rec.events().len());
     assert!(n_traced > 0);
 
-    let taken = m.take_recorder();
+    let taken = m.instruments_mut().recorder.take();
     assert!(taken.is_some());
-    assert!(m.recorder_mut().is_none());
+    assert!(m.instruments().recorder.is_none());
     drive(&mut m); // silent: no recorder installed
     assert_eq!(shared.with(|rec| rec.events().len()), n_traced);
 
-    m.set_recorder(taken);
+    m.instruments_mut().recorder = taken;
     drive(&mut m);
     assert!(shared.with(|rec| rec.events().len()) > n_traced);
-    // recorder_mut gives direct access to the installed sink
-    assert!(m.recorder_mut().is_some());
+}
+
+/// One program touching every engine operation: a point-to-point
+/// superstep, a local step, the four collectives and a barrier.  Two
+/// phases mix a superstep with a collective.
+fn mixed_program<E: SpmdEngine<(u64, Vec<f64>)>>(m: &mut E) {
+    let p = m.num_ranks();
+    for step in 0..2u64 {
+        m.superstep(
+            PhaseKind::Scatter,
+            move |r, s, ctx, out: &mut Outbox<Vec<u64>>| {
+                ctx.charge_ops(r as f64 + 1.0);
+                out.send((r + 1) % p, vec![s.0 + step; r + 1]);
+                out.send((r + 2) % p, vec![s.0; 2]);
+                out.send(r, vec![7]); // self-message: never counted
+            },
+            |_r, s, _ctx, inbox| {
+                for (from, msg) in inbox {
+                    s.0 = s.0.wrapping_add(msg[0]).wrapping_mul(from as u64 | 1);
+                }
+            },
+        )
+        .expect("superstep");
+        m.local_step(PhaseKind::Push, |r, s, ctx| {
+            ctx.charge_ops(r as f64);
+            s.0 += 1;
+        })
+        .expect("local_step");
+        m.allgather(
+            PhaseKind::Setup,
+            8,
+            |_r, s| s.0,
+            |_r, s, all: &[u64]| s.1.push(all.len() as f64),
+        )
+        .expect("allgather");
+        m.allgatherv(
+            PhaseKind::Redistribute,
+            12,
+            |r, _s| vec![r as u64; r % 3],
+            |_r, s, all: &[u64]| s.1.push(all.len() as f64),
+        )
+        .expect("allgatherv");
+        m.allreduce(
+            PhaseKind::FieldSolve,
+            |_r, s| s.0 as f64,
+            |a, b| a + b,
+            |_r, s, v: &f64| s.1.push(*v),
+        )
+        .expect("allreduce");
+        m.allreduce_elementwise(
+            PhaseKind::Scatter,
+            24,
+            |r, _s| vec![r as f64, 0.5, 2.0],
+            |a, b| a + b,
+            |_r, s, acc: &[f64]| s.1.extend_from_slice(acc),
+        )
+        .expect("allreduce_elementwise");
+        m.superstep(
+            PhaseKind::Setup,
+            move |r, _s, _ctx, out: &mut Outbox<Vec<u8>>| out.send((r + p - 1) % p, vec![0; r]),
+            |_r, _s, _ctx, _inbox| {},
+        )
+        .expect("superstep");
+        m.barrier().expect("barrier");
+    }
+}
+
+/// Run the mixed program with a recorder and a registry installed and
+/// return what the three sinks saw.
+fn observed<E: SpmdEngine<(u64, Vec<f64>)>>(
+    mut m: E,
+) -> (StatsLog, Vec<TraceEvent>, SharedMetrics) {
+    let recorder = SharedRecorder::new(MemoryRecorder::new());
+    let metrics = SharedMetrics::new(m.num_ranks());
+    m.instruments_mut().recorder = Some(Box::new(recorder.clone()));
+    m.instruments_mut().metrics = Some(metrics.clone());
+    mixed_program(&mut m);
+    let events = recorder.with(|r| r.take());
+    (m.stats().clone(), events, metrics)
+}
+
+/// The stats log, the trace and the registry agree phase by phase on
+/// both executors — supersteps, collectives (element-wise all-reduce
+/// included) and barriers — and the two executors log identical
+/// message and byte counts record by record.
+#[test]
+fn every_sink_agrees_on_both_executors() {
+    for p in [1usize, 4, 6] {
+        let states = || {
+            (0..p)
+                .map(|r| (r as u64 * 3, Vec::new()))
+                .collect::<Vec<_>>()
+        };
+        let modeled = observed(Machine::new(cfg(p), ExecMode::Sequential, states()));
+        let threaded = observed(ThreadedMachine::new(cfg(p), states()));
+        for (name, (stats, events, metrics)) in [("modeled", &modeled), ("threaded", &threaded)] {
+            let reg = metrics.snapshot();
+            // 7 accounted operations per round (the barrier emits none)
+            assert_eq!(stats.records().len(), 14, "{name} p={p}");
+            for phase in PhaseKind::ALL {
+                let rows: Vec<_> = stats.phase(phase).collect();
+                let steps: Vec<_> = events
+                    .iter()
+                    .filter_map(TraceEvent::superstep)
+                    .filter(|e| e.phase == phase)
+                    .collect();
+                let spans: Vec<_> = events
+                    .iter()
+                    .filter_map(TraceEvent::span)
+                    .filter(|e| e.phase == phase)
+                    .collect();
+                let fam = reg.phase(phase);
+                let ctx = format!("{name} p={p} {}", phase.label());
+                assert_eq!(steps.len(), rows.len(), "{ctx}");
+                assert_eq!(fam.supersteps, rows.len() as u64, "{ctx}");
+                assert_eq!(spans.len(), rows.len() * p, "{ctx}");
+                let msgs: u64 = rows.iter().map(|r| r.total_msgs).sum();
+                let bytes: u64 = rows.iter().map(|r| r.total_bytes).sum();
+                assert_eq!(
+                    steps.iter().map(|e| e.total_msgs).sum::<u64>(),
+                    msgs,
+                    "{ctx}"
+                );
+                assert_eq!(
+                    steps.iter().map(|e| e.total_bytes).sum::<u64>(),
+                    bytes,
+                    "{ctx}"
+                );
+                assert_eq!(
+                    spans.iter().map(|e| e.msgs_sent).sum::<u64>(),
+                    msgs,
+                    "{ctx}"
+                );
+                assert_eq!(
+                    spans.iter().map(|e| e.bytes_sent).sum::<u64>(),
+                    bytes,
+                    "{ctx}"
+                );
+                assert_eq!((fam.msgs, fam.bytes), (msgs, bytes), "{ctx}");
+            }
+            assert!(reg.comm().is_conserved(), "{name} p={p}");
+        }
+        let counts = |log: &StatsLog| -> Vec<_> {
+            log.records()
+                .iter()
+                .map(|r| {
+                    let sent = (r.max_msgs_sent, r.max_bytes_sent, r.total_msgs);
+                    (
+                        r.phase,
+                        sent,
+                        r.max_msgs_recv,
+                        r.max_bytes_recv,
+                        r.total_bytes,
+                    )
+                })
+                .collect()
+        };
+        assert_eq!(counts(&modeled.0), counts(&threaded.0), "p={p}");
+        // the matrices compare entry for entry, too
+        let matrix = |m: &SharedMetrics| m.snapshot().comm().csv_rows();
+        assert_eq!(matrix(&modeled.2), matrix(&threaded.2), "p={p}");
+    }
 }
