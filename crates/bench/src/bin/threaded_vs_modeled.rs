@@ -1,15 +1,17 @@
 //! Wall-clock comparison of the two executors running the identical
-//! simulation: the modeled BSP machine (host-parallel rank loops,
-//! `ExecMode::Rayon`) versus the real-threads executor (one OS thread
-//! per rank, genuine message passing).
+//! simulation: the modeled BSP machine (rank loops on a pool of
+//! `min(ranks, PIC_HOST_THREADS)` host workers, one chunk of ranks each)
+//! versus the real-threads executor (one OS thread per rank, genuine
+//! message passing).
 //!
 //! Three things worth reading off the table:
 //!
 //! * **validation** — both executors must report identical particle
 //!   spreads (`max/min n_r`); the physics is executor-independent;
 //! * **host cost of real message passing** — the threaded executor pays
-//!   for thread spawns, channel sends and scheduler pressure every
-//!   superstep, where the modeled machine just loops over ranks;
+//!   for channel sends and one wakeup per rank thread every superstep,
+//!   where the modeled machine wakes one worker per chunk of ranks and
+//!   routes in memory;
 //! * **model vs reality** — the modeled seconds (τ/μ/δ) against the
 //!   threaded executor's wall seconds show how the abstract CM-5 cost
 //!   model scales relative to an actual shared-memory host.

@@ -1,7 +1,7 @@
 //! Simulation configuration.
 
 use pic_index::IndexScheme;
-use pic_machine::{ExecMode, MachineConfig};
+use pic_machine::MachineConfig;
 use pic_particles::ParticleDistribution;
 use pic_partition::PolicyKind;
 use serde::{Deserialize, Serialize};
@@ -112,17 +112,6 @@ impl SimConfig {
         }
     }
 
-    /// Execution mode for the host: tests and examples run sequentially
-    /// for clarity; the big sweeps use rayon.  Not serialized — it never
-    /// affects results.
-    pub fn exec_mode(&self) -> ExecMode {
-        if self.machine.ranks >= 16 && self.particles >= 16_384 {
-            ExecMode::Rayon
-        } else {
-            ExecMode::Sequential
-        }
-    }
-
     /// Domain length along x.
     pub fn lx(&self) -> f64 {
         self.nx as f64 * self.dx
@@ -182,12 +171,6 @@ mod tests {
         assert_eq!(c.machine.ranks, 32);
         // avg 4 particles per cell, as the paper states
         assert_eq!(c.particles / (c.nx * c.ny), 4);
-    }
-
-    #[test]
-    fn exec_mode_scales_with_size() {
-        assert_eq!(SimConfig::small_test().exec_mode(), ExecMode::Sequential);
-        assert_eq!(SimConfig::paper_default().exec_mode(), ExecMode::Rayon);
     }
 
     #[test]

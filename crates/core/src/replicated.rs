@@ -18,7 +18,7 @@
 //! particles are placed, so it cannot scale.
 
 use pic_field::{CurrentSet, FieldSet, MaxwellSolver};
-use pic_machine::{ExecMode, Machine, PhaseKind};
+use pic_machine::{Machine, PhaseKind};
 use pic_particles::push::{boris_push, gamma_of, BorisStep};
 use pic_particles::{wrap_periodic, Cic, Particles};
 
@@ -74,7 +74,7 @@ impl ReplicatedGridPicSim {
                 }
             })
             .collect();
-        let machine = Machine::new(cfg.machine, ExecMode::Sequential, states);
+        let machine = Machine::new(cfg.machine, states);
         let solver = MaxwellSolver::new(cfg.dt, cfg.dx, cfg.dy);
         Self {
             cfg,

@@ -187,7 +187,7 @@ impl<E: SpmdEngine<RankState>> GenericPicSim<E> {
                 .collect()
         };
 
-        let machine = E::build(cfg.machine, cfg.exec_mode(), states);
+        let machine = E::build(cfg.machine, states);
         Self {
             cfg,
             machine,

@@ -154,7 +154,6 @@ impl<S: Send> Machine<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::machine::ExecMode;
     use crate::MachineConfig;
 
     fn cfg(p: usize) -> MachineConfig {
@@ -169,7 +168,7 @@ mod tests {
 
     #[test]
     fn allgather_distributes_all_values() {
-        let mut m = Machine::new(cfg(4), ExecMode::Sequential, vec![(0u64, Vec::new()); 4]);
+        let mut m = Machine::new(cfg(4), vec![(0u64, Vec::new()); 4]);
         m.allgather(
             PhaseKind::Setup,
             8,
@@ -185,7 +184,7 @@ mod tests {
 
     #[test]
     fn allgatherv_concatenates_in_rank_order() {
-        let mut m = Machine::new(cfg(3), ExecMode::Sequential, vec![Vec::<u32>::new(); 3]);
+        let mut m = Machine::new(cfg(3), vec![Vec::<u32>::new(); 3]);
         m.allgatherv(
             PhaseKind::Setup,
             4,
@@ -197,7 +196,7 @@ mod tests {
 
     #[test]
     fn allreduce_folds_over_all_ranks() {
-        let mut m = Machine::new(cfg(4), ExecMode::Sequential, vec![0.0f64; 4]);
+        let mut m = Machine::new(cfg(4), vec![0.0f64; 4]);
         for (r, s) in m.ranks_mut().iter_mut().enumerate() {
             *s = r as f64 + 1.0;
         }
@@ -212,7 +211,7 @@ mod tests {
 
     #[test]
     fn single_rank_collectives_are_free() {
-        let mut m = Machine::new(cfg(1), ExecMode::Sequential, vec![0u64]);
+        let mut m = Machine::new(cfg(1), vec![0u64]);
         m.allgather(PhaseKind::Setup, 8, |_r, s| *s, |_r, _s, _all: &[u64]| {});
         assert_eq!(m.elapsed_s(), 0.0);
     }

@@ -33,7 +33,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use crate::config::MachineConfig;
 use crate::error::{FailureCause, SpmdError};
-use crate::machine::{ExecMode, Machine, Outbox, PhaseCtx};
+use crate::machine::{Machine, Outbox, PhaseCtx};
 use crate::payload::Payload;
 use crate::record::Instruments;
 use crate::stats::{PhaseKind, StatsLog};
@@ -48,7 +48,7 @@ pub trait SpmdEngine<S: Send>: Sized {
     ///
     /// # Panics
     /// Panics if `states.len() != cfg.ranks`.
-    fn build(cfg: MachineConfig, mode: ExecMode, states: Vec<S>) -> Self;
+    fn build(cfg: MachineConfig, states: Vec<S>) -> Self;
 
     /// Number of virtual ranks.
     fn num_ranks(&self) -> usize;
@@ -190,8 +190,8 @@ pub trait SpmdEngine<S: Send>: Sized {
 }
 
 impl<S: Send> SpmdEngine<S> for Machine<S> {
-    fn build(cfg: MachineConfig, mode: ExecMode, states: Vec<S>) -> Self {
-        Machine::new(cfg, mode, states)
+    fn build(cfg: MachineConfig, states: Vec<S>) -> Self {
+        Machine::new(cfg, states)
     }
 
     fn num_ranks(&self) -> usize {
@@ -258,6 +258,13 @@ impl<S: Send> SpmdEngine<S> for Machine<S> {
         G: Fn(usize, &mut S, &mut PhaseCtx, Vec<(usize, M)>) + Sync,
     {
         self.guarded(phase, |m| m.superstep(phase, compute, deliver))
+    }
+
+    fn local_step<F>(&mut self, phase: PhaseKind, compute: F) -> Result<(), SpmdError>
+    where
+        F: Fn(usize, &mut S, &mut PhaseCtx) + Sync,
+    {
+        self.guarded(phase, |m| Machine::local_step(m, phase, compute))
     }
 
     fn allgather<T, F, G>(

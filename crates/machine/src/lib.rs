@@ -17,9 +17,11 @@
 //! measured: modeled execution time, maximum data sent/received by any
 //! processor, and maximum message counts.
 //!
-//! Virtual ranks are executed either sequentially or across host cores via
-//! scoped threads ([`ExecMode`]); both produce bit-identical results
-//! because ranks only interact through the router at superstep boundaries.
+//! Virtual ranks run on a persistent pool of host threads, one fixed,
+//! contiguous chunk of ranks per worker (`PIC_HOST_THREADS` caps the
+//! width; one worker is the sequential mode).  Every width produces
+//! bit-identical results because ranks only interact through the router
+//! at superstep boundaries.
 //!
 //! Beyond the modeled machine, the crate ships a second executor: the
 //! real-threads [`ThreadedMachine`] runs every virtual rank on its own OS
@@ -28,11 +30,11 @@
 //! program runs — and produces bit-identical rank states — on either.
 //!
 //! ```
-//! use pic_machine::{ExecMode, Machine, MachineConfig, PhaseKind};
+//! use pic_machine::{Machine, MachineConfig, PhaseKind};
 //!
 //! // Each rank holds a counter; one superstep sends it to the next rank.
 //! let cfg = MachineConfig::cm5(4);
-//! let mut m = Machine::new(cfg, ExecMode::Sequential, vec![0u64; 4]);
+//! let mut m = Machine::new(cfg, vec![0u64; 4]);
 //! m.superstep(
 //!     PhaseKind::Other,
 //!     |rank, _state, ctx, outbox| {
@@ -57,10 +59,10 @@ pub mod config;
 pub mod engine;
 pub mod error;
 pub mod fault;
-mod host_par;
 pub mod machine;
 pub mod metrics;
 pub mod payload;
+mod pool;
 mod record;
 pub mod stats;
 pub mod threaded;
@@ -72,7 +74,7 @@ pub use config::{MachineConfig, Topology};
 pub use engine::SpmdEngine;
 pub use error::{FailureCause, SpmdError, TimeoutDetail};
 pub use fault::{FaultKind, FaultNoise, FaultPlan, FaultSession, FaultSpec, SendFault};
-pub use machine::{ExecMode, Machine, Outbox, PhaseCtx};
+pub use machine::{Machine, Outbox, PhaseCtx};
 pub use metrics::{CommMatrix, Histogram, MetricsRegistry, PhaseFamily, SharedMetrics};
 pub use payload::Payload;
 pub use record::Instruments;

@@ -13,28 +13,18 @@
 //!
 //! Self-messages are delivered but cost nothing, matching the paper's
 //! machine model where only *off-processor* accesses pay τ/μ.
+//!
+//! Ranks run on a persistent pool of `min(ranks, PIC_HOST_THREADS)` host
+//! workers, the calling thread among them, each owning a fixed contiguous
+//! chunk of ranks; outputs are reassembled in rank order, so the pool
+//! width never changes results.
 
 use crate::clock::Clock;
 use crate::config::MachineConfig;
-use crate::host_par;
 use crate::payload::Payload;
-use crate::record::{Accounting, RankEntry};
+use crate::pool::{host_width, WorkerPool};
+use crate::record::{Accounting, RankEntry, SuperstepRecord};
 use crate::stats::{PhaseKind, StatsLog};
-
-/// How virtual ranks are executed on the host.
-///
-/// Both modes produce bit-identical simulation results; `Rayon` simply
-/// spreads rank loops over host cores for wall-clock speed on the big
-/// parameter sweeps.  (The name is historic: the host-parallel mode now
-/// runs on `std` scoped threads — see `host_par` — so the
-/// workspace builds with no external dependencies.)
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExecMode {
-    /// Run ranks one after another on the calling thread.
-    Sequential,
-    /// Run ranks across host threads, one contiguous chunk per core.
-    Rayon,
-}
 
 /// Per-rank, per-superstep accounting handed to the phase closures.
 #[derive(Debug, Default)]
@@ -103,7 +93,6 @@ impl<M: Payload> Outbox<M> {
 /// The virtual machine: configuration, rank states, clocks and statistics.
 pub struct Machine<S> {
     cfg: MachineConfig,
-    mode: ExecMode,
     states: Vec<S>,
     pub(crate) clocks: Vec<Clock>,
     /// Statistics log, installed instruments and the operation record.
@@ -115,14 +104,25 @@ pub struct Machine<S> {
     /// Operations issued through the engine trait (superstep index in
     /// error context).
     pub(crate) supersteps: u64,
+    /// Most host workers to run ranks on.
+    width: usize,
+    /// One worker per chunk of ranks, started on first use.
+    pool: Option<WorkerPool>,
 }
 
 impl<S: Send> Machine<S> {
-    /// Build a machine whose rank `r` starts with `states[r]`.
+    /// Build a machine whose rank `r` starts with `states[r]`.  Its rank
+    /// closures run on `min(ranks, PIC_HOST_THREADS)` host workers (the
+    /// visible core count when the variable is unset).
     ///
     /// # Panics
     /// Panics if `states.len() != cfg.ranks`.
-    pub fn new(cfg: MachineConfig, mode: ExecMode, states: Vec<S>) -> Self {
+    pub fn new(cfg: MachineConfig, states: Vec<S>) -> Self {
+        Self::with_width(cfg, states, host_width())
+    }
+
+    /// [`Self::new`] on a pool of at most `width` host workers.
+    pub(crate) fn with_width(cfg: MachineConfig, states: Vec<S>, width: usize) -> Self {
         assert_eq!(
             states.len(),
             cfg.ranks,
@@ -133,12 +133,13 @@ impl<S: Send> Machine<S> {
         let clocks = vec![Clock::default(); cfg.ranks];
         Self {
             cfg,
-            mode,
             states,
             clocks,
             acct: Accounting::new(false),
             fault_epoch: 0,
             supersteps: 0,
+            width,
+            pool: None,
         }
     }
 
@@ -210,24 +211,19 @@ impl<S: Send> Machine<S> {
         F: Fn(usize, &mut S, &mut PhaseCtx, &mut Outbox<M>) + Sync,
         G: Fn(usize, &mut S, &mut PhaseCtx, Vec<(usize, M)>) + Sync,
     {
-        let p = self.cfg.ranks;
+        let (p, width) = (self.cfg.ranks, self.width);
+        let pool = self
+            .pool
+            .get_or_insert_with(|| WorkerPool::chunked(p, width));
 
         // --- compute half-step -------------------------------------------------
-        let run_compute = |r: usize, s: &mut S, (): ()| {
-            let mut ctx = PhaseCtx::default();
-            let mut outbox = Outbox::new(p);
-            compute(r, s, &mut ctx, &mut outbox);
-            (outbox.msgs, ctx.ops)
-        };
-        let outputs: Vec<(Vec<(usize, M)>, f64)> = match self.mode {
-            ExecMode::Sequential => self
-                .states
-                .iter_mut()
-                .enumerate()
-                .map(|(r, s)| run_compute(r, s, ()))
-                .collect(),
-            ExecMode::Rayon => host_par::par_map(&mut self.states, vec![(); p], &run_compute),
-        };
+        let outputs: Vec<(Vec<(usize, M)>, f64)> =
+            pool.map_chunks(&mut self.states, vec![(); p], &|r, s, ()| {
+                let mut ctx = PhaseCtx::default();
+                let mut outbox = Outbox::new(p);
+                compute(r, s, &mut ctx, &mut outbox);
+                (outbox.msgs, ctx.ops)
+            });
 
         // --- route -------------------------------------------------------------
         // Per-pair tallies for the metrics comm matrix are only collected
@@ -239,7 +235,7 @@ impl<S: Send> Machine<S> {
         rec.ranks.resize(p, RankEntry::default());
         let mut inboxes: Vec<Vec<(usize, M)>> = (0..p).map(|_| Vec::new()).collect();
         for (from, (msgs, ops)) in outputs.into_iter().enumerate() {
-            // op units until the clocks are charged below
+            // op units until `settle` charges them
             rec.ranks[from].compute_s = ops;
             for (to, msg) in msgs {
                 if to != from {
@@ -258,58 +254,67 @@ impl<S: Send> Machine<S> {
         }
 
         // --- deliver half-step -------------------------------------------------
-        let deliver_ops: Vec<f64> = {
-            let run_deliver = |r: usize, s: &mut S, inbox: Vec<(usize, M)>| {
-                let mut ctx = PhaseCtx::default();
-                deliver(r, s, &mut ctx, inbox);
-                ctx.ops
-            };
-            match self.mode {
-                ExecMode::Sequential => self
-                    .states
-                    .iter_mut()
-                    .enumerate()
-                    .zip(inboxes)
-                    .map(|((r, s), inbox)| run_deliver(r, s, inbox))
-                    .collect(),
-                ExecMode::Rayon => host_par::par_map(&mut self.states, inboxes, &run_deliver),
-            }
-        };
-
-        // --- charge clocks and barrier -----------------------------------------
-        let cfg = &self.cfg;
-        for ((e, clock), ops) in rec.ranks.iter_mut().zip(&mut self.clocks).zip(deliver_ops) {
-            e.compute_s = cfg.compute_cost(e.compute_s + ops);
-            e.comm_s = e.msgs_sent as f64 * cfg.tau
-                + e.bytes_sent as f64 * cfg.mu
-                + e.msgs_recv as f64 * cfg.tau
-                + e.bytes_recv as f64 * cfg.mu;
-            clock.advance_compute(e.compute_s);
-            clock.advance_comm(e.comm_s);
+        let deliver_ops = pool.map_chunks(&mut self.states, inboxes, &|r, s, inbox| {
+            let mut ctx = PhaseCtx::default();
+            deliver(r, s, &mut ctx, inbox);
+            ctx.ops
+        });
+        for (e, ops) in rec.ranks.iter_mut().zip(deliver_ops) {
+            e.compute_s += ops;
         }
-        rec.elapsed_s = self.clocks.iter().map(Clock::total_s).fold(0.0, f64::max) - start;
-        let barrier = start + rec.elapsed_s;
-        for c in &mut self.clocks {
-            c.sync_to(barrier);
-        }
+        settle(&self.cfg, &mut self.clocks, rec, start);
         self.acct.commit();
     }
 
     /// A communication-free superstep: every rank runs `compute` locally.
+    /// Accounted exactly like a [`Self::superstep`] that sends nothing,
+    /// without dispatching an empty deliver half.
     pub fn local_step<F>(&mut self, phase: PhaseKind, compute: F)
     where
         F: Fn(usize, &mut S, &mut PhaseCtx) + Sync,
     {
-        self.superstep::<(), _, _>(
-            phase,
-            |r, s, ctx, _outbox| compute(r, s, ctx),
-            |_, _, _, _| {},
-        );
+        let (p, width) = (self.cfg.ranks, self.width);
+        let pool = self
+            .pool
+            .get_or_insert_with(|| WorkerPool::chunked(p, width));
+        let ops = pool.map_chunks(&mut self.states, vec![(); p], &|r, s, ()| {
+            let mut ctx = PhaseCtx::default();
+            compute(r, s, &mut ctx);
+            ctx.ops
+        });
+        let start = self.clocks.first().map_or(0.0, Clock::total_s);
+        let rec = self.acct.begin(phase, self.fault_epoch, start);
+        rec.ranks.extend(ops.into_iter().map(|ops| RankEntry {
+            compute_s: ops,
+            ..RankEntry::default()
+        }));
+        settle(&self.cfg, &mut self.clocks, rec, start);
+        self.acct.commit();
     }
 
     /// Consume the machine, returning the final rank states.
     pub fn into_ranks(self) -> Vec<S> {
         self.states
+    }
+}
+
+/// Charge a superstep: convert every rank's op units (held in
+/// `compute_s` on entry) and its off-rank traffic into seconds, advance
+/// the clocks, and synchronize them to the slowest rank at the barrier.
+fn settle(cfg: &MachineConfig, clocks: &mut [Clock], rec: &mut SuperstepRecord, start: f64) {
+    for (e, clock) in rec.ranks.iter_mut().zip(clocks.iter_mut()) {
+        e.compute_s = cfg.compute_cost(e.compute_s);
+        e.comm_s = e.msgs_sent as f64 * cfg.tau
+            + e.bytes_sent as f64 * cfg.mu
+            + e.msgs_recv as f64 * cfg.tau
+            + e.bytes_recv as f64 * cfg.mu;
+        clock.advance_compute(e.compute_s);
+        clock.advance_comm(e.comm_s);
+    }
+    rec.elapsed_s = clocks.iter().map(Clock::total_s).fold(0.0, f64::max) - start;
+    let barrier = start + rec.elapsed_s;
+    for c in clocks {
+        c.sync_to(barrier);
     }
 }
 
@@ -329,7 +334,7 @@ mod tests {
 
     #[test]
     fn ring_exchange_delivers_in_sender_order() {
-        let mut m = Machine::new(tiny(4), ExecMode::Sequential, vec![Vec::<usize>::new(); 4]);
+        let mut m = Machine::new(tiny(4), vec![Vec::<usize>::new(); 4]);
         m.superstep(
             PhaseKind::Other,
             |r, _s, _ctx, ob: &mut Outbox<Vec<u64>>| {
@@ -348,7 +353,7 @@ mod tests {
 
     #[test]
     fn self_messages_are_free() {
-        let mut m = Machine::new(tiny(2), ExecMode::Sequential, vec![0u64; 2]);
+        let mut m = Machine::new(tiny(2), vec![0u64; 2]);
         m.superstep(
             PhaseKind::Other,
             |r, _s, _ctx, ob: &mut Outbox<Vec<u64>>| ob.send(r, vec![1, 2, 3]),
@@ -363,7 +368,7 @@ mod tests {
 
     #[test]
     fn off_rank_message_costs_tau_plus_mu() {
-        let mut m = Machine::new(tiny(2), ExecMode::Sequential, vec![(); 2]);
+        let mut m = Machine::new(tiny(2), vec![(); 2]);
         m.superstep(
             PhaseKind::Scatter,
             |r, _s, _ctx, ob: &mut Outbox<Vec<f64>>| {
@@ -387,7 +392,7 @@ mod tests {
 
     #[test]
     fn compute_ops_charged_via_delta() {
-        let mut m = Machine::new(tiny(2), ExecMode::Sequential, vec![(); 2]);
+        let mut m = Machine::new(tiny(2), vec![(); 2]);
         m.local_step(PhaseKind::Push, |r, _s, ctx| {
             ctx.charge_ops(if r == 0 { 100.0 } else { 300.0 });
         });
@@ -400,36 +405,9 @@ mod tests {
     }
 
     #[test]
-    fn sequential_and_rayon_agree() {
-        let run = |mode| {
-            let mut m = Machine::new(tiny(8), mode, (0..8u64).collect::<Vec<_>>());
-            for _ in 0..5 {
-                m.superstep(
-                    PhaseKind::Other,
-                    |r, s, ctx, ob: &mut Outbox<Vec<u64>>| {
-                        ctx.charge_ops(*s as f64);
-                        ob.send((r + 3) % 8, vec![*s]);
-                        ob.send((r + 5) % 8, vec![*s * 2]);
-                    },
-                    |_r, s, _ctx, inbox| {
-                        for (from, msg) in inbox {
-                            *s = s.wrapping_add(msg[0]).wrapping_mul(from as u64 | 1);
-                        }
-                    },
-                );
-            }
-            (m.ranks().to_vec(), m.elapsed_s())
-        };
-        let (seq_states, seq_t) = run(ExecMode::Sequential);
-        let (par_states, par_t) = run(ExecMode::Rayon);
-        assert_eq!(seq_states, par_states);
-        assert!((seq_t - par_t).abs() < 1e-12);
-    }
-
-    #[test]
     #[should_panic(expected = "out of range")]
     fn sending_to_invalid_rank_panics() {
-        let mut m = Machine::new(tiny(2), ExecMode::Sequential, vec![(); 2]);
+        let mut m = Machine::new(tiny(2), vec![(); 2]);
         m.superstep(
             PhaseKind::Other,
             |_r, _s, _ctx, ob: &mut Outbox<Vec<u64>>| ob.send(7, vec![]),
@@ -440,12 +418,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "state count")]
     fn state_count_mismatch_panics() {
-        let _ = Machine::new(tiny(3), ExecMode::Sequential, vec![(); 2]);
+        let _ = Machine::new(tiny(3), vec![(); 2]);
     }
 
     #[test]
     fn stats_track_max_over_ranks() {
-        let mut m = Machine::new(tiny(3), ExecMode::Sequential, vec![(); 3]);
+        let mut m = Machine::new(tiny(3), vec![(); 3]);
         m.superstep(
             PhaseKind::Scatter,
             |r, _s, _ctx, ob: &mut Outbox<Vec<u8>>| {
@@ -461,5 +439,214 @@ mod tests {
         assert_eq!(rec.max_bytes_sent, 12);
         assert_eq!(rec.total_msgs, 6);
         assert_eq!(rec.total_bytes, 24);
+    }
+
+    /// Rank states, clocks and `StatsLog` rows, every float as its bits.
+    type Observed = (Vec<(u64, u64)>, Vec<u64>, Vec<[u64; 10]>);
+
+    /// A phase program touching every operation: uneven fan-out with
+    /// self-messages, charged ops in both halves, a local step and all
+    /// four collectives.  Returns everything an observer can see.
+    fn mixed_program(m: &mut Machine<(u64, f64)>) -> Observed {
+        let p = m.num_ranks();
+        for step in 0..3u64 {
+            m.superstep(
+                PhaseKind::Scatter,
+                |r, s, ctx, ob: &mut Outbox<Vec<u64>>| {
+                    ctx.charge_ops((r % 7) as f64 * 1.5 + step as f64);
+                    for k in 0..(r * 5 + step as usize) % 4 {
+                        ob.send((r * r + k * 11 + step as usize) % p, vec![s.0; k + 1]);
+                    }
+                    ob.send(r, vec![s.0, step]);
+                },
+                |_r, s, ctx, inbox| {
+                    ctx.charge_ops(inbox.len() as f64 * 0.25);
+                    for (from, msg) in inbox {
+                        s.0 = s.0.wrapping_mul(31).wrapping_add(from as u64 ^ msg[0]);
+                        s.1 += msg.len() as f64 / (from as f64 + 1.0);
+                    }
+                },
+            );
+            m.local_step(PhaseKind::Push, |r, s, ctx| {
+                ctx.charge_ops(s.1.fract() * 100.0 + r as f64);
+                s.1 = s.1.sqrt() + 0.1;
+            });
+            m.allgather(
+                PhaseKind::Setup,
+                8,
+                |_r, s| s.0,
+                |r, s, all: &[u64]| s.0 ^= all[(r + 1) % all.len()],
+            );
+            m.allgatherv(
+                PhaseKind::Setup,
+                8,
+                |r, s| vec![s.1; r % 3],
+                |_r, s, concat: &[f64]| s.1 += concat.iter().sum::<f64>() * 1e-3,
+            );
+            m.allreduce(
+                PhaseKind::Other,
+                |_r, s| s.1,
+                |a, b| a * 0.5 + b,
+                |_r, s, &v| s.1 -= v * 1e-6,
+            );
+            m.allreduce_elementwise(
+                PhaseKind::FieldSolve,
+                16,
+                |r, s| vec![s.1, r as f64],
+                |a, b| a + b,
+                |_r, s, acc| s.1 += acc[0] * 1e-9,
+            );
+        }
+        let states = m.ranks().iter().map(|s| (s.0, s.1.to_bits())).collect();
+        let clocks = m
+            .clocks()
+            .iter()
+            .flat_map(|c| [c.compute_s.to_bits(), c.comm_s.to_bits()])
+            .collect();
+        let rows = m
+            .stats()
+            .records()
+            .iter()
+            .map(|r| {
+                [
+                    r.phase as u64,
+                    r.max_msgs_sent,
+                    r.max_msgs_recv,
+                    r.max_bytes_sent,
+                    r.max_bytes_recv,
+                    r.total_msgs,
+                    r.total_bytes,
+                    r.max_compute_s.to_bits(),
+                    r.max_comm_s.to_bits(),
+                    r.elapsed_s.to_bits(),
+                ]
+            })
+            .collect();
+        (states, clocks, rows)
+    }
+
+    #[test]
+    fn pool_width_never_changes_results() {
+        let run = |width| {
+            let states = (0..32u64).map(|r| (r * 7 + 1, r as f64 * 0.37)).collect();
+            mixed_program(&mut Machine::with_width(tiny(32), states, width))
+        };
+        let sequential = run(1);
+        // 3 and 5 do not divide 32: the last chunk is short
+        for width in [2, 3, 5, 32] {
+            assert!(run(width) == sequential, "width {width} diverged");
+        }
+    }
+
+    proptest::proptest! {
+        /// Any pool width agrees bit-for-bit with the one-worker pool on
+        /// arbitrary communication patterns.
+        #[test]
+        fn pool_widths_agree_on_any_pattern(
+            p in 1usize..12,
+            width in 2usize..12,
+            pattern in proptest::prop::collection::vec(0u8..6, 1..12),
+        ) {
+            let mut pattern = pattern;
+            pattern.resize(p, 1);
+            let run = |width| {
+                let mut m = Machine::with_width(tiny(p), vec![0u64; p], width);
+                m.superstep(
+                    PhaseKind::Other,
+                    |r, _s, ctx, ob: &mut Outbox<Vec<u64>>| {
+                        ctx.charge_ops(r as f64);
+                        for k in 0..pattern[r] {
+                            ob.send((r + 1 + k as usize * 7) % p, vec![r as u64, k as u64]);
+                        }
+                    },
+                    |_r, s, _ctx, inbox| {
+                        for (from, msg) in inbox {
+                            *s = s.wrapping_mul(31).wrapping_add(from as u64).wrapping_add(msg[1]);
+                        }
+                    },
+                );
+                (m.ranks().to_vec(), m.elapsed_s().to_bits())
+            };
+            proptest::prop_assert_eq!(run(1), run(width));
+        }
+    }
+
+    #[test]
+    fn pool_survives_a_failed_operation() {
+        use crate::engine::SpmdEngine;
+        // four chunks of eight ranks; rank 27 sits in the last one
+        let mut m = Machine::with_width(tiny(32), vec![0u64; 32], 4);
+        SpmdEngine::local_step(&mut m, PhaseKind::Other, |_r, s, _ctx| *s += 1)
+            .expect("fault-free step");
+        let err = SpmdEngine::superstep(
+            &mut m,
+            PhaseKind::Gather,
+            |r, _s, _ctx, _ob: &mut Outbox<Vec<u64>>| {
+                if r == 27 {
+                    panic!("transient failure on rank {r}");
+                }
+            },
+            |_, _, _, _| {},
+        )
+        .expect_err("rank 27 must fail the superstep");
+        assert_eq!(err.phase, Some(PhaseKind::Gather));
+        assert_eq!(err.superstep, Some(1));
+        match &err.cause {
+            crate::FailureCause::Panic(msg) => assert_eq!(msg, "transient failure on rank 27"),
+            other => panic!("expected Panic cause, got {other:?}"),
+        }
+        // the persistent workers must still serve subsequent operations
+        SpmdEngine::superstep(
+            &mut m,
+            PhaseKind::Gather,
+            |r, s, _ctx, ob: &mut Outbox<Vec<u64>>| {
+                ob.send((r + 1) % 32, vec![r as u64]);
+                *s += 1;
+            },
+            |_r, s, _ctx, inbox| {
+                for (_, msg) in inbox {
+                    *s += msg[0];
+                }
+            },
+        )
+        .expect("pool must recover after a failed operation");
+        let expect: Vec<u64> = (0..32).map(|r| 2 + (r + 31) % 32).collect();
+        assert_eq!(m.ranks(), &expect[..]);
+    }
+
+    #[test]
+    fn rank_chunks_persist_across_operations() {
+        use std::thread::{self, ThreadId};
+        // 10 ranks on width 4: chunks of 3, 3, 3 and 1
+        let mut m = Machine::with_width(tiny(10), vec![Vec::<ThreadId>::new(); 10], 4);
+        for _ in 0..3 {
+            m.local_step(PhaseKind::Other, |_r, s, _ctx| {
+                s.push(thread::current().id())
+            });
+            m.superstep(
+                PhaseKind::Other,
+                |_r, s, _ctx, _ob: &mut Outbox<Vec<u8>>| s.push(thread::current().id()),
+                |_r, s, _ctx, _inbox| s.push(thread::current().id()),
+            );
+        }
+        let ids: Vec<ThreadId> = m.ranks().iter().map(|s| s[0]).collect();
+        for (r, s) in m.ranks().iter().enumerate() {
+            assert_eq!(s.len(), 9);
+            assert!(s.iter().all(|id| *id == ids[r]), "rank {r} migrated");
+            // the first chunk runs on the calling thread
+            assert_eq!(ids[r] == thread::current().id(), r < 3, "rank {r}");
+        }
+        assert!(ids[3] != ids[6] && ids[6] != ids[9] && ids[3] != ids[9]);
+    }
+
+    #[test]
+    fn machines_join_their_workers_on_drop() {
+        for _ in 0..100 {
+            let mut m = Machine::with_width(tiny(8), vec![0u64; 8], 4);
+            m.local_step(PhaseKind::Other, |r, s, _ctx| *s = r as u64);
+            let workers = m.pool.as_ref().expect("pool started").liveness();
+            drop(m);
+            assert!(workers.upgrade().is_none(), "a worker outlived its machine");
+        }
     }
 }

@@ -1,10 +1,12 @@
 //! [`ThreadedMachine`]: the real-threads implementation of [`SpmdEngine`].
 //!
 //! Every virtual rank owns one **persistent** OS thread for the lifetime
-//! of the machine (the internal `RankPool`); each superstep or collective
-//! dispatches one job per rank to its thread instead of spawning fresh
-//! threads, which removes ~100–200 µs of spawn/join overhead per
-//! operation from the hot path.  Ranks communicate through
+//! of the machine: the crate's worker pool at one worker per rank, where
+//! rank 0 runs on the driving thread and every other rank on a parked
+//! worker of its own.  Each superstep or collective dispatches one job
+//! per rank to its thread instead of spawning fresh threads, which
+//! removes ~100–200 µs of spawn/join overhead per operation from the hot
+//! path.  Ranks communicate through
 //! [`crate::threaded::Mailbox`] channels, so the communication the
 //! modeled [`Machine`](crate::Machine) *charges* is here actually
 //! *performed*.  Where the modeled machine reports τ/μ/δ seconds, this
@@ -29,17 +31,15 @@
 //! [`FaultSession`](crate::fault::FaultSession), so this engine honors
 //! benign wire faults *and* kills.
 
-use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread;
 use std::time::{Duration, Instant};
 
 use crate::config::MachineConfig;
 use crate::engine::SpmdEngine;
 use crate::error::SpmdError;
-use crate::machine::{ExecMode, Outbox, PhaseCtx};
+use crate::machine::{Outbox, PhaseCtx};
 use crate::payload::Payload;
+use crate::pool::WorkerPool;
 use crate::record::{Accounting, CollectiveShape, Instruments, RankEntry};
 use crate::stats::{PhaseKind, StatsLog};
 use crate::threaded::{
@@ -63,129 +63,6 @@ struct RankReport {
     recv_pairs: Vec<(usize, u64)>,
 }
 
-/// A dispatched unit of rank work.  Jobs never unwind: the rank program
-/// runs under `catch_unwind` *inside* the job and the outcome is written
-/// to a result slot, so a worker thread can never die.
-type Job = Box<dyn FnOnce() + Send + 'static>;
-
-/// One result slot of an in-flight operation.  Written by exactly one
-/// worker, read by the driving thread only after that worker signalled
-/// completion, so access is never concurrent.
-struct SlotPtr<T>(*mut Option<T>);
-
-// SAFETY: the raw pointer targets a slot on the driving thread's stack
-// that stays alive until every job of the operation has completed (the
-// dispatcher blocks on the completion channel), and each slot is handed
-// to exactly one job.
-unsafe impl<T: Send> Send for SlotPtr<T> {}
-
-/// One worker's job hand-off slot.  A mutex + condvar rather than a
-/// channel on purpose: condvar waits park the thread immediately, while
-/// channel receives spin (with `yield_now`) before parking — and on a
-/// host with fewer cores than ranks an idle worker's spin-yields preempt
-/// ranks that are still computing, which measurably inflates phases whose
-/// heavy half runs *after* the exchange (ranks finish staggered there).
-struct WorkerSlot {
-    /// `(pending job, shutdown flag)`.
-    job: Mutex<(Option<Job>, bool)>,
-    cv: Condvar,
-}
-
-/// The persistent rank threads: worker `r` executes every job virtual
-/// rank `r` is ever given, so "one OS thread per rank" holds across the
-/// whole lifetime of the machine instead of per operation.  Dispatching a
-/// job costs one slot store + one wakeup (~20 µs for 8 ranks on one
-/// core) versus ~180 µs for spawning and joining fresh threads.
-///
-/// Completion uses a counted condvar notified only by the *last* rank to
-/// finish, so the driving thread wakes once per operation; a per-rank
-/// completion channel would preempt the workers (painful when ranks
-/// outnumber cores) up to `p` times mid-operation.
-struct RankPool {
-    slots: Vec<Arc<WorkerSlot>>,
-    done: Arc<(Mutex<usize>, Condvar)>,
-    handles: Vec<thread::JoinHandle<()>>,
-}
-
-impl RankPool {
-    fn new(p: usize) -> Self {
-        let done = Arc::new((Mutex::new(0usize), Condvar::new()));
-        let mut slots = Vec::with_capacity(p);
-        let mut handles = Vec::with_capacity(p);
-        for rank in 0..p {
-            let slot = Arc::new(WorkerSlot {
-                job: Mutex::new((None, false)),
-                cv: Condvar::new(),
-            });
-            slots.push(Arc::clone(&slot));
-            let done = Arc::clone(&done);
-            handles.push(
-                thread::Builder::new()
-                    .name(format!("rank-{rank}"))
-                    .spawn(move || loop {
-                        let job = {
-                            let mut guard = slot.job.lock().expect("job mutex never poisoned");
-                            loop {
-                                if guard.1 {
-                                    return;
-                                }
-                                if let Some(job) = guard.0.take() {
-                                    break job;
-                                }
-                                guard = slot.cv.wait(guard).expect("job mutex never poisoned");
-                            }
-                        };
-                        job();
-                        let mut finished = done.0.lock().expect("completion mutex never poisoned");
-                        *finished += 1;
-                        if *finished == p {
-                            done.1.notify_one();
-                        }
-                    })
-                    .expect("spawn rank worker"),
-            );
-        }
-        Self {
-            slots,
-            done,
-            handles,
-        }
-    }
-
-    /// Run one job per rank and block until all have completed.  The
-    /// borrows captured by the jobs are erased to `'static` for transit;
-    /// blocking here is what makes that sound.
-    fn run(&self, jobs: Vec<Job>) {
-        let p = self.slots.len();
-        assert_eq!(jobs.len(), p, "one job per rank");
-        for (slot, job) in self.slots.iter().zip(jobs) {
-            let mut guard = slot.job.lock().expect("job mutex never poisoned");
-            debug_assert!(guard.0.is_none(), "worker still holds a job");
-            guard.0 = Some(job);
-            slot.cv.notify_one();
-        }
-        let (lock, cv) = &*self.done;
-        let mut finished = lock.lock().expect("completion mutex never poisoned");
-        while *finished < p {
-            finished = cv.wait(finished).expect("completion mutex never poisoned");
-        }
-        *finished = 0;
-    }
-}
-
-impl Drop for RankPool {
-    fn drop(&mut self) {
-        for slot in &self.slots {
-            let mut guard = slot.job.lock().expect("job mutex never poisoned");
-            guard.1 = true;
-            slot.cv.notify_one();
-        }
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
 /// An [`SpmdEngine`] that executes every virtual rank on its own OS
 /// thread with real message passing.  See the module docs.
 pub struct ThreadedMachine<S> {
@@ -203,8 +80,9 @@ pub struct ThreadedMachine<S> {
     timeout: Duration,
     fault_epoch: u64,
     supersteps: u64,
-    /// Persistent rank worker threads, created on the first operation.
-    pool: Option<RankPool>,
+    /// One worker per rank (rank 0 on the driving thread), created on the
+    /// first operation and joined on drop.
+    pool: Option<WorkerPool>,
 }
 
 impl<S: Send> ThreadedMachine<S> {
@@ -240,7 +118,7 @@ impl<S: Send> ThreadedMachine<S> {
         self
     }
 
-    /// Run `f` on every rank — each on its persistent worker thread —
+    /// Run `f` on every rank — each on its own persistent thread —
     /// connected by a fresh set of mailboxes carrying this engine's
     /// fault sessions.  Returns per-rank results in rank order plus the
     /// operation's wall time, or the root failure with phase/superstep
@@ -266,49 +144,20 @@ impl<S: Send> ThreadedMachine<S> {
                 mb.set_fault(Some(plan.session(rank, epoch, phase)));
             }
         }
-        if self.pool.is_none() {
-            self.pool = Some(RankPool::new(p));
-        }
-        let pool = self.pool.as_ref().expect("pool just ensured");
-        let f = &f;
-        let mut outcomes: Vec<Option<Result<R, Box<dyn Any + Send>>>> =
-            (0..p).map(|_| None).collect();
-        let jobs: Vec<Job> = outcomes
-            .iter_mut()
-            .zip(self.states.iter_mut())
-            .zip(mailboxes)
-            .enumerate()
-            .map(|(r, ((slot, s), mb))| {
-                let senders = mb.sender_clones();
-                let slot = SlotPtr(slot as *mut _);
-                let job = move || {
-                    // move the whole wrapper in (disjoint capture would
-                    // otherwise grab the raw pointer field, which is not
-                    // `Send`)
-                    let slot = slot;
-                    let out = catch_unwind(AssertUnwindSafe(|| f(r, s, mb)));
-                    if out.is_err() {
-                        poison_all(r, &senders);
-                    }
-                    // SAFETY: see `SlotPtr` — exclusive slot, alive until
-                    // `pool.run` below has returned.
-                    unsafe { *slot.0 = Some(out) };
-                };
-                let job: Box<dyn FnOnce() + Send + '_> = Box::new(job);
-                // SAFETY: the job borrows `f`, `self.states` and the
-                // outcome slots, all of which outlive `pool.run(jobs)`,
-                // which blocks until every job has finished executing;
-                // jobs cannot unwind (the rank program runs under
-                // `catch_unwind` inside the job), so a worker never holds
-                // a job beyond that point.  Erasing the lifetime is only
-                // for transit through the worker channel.
-                unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + '_>, Job>(job) }
-            })
-            .collect();
-        pool.run(jobs);
-        let outcomes: Vec<_> = outcomes
+        let pool = self.pool.get_or_insert_with(|| WorkerPool::new(p, "rank"));
+        let items: Vec<(&mut S, Mailbox<M>)> = self.states.iter_mut().zip(mailboxes).collect();
+        let outcomes = pool.map(items, &|r, (s, mb): (&mut S, Mailbox<M>)| {
+            let senders = mb.sender_clones();
+            let out = catch_unwind(AssertUnwindSafe(|| f(r, s, mb)));
+            if out.is_err() {
+                // fail peers blocked on this rank now, not at their deadline
+                poison_all(r, &senders);
+            }
+            out
+        });
+        let outcomes = outcomes
             .into_iter()
-            .map(|o| o.expect("every job writes its slot"))
+            .map(|o| o.and_then(|out| out))
             .collect();
         match resolve_rank_results(outcomes) {
             Ok(results) => Ok((results, start.elapsed())),
@@ -366,9 +215,7 @@ impl<S: Send> ThreadedMachine<S> {
 }
 
 impl<S: Send> SpmdEngine<S> for ThreadedMachine<S> {
-    fn build(cfg: MachineConfig, _mode: ExecMode, states: Vec<S>) -> Self {
-        // ExecMode is a host-parallelism knob for the modeled machine;
-        // here every rank is an OS thread already, so it is ignored.
+    fn build(cfg: MachineConfig, states: Vec<S>) -> Self {
         ThreadedMachine::new(cfg, states)
     }
 
@@ -643,6 +490,8 @@ impl<S: Send> SpmdEngine<S> for ThreadedMachine<S> {
 mod tests {
     use super::*;
     use crate::{FaultPlan, Topology};
+    use std::sync::Arc;
+    use std::thread;
 
     fn tiny(p: usize) -> MachineConfig {
         MachineConfig {
@@ -657,7 +506,7 @@ mod tests {
     #[test]
     fn superstep_matches_modeled_machine() {
         let run_modeled = || {
-            let mut m = crate::Machine::new(tiny(8), ExecMode::Sequential, vec![0u64; 8]);
+            let mut m = crate::Machine::new(tiny(8), vec![0u64; 8]);
             drive(&mut m);
             m.into_ranks()
         };
@@ -688,7 +537,7 @@ mod tests {
 
     #[test]
     fn superstep_counts_off_rank_traffic_like_modeled() {
-        let mut modeled = crate::Machine::new(tiny(4), ExecMode::Sequential, vec![(); 4]);
+        let mut modeled = crate::Machine::new(tiny(4), vec![(); 4]);
         let mut threaded = ThreadedMachine::new(tiny(4), vec![(); 4]);
         fn program<E: SpmdEngine<()>>(m: &mut E) {
             m.superstep(
@@ -749,7 +598,7 @@ mod tests {
             m.ranks().to_vec()
         }
         let states = |p: usize| (0..p).map(|r| (r as f64 * 0.31, Vec::new())).collect();
-        let mut modeled = crate::Machine::new(tiny(6), ExecMode::Sequential, states(6));
+        let mut modeled = crate::Machine::new(tiny(6), states(6));
         let mut threaded = ThreadedMachine::new(tiny(6), states(6));
         let a = drive(&mut modeled);
         let b = drive(&mut threaded);
@@ -864,7 +713,7 @@ mod tests {
 
     #[test]
     fn modeled_machine_honors_kill_faults_identically() {
-        let mut m = crate::Machine::new(tiny(4), ExecMode::Sequential, vec![0u64; 4]);
+        let mut m = crate::Machine::new(tiny(4), vec![0u64; 4]);
         m.instruments_mut().fault_plan = Some(Arc::new(FaultPlan::new(1).kill(2, 3)));
         SpmdEngine::set_fault_epoch(&mut m, 3);
         // qualified call: the inherent (panicking) `local_step` would

@@ -51,10 +51,10 @@
 //!
 //! ```
 //! use pic_machine::trace::{MemoryRecorder, MetricsReport, SharedRecorder};
-//! use pic_machine::{ExecMode, Machine, MachineConfig, PhaseKind, SpmdEngine};
+//! use pic_machine::{Machine, MachineConfig, PhaseKind, SpmdEngine};
 //!
 //! let rec = SharedRecorder::new(MemoryRecorder::new());
-//! let mut m = Machine::new(MachineConfig::cm5(4), ExecMode::Sequential, vec![0u64; 4]);
+//! let mut m = Machine::new(MachineConfig::cm5(4), vec![0u64; 4]);
 //! m.instruments_mut().recorder = Some(Box::new(rec.clone()));
 //! SpmdEngine::local_step(&mut m, PhaseKind::Push, |_r, s, ctx| {
 //!     *s += 1;

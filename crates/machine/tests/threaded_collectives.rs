@@ -7,7 +7,7 @@
 //! associated a floating-point fold differently.
 
 use pic_machine::{
-    ExecMode, Machine, MachineConfig, Outbox, PhaseKind, SpmdEngine, ThreadedMachine, Topology,
+    Machine, MachineConfig, Outbox, PhaseKind, SpmdEngine, ThreadedMachine, Topology,
 };
 use proptest::prelude::*;
 
@@ -47,7 +47,7 @@ proptest! {
                 ((0..n as u64).map(|k| salt + r as u64 * 31 + k).collect(), Vec::new())
             })
             .collect();
-        let mut modeled = Machine::new(cfg(p), ExecMode::Sequential, states.clone());
+        let mut modeled = Machine::new(cfg(p), states.clone());
         let mut threaded = ThreadedMachine::new(cfg(p), states);
         drive(&mut modeled);
         drive(&mut threaded);
@@ -71,7 +71,7 @@ proptest! {
         }
         let states: Vec<(f64, f64)> =
             (0..p).map(|r| (vals[r % vals.len()] + r as f64 * 0.37, 0.0)).collect();
-        let mut modeled = Machine::new(cfg(p), ExecMode::Sequential, states.clone());
+        let mut modeled = Machine::new(cfg(p), states.clone());
         let mut threaded = ThreadedMachine::new(cfg(p), states);
         drive(&mut modeled);
         drive(&mut threaded);
@@ -107,7 +107,7 @@ proptest! {
                     .collect()
             })
             .collect();
-        let mut modeled = Machine::new(cfg(p), ExecMode::Sequential, states.clone());
+        let mut modeled = Machine::new(cfg(p), states.clone());
         let mut threaded = ThreadedMachine::new(cfg(p), states);
         drive(&mut modeled, width);
         drive(&mut threaded, width);
@@ -147,7 +147,7 @@ proptest! {
             .expect("fault-free superstep");
         }
         let states = vec![Vec::<u64>::new(); p];
-        let mut modeled = Machine::new(cfg(p), ExecMode::Sequential, states.clone());
+        let mut modeled = Machine::new(cfg(p), states.clone());
         let mut threaded = ThreadedMachine::new(cfg(p), states);
         drive(&mut modeled, &sends, p);
         drive(&mut threaded, &sends, p);

@@ -10,8 +10,8 @@
 //! supersteps.
 
 use pic_machine::{
-    ExecMode, Machine, MachineConfig, MemoryRecorder, Outbox, PhaseKind, SharedMetrics,
-    SharedRecorder, SpmdEngine, StatsLog, ThreadedMachine, Topology, TraceEvent,
+    Machine, MachineConfig, MemoryRecorder, Outbox, PhaseKind, SharedMetrics, SharedRecorder,
+    SpmdEngine, StatsLog, ThreadedMachine, Topology, TraceEvent,
 };
 use proptest::prelude::*;
 
@@ -55,7 +55,7 @@ proptest! {
         salt in 0u64..1000,
     ) {
         let shared = SharedRecorder::new(MemoryRecorder::new());
-        let mut m = Machine::new(cfg(p), ExecMode::Sequential, vec![0u64; p]);
+        let mut m = Machine::new(cfg(p), vec![0u64; p]);
         m.instruments_mut().recorder = Some(Box::new(shared.clone()));
         for step in 0..steps {
             m.superstep(
@@ -129,7 +129,7 @@ proptest! {
     ) {
         let shared = SharedRecorder::new(MemoryRecorder::new());
         let states: Vec<(u64, u64)> = (0..p).map(|r| (salt + r as u64, 0)).collect();
-        let mut m = Machine::new(cfg(p), ExecMode::Sequential, states);
+        let mut m = Machine::new(cfg(p), states);
         m.instruments_mut().recorder = Some(Box::new(shared.clone()));
         m.allgather(
             PhaseKind::Setup,
@@ -348,7 +348,7 @@ fn every_sink_agrees_on_both_executors() {
                 .map(|r| (r as u64 * 3, Vec::new()))
                 .collect::<Vec<_>>()
         };
-        let modeled = observed(Machine::new(cfg(p), ExecMode::Sequential, states()));
+        let modeled = observed(Machine::new(cfg(p), states()));
         let threaded = observed(ThreadedMachine::new(cfg(p), states()));
         for (name, (stats, events, metrics)) in [("modeled", &modeled), ("threaded", &threaded)] {
             let reg = metrics.snapshot();
