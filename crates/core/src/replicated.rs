@@ -149,8 +149,7 @@ impl ReplicatedGridPicSim {
         self.machine
             .local_step(PhaseKind::FieldSolve, move |r, st, ctx| {
                 let (y0, y1) = strip(r);
-                let currents = st.currents.clone();
-                solver.update_e_periodic_rows(&mut st.fields, &currents, y0, y1);
+                solver.update_e_periodic_rows(&mut st.fields, &st.currents, y0, y1);
                 ctx.charge_ops(((y1 - y0) * nx) as f64 * costs::FIELD_POINT_E);
             });
         self.concat_strips(strip, Which::E);

@@ -3,9 +3,11 @@
 //! The performance contract (DESIGN.md §9): once a rank's scratch arena
 //! is warm, the per-iteration particle kernels — key refresh, bound
 //! classification, pack/exchange, incremental radix sort and the
-//! cycle-decomposition permutation — perform **zero** heap allocations.
-//! Everything lives in buffers owned by [`pic_core::ScratchArena`] and
-//! the rank's own arrays, whose capacity is retained across iterations.
+//! cycle-decomposition permutation — and the Maxwell field update
+//! (`update_b_padded` + `update_e_padded`, in place on the rank's padded
+//! block) perform **zero** heap allocations.  Everything lives in buffers
+//! owned by [`pic_core::ScratchArena`] and the rank's own arrays, whose
+//! capacity is retained across iterations.
 //!
 //! The boundary is deliberate: the *message layer* (ghost-entry vectors,
 //! per-superstep channel plumbing) still allocates per iteration, so the
@@ -22,7 +24,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use pic_core::messages::ParticleBatch;
 use pic_core::{ParallelPicSim, RankState, SimConfig};
-use pic_field::Rect;
+use pic_field::{MaxwellSolver, Rect};
 use pic_index::{CellIndexer, HilbertIndexer};
 use pic_partition::{assign_keys_into, classify_by_bounds_into};
 
@@ -148,6 +150,22 @@ fn steady_state_kernels_do_not_allocate() {
             "steady-state kernel cycles must not allocate (got {allocs})"
         );
     }
+
+    // The field update runs in place on the rank's padded block, so it
+    // is allocation-free from its first call, in debug builds too.
+    let solver = MaxwellSolver::new(cfg.dt, cfg.dx, cfg.dy);
+    solver.update_b_padded(&mut st.fields);
+    solver.update_e_padded(&mut st.fields, &st.currents);
+    let field_allocs = count_allocs(|| {
+        for _ in 0..3 {
+            solver.update_b_padded(&mut st.fields);
+            solver.update_e_padded(&mut st.fields, &st.currents);
+        }
+    });
+    assert_eq!(
+        field_allocs, 0,
+        "warm field updates must not allocate (got {field_allocs})"
+    );
 
     // ---- Part 2: the full modeled simulation stays bounded ----
     // The message layer allocates per superstep, so a full iteration is

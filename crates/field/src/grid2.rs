@@ -97,6 +97,18 @@ impl<T> Grid2<T> {
         &mut self.data
     }
 
+    /// Row `y` as a slice of `width` elements.
+    #[inline]
+    pub fn row(&self, y: usize) -> &[T] {
+        &self.data[y * self.width..(y + 1) * self.width]
+    }
+
+    /// Row `y` as a mutable slice of `width` elements.
+    #[inline]
+    pub fn row_mut(&mut self, y: usize) -> &mut [T] {
+        &mut self.data[y * self.width..(y + 1) * self.width]
+    }
+
     /// Iterate `(x, y, &value)` in row-major order.
     pub fn iter_coords(&self) -> impl Iterator<Item = (usize, usize, &T)> {
         self.data
@@ -136,6 +148,9 @@ mod tests {
         assert_eq!(g.as_slice()[1], 1);
         assert_eq!(g.as_slice()[4], 2);
         assert_eq!(g.offset(3, 2), 11);
+        assert_eq!(g.row(1), &[2, 0, 0, 0]);
+        g.row_mut(2)[3] = 5;
+        assert_eq!(g[(3, 2)], 5);
     }
 
     #[test]
