@@ -5,7 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use pic_index::hilbert2d::{d2xy, xy2d};
-use pic_index::{Hilbert3d, IndexScheme};
+use pic_index::IndexScheme;
 use std::hint::black_box;
 
 fn bench_raw_curve(c: &mut Criterion) {
@@ -25,16 +25,6 @@ fn bench_raw_curve(c: &mut Criterion) {
             for d in 0..1024u64 {
                 let (x, y) = d2xy(10, black_box(d * 97));
                 acc ^= x ^ y;
-            }
-            acc
-        })
-    });
-    g.bench_function("hilbert3d_index_order7", |b| {
-        let h = Hilbert3d::new(7);
-        b.iter(|| {
-            let mut acc = 0u64;
-            for i in 0..1024u64 {
-                acc ^= h.index(black_box(i % 128), black_box((i * 7) % 128), black_box(3));
             }
             acc
         })

@@ -18,10 +18,9 @@
 //! * [`RowMajorIndexer`] — plain row-major ordering;
 //! * [`MortonIndexer`] — Z-order / Morton curve;
 //!
-//! a 3-D Hilbert curve ([`hilbert3d`]) since the paper notes the scheme
-//! generalizes to n dimensions, and [`locality`] metrics that quantify why
-//! Hilbert wins (smaller index jumps between spatial neighbours, lower
-//! perimeter-to-area ratios of contiguous index ranges).
+//! and [`locality`] metrics that quantify why Hilbert wins (smaller index
+//! jumps between spatial neighbours, lower perimeter-to-area ratios of
+//! contiguous index ranges).
 //!
 //! All indexers are exact bijections between cell coordinates and
 //! `0..width*height` and are validated by property tests.
@@ -39,8 +38,6 @@
 
 pub mod curve;
 pub mod hilbert2d;
-pub mod hilbert3d;
-pub mod index3d;
 pub mod locality;
 pub mod morton;
 pub mod rowmajor;
@@ -48,11 +45,6 @@ pub mod snake;
 
 pub use curve::{CellIndexer, IndexScheme};
 pub use hilbert2d::HilbertIndexer;
-pub use hilbert3d::Hilbert3d;
-pub use index3d::{
-    hilbert3d_range_stats, range3_stats, snake3d_coords, snake3d_index, snake3d_range_stats,
-    Range3Stats,
-};
 pub use locality::{neighbor_jump_stats, range_bbox_stats, JumpStats, RangeStats};
 pub use morton::MortonIndexer;
 pub use rowmajor::RowMajorIndexer;

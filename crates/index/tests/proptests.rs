@@ -2,7 +2,7 @@
 //! consistency, and the curve-order invariants the partitioner relies on.
 
 use pic_index::hilbert2d::{d2xy, xy2d};
-use pic_index::{Hilbert3d, IndexScheme};
+use pic_index::IndexScheme;
 use proptest::prelude::*;
 
 proptest! {
@@ -58,29 +58,5 @@ proptest! {
             let ix = scheme.build(w, h);
             prop_assert_ne!(ix.index(x1, y1), ix.index(x2, y2), "{}", scheme);
         }
-    }
-
-    /// 3-D Hilbert round-trips and stays in range.
-    #[test]
-    fn hilbert3d_roundtrip(order in 1u32..8, seed in any::<u64>()) {
-        let h = Hilbert3d::new(order);
-        let n = h.side();
-        let x = seed % n;
-        let y = (seed >> 21) % n;
-        let z = (seed >> 42) % n;
-        let d = h.index(x, y, z);
-        prop_assert!(d < h.len());
-        prop_assert_eq!(h.coords(d), (x, y, z));
-    }
-
-    /// 3-D Hilbert takes unit steps.
-    #[test]
-    fn hilbert3d_unit_steps(order in 1u32..6, seed in any::<u64>()) {
-        let h = Hilbert3d::new(order);
-        let d = seed % (h.len() - 1);
-        let a = h.coords(d);
-        let b = h.coords(d + 1);
-        let dist = a.0.abs_diff(b.0) + a.1.abs_diff(b.1) + a.2.abs_diff(b.2);
-        prop_assert_eq!(dist, 1);
     }
 }

@@ -1,20 +1,18 @@
 //! Typed failure reporting for SPMD runs.
 //!
-//! Before this module existed the executors reported every failure the
-//! same way: a panic unwinding out of `run_spmd` or an engine method,
-//! with the diagnostic squeezed into a formatted string.  [`SpmdError`]
-//! replaces that with a structured value carrying *where* the run died
-//! (rank, phase, superstep, fault epoch) and *why* ([`FailureCause`]):
-//! a rank panic, a receive timeout with per-rank in-flight message
-//! counts, mailbox poisoning by a dead peer, an injected kill from a
+//! An engine method that fails returns an [`SpmdError`]: a structured
+//! value carrying *where* the run died (rank, phase, superstep, fault
+//! epoch) and *why* ([`FailureCause`]): a rank panic, a receive timeout
+//! with per-rank in-flight message counts, mailbox poisoning by a dead
+//! peer, an injected kill from a
 //! [`FaultPlan`](crate::fault::FaultPlan), or a physics invariant
 //! violation detected by the simulation driver.
 //!
 //! The mailbox layer still *transports* failures as panics internally
 //! (any rank failure must abort every peer's superstep, and unwinding is
 //! the only channel that crosses the user program's stack), but the
-//! payloads are typed (`RankFailure`) and the public entry points
-//! catch them and return `Result<_, SpmdError>` instead of re-raising.
+//! payloads are typed (`RankFailure`) and the engines catch them and
+//! return `Result<_, SpmdError>` instead of re-raising.
 
 use std::any::Any;
 use std::fmt;
@@ -25,8 +23,8 @@ use crate::stats::PhaseKind;
 /// Everything known about a receive that gave up waiting.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TimeoutDetail {
-    /// What the rank was waiting inside (`"recv_exact"`, `"exchange"`,
-    /// `"allgather"`, `"barrier"`).
+    /// What the rank was waiting inside (`"exchange"`, `"allgather"`,
+    /// `"barrier"`).
     pub operation: &'static str,
     /// Messages the operation needed in total (0 when unknown up front,
     /// e.g. an exchange still waiting for count handshakes).

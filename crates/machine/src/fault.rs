@@ -195,12 +195,6 @@ impl FaultPlan {
         self.seed
     }
 
-    /// True if any spec is a kill (drivers use this to decide whether a
-    /// recovery path needs to be armed at all).
-    pub fn has_kills(&self) -> bool {
-        self.specs.iter().any(|s| s.kind == FaultKind::Kill)
-    }
-
     /// Re-arm all one-shot kills (tests that reuse a plan).
     pub fn rearm(&self) {
         for f in &self.fired {
@@ -263,8 +257,7 @@ pub enum SendFault {
 
 /// One rank's live view of a [`FaultPlan`] for one fault epoch.
 ///
-/// Created per superstep by the engines (or once per run by
-/// [`run_spmd_with`](crate::threaded::run_spmd_with)); holds the rank's
+/// Created per rank and operation by the engines; holds the rank's
 /// RNG stream so noise decisions are deterministic and independent of
 /// thread scheduling.
 #[derive(Debug)]

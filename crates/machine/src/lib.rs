@@ -25,8 +25,7 @@
 //!
 //! Beyond the modeled machine, the crate ships a second executor: the
 //! real-threads [`ThreadedMachine`] runs every virtual rank on its own OS
-//! thread with genuine message passing over [`threaded::Mailbox`]
-//! channels.  Both executors implement [`SpmdEngine`], so the same phase
+//! thread with genuine message passing over rank-to-rank channels.  Both executors implement [`SpmdEngine`], so the same phase
 //! program runs — and produces bit-identical rank states — on either.
 //!
 //! ```
@@ -65,7 +64,7 @@ pub mod payload;
 mod pool;
 mod record;
 pub mod stats;
-pub mod threaded;
+mod threaded;
 pub mod threaded_engine;
 pub mod trace;
 
@@ -81,8 +80,8 @@ pub use record::Instruments;
 pub use stats::{PhaseKind, PhaseTotals, StatsLog, SuperstepStats};
 pub use threaded_engine::ThreadedMachine;
 pub use trace::{
-    CheckpointAction, CheckpointEvent, CsvRecorder, FaultEvent, IterationEvent, JsonLinesRecorder,
+    CheckpointAction, CheckpointEvent, FaultEvent, IterationEvent, JsonLinesRecorder,
     MemoryRecorder, MetricsReport, MultiRecorder, PhaseMetrics, PolicyDecisionEvent, RankLoadEvent,
-    Recorder, RedistributionEvent, RedistributionTrigger, RingRecorder, SharedRecorder, SpanEvent,
+    Recorder, RedistributionEvent, RedistributionTrigger, SharedRecorder, SpanEvent,
     SuperstepEvent, TraceEvent,
 };

@@ -116,13 +116,14 @@ impl<S: Send> Machine<S> {
     /// visible core count when the variable is unset).
     ///
     /// # Panics
-    /// Panics if `states.len() != cfg.ranks`.
+    /// Panics if `cfg.ranks == 0` or `states.len() != cfg.ranks`.
     pub fn new(cfg: MachineConfig, states: Vec<S>) -> Self {
         Self::with_width(cfg, states, host_width())
     }
 
     /// [`Self::new`] on a pool of at most `width` host workers.
     pub(crate) fn with_width(cfg: MachineConfig, states: Vec<S>, width: usize) -> Self {
+        assert!(cfg.ranks > 0, "machine needs at least one rank");
         assert_eq!(
             states.len(),
             cfg.ranks,
@@ -330,6 +331,12 @@ mod tests {
             delta: 0.01,
             topology: crate::Topology::FullyConnected,
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "machine needs at least one rank")]
+    fn zero_ranks_rejected() {
+        let _ = Machine::<()>::new(tiny(0), Vec::new());
     }
 
     #[test]

@@ -1,24 +1,18 @@
-//! A real-threads message-passing executor.
+//! Rank-to-rank channels for the real-threads executor.
 //!
 //! The BSP [`crate::Machine`] *models* communication; this module
-//! *performs* it: each virtual rank becomes an OS thread with a mailbox of
-//! point-to-point channels, demonstrating that the superstep protocol maps
-//! one-to-one onto genuine message passing (the role MPI played for the
-//! paper).  Two entry points:
-//!
-//! * [`run_spmd`] — run a rank-local program on `p` spawned threads, each
-//!   holding a [`Mailbox`]; the building block and its own public API;
-//! * [`crate::ThreadedMachine`] — an engine implementing
-//!   [`crate::SpmdEngine`], so the PIC phase programs in `pic-core` run
-//!   unchanged on real threads (see `crate::threaded_engine`).
+//! *performs* it for [`crate::ThreadedMachine`]: every operation hands
+//! each rank a [`Mailbox`] of channels to every peer, demonstrating that
+//! the superstep protocol maps one-to-one onto genuine message passing
+//! (the role MPI played for the paper).
 //!
 //! ## Collectives
 //!
-//! [`Mailbox`] implements the collectives the phases need on top of plain
-//! sends: [`Mailbox::allgather`], [`Mailbox::allgatherv`], the all-to-many
-//! [`Mailbox::exchange`] (every rank sends every peer one batch wire —
-//! possibly empty, which doubles as the "nothing from me" handshake), and
-//! a dissemination [`Mailbox::barrier`].
+//! [`Mailbox`] implements the paper's two kinds of communication — the
+//! all-to-many [`Mailbox::exchange`] (every rank sends every peer one
+//! batch wire — possibly empty, which doubles as the "nothing from me"
+//! handshake) and the global concatenation ([`Mailbox::allgather`],
+//! [`Mailbox::allgatherv`]) — plus a dissemination [`Mailbox::barrier`].
 //!
 //! ## Failure semantics
 //!
@@ -29,14 +23,14 @@
 //! * **poison propagation** — each rank thread runs its program under
 //!   `catch_unwind`; on failure it broadcasts a poison message to every
 //!   rank before exiting, and any rank that receives poison unwinds in
-//!   turn, so the whole run collapses promptly and the entry points
-//!   return the *root* cause as a typed [`SpmdError`];
+//!   turn, so the whole operation collapses promptly and the engine
+//!   returns the *root* cause as a typed [`SpmdError`];
 //! * **retry with exponential backoff** — a blocking receive waits in
 //!   slices starting at [`RETRY_INITIAL_BACKOFF`] and doubling up to
 //!   [`RETRY_MAX_BACKOFF`]; each expired slice retransmits any messages
 //!   this rank still owes its peers (see fault injection below), so
 //!   transiently lost messages recover without aborting the run;
-//! * **receive deadline** — when the cumulative wait exceeds the run's
+//! * **receive deadline** — when the cumulative wait exceeds the engine's
 //!   timeout (default [`DEFAULT_RECV_TIMEOUT`]), the rank fails with a
 //!   structured [`TimeoutDetail`] carrying the operation, expected vs
 //!   received message counts and per-rank in-flight counts, instead of
@@ -45,7 +39,7 @@
 //! ## Fault injection
 //!
 //! A [`Mailbox`] optionally carries a [`FaultSession`] (one rank's view of
-//! a seeded [`FaultPlan`]).  Benign faults act at
+//! a seeded [`crate::FaultPlan`]).  Benign faults act at
 //! the wire level — a delayed send sleeps, a reordered exchange visits
 //! destinations in a scrambled order, a dropped message is parked in a
 //! per-destination *lost queue* (everything later addressed to the same
@@ -57,29 +51,27 @@
 
 use std::any::Any;
 use std::collections::VecDeque;
-use std::panic::{catch_unwind, panic_any, AssertUnwindSafe};
+use std::panic::panic_any;
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
 use crate::error::{FailureCause, RankFailure, SpmdError, TimeoutDetail};
-use crate::fault::{FaultPlan, FaultSession, SendFault};
-use crate::stats::PhaseKind;
+use crate::fault::{FaultSession, SendFault};
 
 /// Default cumulative per-receive deadline before a run is declared
 /// deadlocked.
-pub const DEFAULT_RECV_TIMEOUT: Duration = Duration::from_secs(30);
+pub(crate) const DEFAULT_RECV_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// First wait slice of the receive retry loop; each expiry retransmits
 /// this rank's lost-queue contents and doubles the slice.
-pub const RETRY_INITIAL_BACKOFF: Duration = Duration::from_millis(2);
+pub(crate) const RETRY_INITIAL_BACKOFF: Duration = Duration::from_millis(2);
 
 /// Upper bound of the exponential backoff between retransmissions.
-pub const RETRY_MAX_BACKOFF: Duration = Duration::from_millis(256);
+pub(crate) const RETRY_MAX_BACKOFF: Duration = Duration::from_millis(256);
 
 /// Panic payload used when a rank aborts because a *peer* failed.  The
-/// runners filter these out so the root cause is what callers see.
+/// engine filters these out so the root cause is what callers see.
 pub(crate) struct PoisonedBy(pub(crate) usize);
 
 /// What travels on the wire between rank threads.
@@ -90,8 +82,6 @@ pub(crate) struct PoisonedBy(pub(crate) usize);
 /// collective from being consumed by a slow rank still inside the
 /// previous one (the stray wire parks in `pending` until its turn).
 pub(crate) enum Wire<M> {
-    /// One point-to-point message.
-    Msg(M),
     /// Everything one rank sends this destination in exchange collective
     /// `seq`, in send order (possibly empty — the empty batch doubles as
     /// the "nothing from me" handshake).  One wire per rank pair keeps
@@ -108,8 +98,8 @@ pub(crate) enum Wire<M> {
     Poison,
 }
 
-/// Handle to the channels of one rank inside an SPMD run.
-pub struct Mailbox<M> {
+/// Handle to the channels of one rank inside one engine operation.
+pub(crate) struct Mailbox<M> {
     rank: usize,
     senders: Vec<Sender<(usize, Wire<M>)>>,
     receiver: Receiver<(usize, Wire<M>)>,
@@ -128,7 +118,7 @@ pub struct Mailbox<M> {
     fault: Option<FaultSession>,
 }
 
-/// Build the `p` connected mailboxes of one run.
+/// Build the `p` connected mailboxes of one operation.
 pub(crate) fn make_mailboxes<M>(p: usize, timeout: Duration) -> Vec<Mailbox<M>> {
     let mut senders = Vec::with_capacity(p);
     let mut receivers = Vec::with_capacity(p);
@@ -175,13 +165,8 @@ impl<M> Drop for Mailbox<M> {
 }
 
 impl<M: Send> Mailbox<M> {
-    /// This rank's id.
-    pub fn rank(&self) -> usize {
-        self.rank
-    }
-
     /// Total number of ranks.
-    pub fn num_ranks(&self) -> usize {
+    pub(crate) fn num_ranks(&self) -> usize {
         self.senders.len()
     }
 
@@ -191,7 +176,7 @@ impl<M: Send> Mailbox<M> {
         self.senders.clone()
     }
 
-    /// Attach one rank's fault-plan session for this run/superstep.
+    /// Attach one rank's fault-plan session for this operation.
     pub(crate) fn set_fault(&mut self, session: Option<FaultSession>) {
         self.fault = session;
     }
@@ -239,23 +224,12 @@ impl<M: Send> Mailbox<M> {
         let _ = self.senders[to].send((self.rank, wire));
     }
 
-    /// Send `msg` to rank `to`.
-    ///
-    /// # Panics
-    /// Panics if `to` is out of range, or to abort the rank on an
-    /// injected kill / peer poison (caught by the runners and surfaced as
-    /// [`SpmdError`]).
-    pub fn send(&mut self, to: usize, msg: M) {
-        self.check_kill();
-        self.push_wire(to, Wire::Msg(msg));
-    }
-
     /// Next wire message satisfying `pred`, buffering others.
     ///
     /// Waits in exponentially growing slices; each expired slice
     /// retransmits this rank's lost queue (a peer may be blocked on a
     /// dropped message of ours).  Once the cumulative wait exceeds the
-    /// run timeout, aborts the rank with a typed timeout whose
+    /// engine timeout, aborts the rank with a typed timeout whose
     /// [`TimeoutDetail`] comes from `detail()` = `(expected, received,
     /// per-rank in-flight counts)`.
     fn next_matching<P, D>(
@@ -304,33 +278,6 @@ impl<M: Send> Mailbox<M> {
         }
     }
 
-    /// Receive exactly `n` point-to-point messages, returned sorted by
-    /// sender rank (stable: order within one sender is preserved) so the
-    /// result is deterministic regardless of thread scheduling.
-    ///
-    /// # Panics
-    /// Aborts the rank (typed payload) on poison, timeout, or injected
-    /// kill; the runners surface it as [`SpmdError`].
-    pub fn recv_exact(&mut self, n: usize) -> Vec<(usize, M)> {
-        self.check_kill();
-        let mut msgs: Vec<(usize, M)> = Vec::with_capacity(n);
-        while msgs.len() < n {
-            let received = msgs.len();
-            let (from, wire) = self.next_matching(
-                "recv_exact",
-                |w| matches!(w, Wire::Msg(_)),
-                move || (n, received, Vec::new()),
-            );
-            match wire {
-                Wire::Msg(m) => msgs.push((from, m)),
-                _ => unreachable!("next_matching returned a non-Msg wire"),
-            }
-        }
-        self.flush_lost();
-        msgs.sort_by_key(|&(from, _)| from);
-        msgs
-    }
-
     /// All-to-many exchange: every rank sends every peer (including
     /// itself, round-tripping through its own channel) exactly one batch
     /// wire carrying all its messages for that destination — an empty
@@ -339,7 +286,7 @@ impl<M: Send> Mailbox<M> {
     /// exactly the modeled machine's delivery order (an injected reorder
     /// fault only scrambles which *destination* is served first;
     /// per-destination order is kept, so results never change).
-    pub fn exchange(&mut self, outgoing: Vec<(usize, M)>) -> Vec<(usize, M)> {
+    pub(crate) fn exchange(&mut self, outgoing: Vec<(usize, M)>) -> Vec<(usize, M)> {
         self.check_kill();
         self.seq += 1;
         let seq = self.seq;
@@ -400,7 +347,7 @@ impl<M: Send> Mailbox<M> {
 
     /// Global concatenation: contribute `value`, receive every rank's
     /// contribution indexed by rank.
-    pub fn allgather(&mut self, value: M) -> Vec<M>
+    pub(crate) fn allgather(&mut self, value: M) -> Vec<M>
     where
         M: Clone,
     {
@@ -416,7 +363,7 @@ impl<M: Send> Mailbox<M> {
 
     /// Vector allgather keeping contributions separate: rank `r`'s
     /// contribution is element `r` of the result.
-    pub fn allgather_vec(&mut self, values: Vec<M>) -> Vec<Vec<M>>
+    fn allgather_vec(&mut self, values: Vec<M>) -> Vec<Vec<M>>
     where
         M: Clone,
     {
@@ -459,7 +406,7 @@ impl<M: Send> Mailbox<M> {
 
     /// Global concatenation of vectors in rank order (the paper's "global
     /// concatenation" used by bucket incremental sorting).
-    pub fn allgatherv(&mut self, values: Vec<M>) -> Vec<M>
+    pub(crate) fn allgatherv(&mut self, values: Vec<M>) -> Vec<M>
     where
         M: Clone,
     {
@@ -471,7 +418,7 @@ impl<M: Send> Mailbox<M> {
     /// Tokens are tagged with the barrier's collective sequence number
     /// and the round, so neither a fast peer's *next* barrier nor a
     /// different round of this one can satisfy the wait.
-    pub fn barrier(&mut self) {
+    pub(crate) fn barrier(&mut self) {
         self.check_kill();
         self.seq += 1;
         let seq = self.seq;
@@ -496,7 +443,8 @@ impl<M: Send> Mailbox<M> {
     }
 }
 
-/// Broadcast poison to every rank (used by thread wrappers on failure).
+/// Broadcast poison to every rank (used by the engine's rank jobs on
+/// failure).
 pub(crate) fn poison_all<M: Send>(rank: usize, senders: &[Sender<(usize, Wire<M>)>]) {
     for tx in senders {
         let _ = tx.send((rank, Wire::Poison));
@@ -537,139 +485,45 @@ pub(crate) fn resolve_rank_results<R>(
     }
 }
 
-/// Run an SPMD program on `p` OS threads, one per rank, each with a
-/// [`Mailbox`].  Returns the per-rank results in rank order, or the
-/// *root* failure as a typed [`SpmdError`] (a failing rank poisons all
-/// peers, so the call returns within bounded time instead of hanging
-/// peers in a receive).
-///
-/// # Panics
-/// Panics if `p == 0`.
-pub fn run_spmd<M, R, F>(p: usize, program: F) -> Result<Vec<R>, SpmdError>
-where
-    M: Send + 'static,
-    R: Send + 'static,
-    F: Fn(Mailbox<M>) -> R + Send + Sync + 'static + Clone,
-{
-    run_spmd_with(p, DEFAULT_RECV_TIMEOUT, None, program)
-}
-
-/// [`run_spmd`] with an explicit per-receive deadline (tests use short
-/// deadlines to assert bounded-time failure).
-pub fn run_spmd_with_timeout<M, R, F>(
-    p: usize,
-    timeout: Duration,
-    program: F,
-) -> Result<Vec<R>, SpmdError>
-where
-    M: Send + 'static,
-    R: Send + 'static,
-    F: Fn(Mailbox<M>) -> R + Send + Sync + 'static + Clone,
-{
-    run_spmd_with(p, timeout, None, program)
-}
-
-/// Full-control entry point: explicit deadline and an optional fault
-/// plan applied at fault epoch `epoch` (the chaos suite's workhorse).
-pub fn run_spmd_with<M, R, F>(
-    p: usize,
-    timeout: Duration,
-    fault: Option<(Arc<FaultPlan>, u64)>,
-    program: F,
-) -> Result<Vec<R>, SpmdError>
-where
-    M: Send + 'static,
-    R: Send + 'static,
-    F: Fn(Mailbox<M>) -> R + Send + Sync + 'static + Clone,
-{
-    assert!(p > 0, "need at least one rank");
-    let mut mailboxes = make_mailboxes::<M>(p, timeout);
-    if let Some((plan, epoch)) = &fault {
-        for (rank, mb) in mailboxes.iter_mut().enumerate() {
-            mb.set_fault(Some(plan.session(rank, *epoch, PhaseKind::Other)));
-        }
-    }
-    let handles: Vec<_> = mailboxes
-        .into_iter()
-        .map(|mailbox| {
-            let rank = mailbox.rank();
-            let senders = mailbox.sender_clones();
-            let program = program.clone();
-            thread::spawn(move || {
-                let result = catch_unwind(AssertUnwindSafe(|| program(mailbox)));
-                if result.is_err() {
-                    poison_all(rank, &senders);
-                }
-                result
-            })
-        })
-        .collect();
-    let outcomes: Vec<_> = handles
-        .into_iter()
-        .map(|h| match h.join() {
-            Ok(inner) => inner,
-            Err(payload) => Err(payload),
-        })
-        .collect();
-    resolve_rank_results(outcomes)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::FaultNoise;
+    use crate::fault::{FaultNoise, FaultPlan};
+    use crate::{MachineConfig, PhaseKind, SpmdEngine, ThreadedMachine};
+    use std::sync::Arc;
     use std::time::Instant;
 
-    #[test]
-    fn ring_rotation_on_real_threads() {
-        let results = run_spmd::<u64, u64, _>(4, |mut mb| {
-            let next = (mb.rank() + 1) % mb.num_ranks();
-            mb.send(next, mb.rank() as u64 * 100);
-            let got = mb.recv_exact(1);
-            got[0].1
-        })
-        .expect("fault-free run");
-        assert_eq!(results, vec![300, 0, 100, 200]);
+    /// Run `program` as one operation of a `p`-rank [`ThreadedMachine`]
+    /// with the given receive deadline and, optionally, a fault plan
+    /// applied at fault epoch 0.
+    fn run<M: Send, R: Send>(
+        p: usize,
+        timeout: Duration,
+        plan: Option<Arc<FaultPlan>>,
+        program: impl Fn(usize, Mailbox<M>) -> R + Sync,
+    ) -> Result<Vec<R>, SpmdError> {
+        let mut m = ThreadedMachine::new(MachineConfig::cm5(p), vec![(); p]).with_timeout(timeout);
+        m.instruments_mut().fault_plan = plan;
+        m.run_ranks(PhaseKind::Other, |r, _s, mb| program(r, mb))
+            .map(|(results, _wall)| results)
     }
 
-    #[test]
-    fn all_to_all_is_deterministic() {
-        let results = run_spmd::<u64, Vec<u64>, _>(8, |mut mb| {
-            let p = mb.num_ranks();
-            for to in 0..p {
-                if to != mb.rank() {
-                    mb.send(to, (mb.rank() * 10) as u64);
-                }
-            }
-            mb.recv_exact(p - 1).into_iter().map(|(_, v)| v).collect()
-        })
-        .expect("fault-free run");
-        for (r, got) in results.iter().enumerate() {
-            let expect: Vec<u64> = (0..8)
-                .filter(|&s| s != r)
-                .map(|s| (s * 10) as u64)
-                .collect();
-            assert_eq!(got, &expect, "rank {r}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one rank")]
-    fn zero_ranks_rejected() {
-        let _ = run_spmd::<u64, (), _>(0, |_mb| {});
+    fn run_clean<M: Send, R: Send>(
+        p: usize,
+        program: impl Fn(usize, Mailbox<M>) -> R + Sync,
+    ) -> Vec<R> {
+        run(p, DEFAULT_RECV_TIMEOUT, None, program).expect("fault-free run")
     }
 
     #[test]
     fn exchange_handshake_round_trips() {
-        let results = run_spmd::<(u64, u64), Vec<(usize, (u64, u64))>, _>(6, |mut mb| {
-            let r = mb.rank();
+        let results = run_clean::<(u64, u64), _>(6, |r, mut mb| {
             // rank r sends k = r messages, spread over peers (r+1)..(r+1+r)
             let outgoing: Vec<(usize, (u64, u64))> = (0..r)
                 .map(|k| (((r + 1 + k) % mb.num_ranks()), (r as u64, k as u64)))
                 .collect();
             mb.exchange(outgoing)
-        })
-        .expect("fault-free run");
+        });
         let total: usize = results.iter().map(Vec::len).sum();
         assert_eq!(total, (0..6).sum::<usize>());
         for inbox in &results {
@@ -685,14 +539,12 @@ mod tests {
 
     #[test]
     fn collectives_agree_with_direct_computation() {
-        let results = run_spmd::<u64, (Vec<u64>, Vec<u64>), _>(5, |mut mb| {
-            let r = mb.rank() as u64;
-            let gathered = mb.allgather(r * 7);
-            let concat = mb.allgatherv(vec![r; mb.rank()]);
+        let results = run_clean::<u64, _>(5, |r, mut mb| {
+            let gathered = mb.allgather(r as u64 * 7);
+            let concat = mb.allgatherv(vec![r as u64; r]);
             mb.barrier();
             (gathered, concat)
-        })
-        .expect("fault-free run");
+        });
         let expect_concat: Vec<u64> = (0..5u64).flat_map(|r| vec![r; r as usize]).collect();
         for (gathered, concat) in results {
             assert_eq!(gathered, vec![0, 7, 14, 21, 28]);
@@ -704,15 +556,14 @@ mod tests {
     fn panicking_rank_fails_the_run_promptly() {
         for p in [1usize, 2, 4, 8] {
             let start = Instant::now();
-            let err =
-                run_spmd_with_timeout::<u64, (), _>(p, Duration::from_secs(20), move |mut mb| {
-                    if mb.rank() == p / 2 {
-                        panic!("injected failure on rank {}", p / 2);
-                    }
-                    // everyone else waits for a message that never comes
-                    let _ = mb.recv_exact(1);
-                })
-                .expect_err("run must fail");
+            let err = run::<(), ()>(p, Duration::from_secs(20), None, move |r, mut mb| {
+                if r == p / 2 {
+                    panic!("injected failure on rank {}", p / 2);
+                }
+                // everyone else waits in a barrier the failed rank never enters
+                mb.barrier();
+            })
+            .expect_err("run must fail");
             match &err.cause {
                 FailureCause::Panic(msg) => {
                     assert!(msg.contains("injected failure"), "p={p}: got {msg:?}")
@@ -730,18 +581,20 @@ mod tests {
     #[test]
     fn deadlock_times_out_with_structured_detail() {
         let start = Instant::now();
-        let err = run_spmd_with_timeout::<u64, (), _>(2, Duration::from_millis(200), |mut mb| {
-            // both ranks wait forever: nothing is ever sent
-            let _ = mb.recv_exact(1);
+        let err = run::<(), ()>(2, Duration::from_millis(200), None, |r, mut mb| {
+            // rank 0 enters a barrier that rank 1 skips
+            if r == 0 {
+                mb.barrier();
+            }
         })
         .expect_err("deadlock must fail");
         assert!(start.elapsed() < Duration::from_secs(10));
         assert!(err.is_timeout(), "got {err:?}");
-        assert!(err.rank.is_some(), "timeout must name a rank");
+        assert_eq!(err.rank, Some(0));
         let FailureCause::Timeout(detail) = &err.cause else {
             panic!("expected timeout cause");
         };
-        assert_eq!(detail.operation, "recv_exact");
+        assert_eq!(detail.operation, "barrier");
         assert_eq!(detail.expected, 1);
         assert_eq!(detail.received, 0);
         assert!(detail.waited >= Duration::from_millis(200));
@@ -751,11 +604,10 @@ mod tests {
     fn injected_kill_names_the_rank() {
         let plan = Arc::new(FaultPlan::new(3).kill(2, 0));
         let start = Instant::now();
-        let err =
-            run_spmd_with::<u64, (), _>(8, Duration::from_secs(20), Some((plan, 0)), |mut mb| {
-                mb.barrier();
-            })
-            .expect_err("killed run must fail");
+        let err = run::<(), ()>(8, Duration::from_secs(20), Some(plan), |_r, mut mb| {
+            mb.barrier();
+        })
+        .expect_err("killed run must fail");
         assert!(err.is_injected_kill(), "got {err:?}");
         assert_eq!(err.rank, Some(2));
         assert_eq!(err.epoch, Some(0));
@@ -773,41 +625,35 @@ mod tests {
             reorder_prob: 0.0,
             drop_prob: 1.0,
         }));
-        let program = |mut mb: Mailbox<u64>| {
+        let program = |r: usize, mut mb: Mailbox<u64>| {
             let p = mb.num_ranks();
-            let outgoing: Vec<(usize, u64)> = (0..p)
-                .map(|to| (to, (mb.rank() * 100 + to) as u64))
-                .collect();
+            let outgoing: Vec<(usize, u64)> =
+                (0..p).map(|to| (to, (r * 100 + to) as u64)).collect();
             mb.exchange(outgoing)
         };
-        let clean = run_spmd::<u64, _, _>(4, program).expect("clean run");
-        let faulty =
-            run_spmd_with::<u64, _, _>(4, Duration::from_secs(20), Some((noisy, 0)), program)
-                .expect("drops must recover via retransmission");
+        let clean = run_clean(4, program);
+        let faulty = run(4, Duration::from_secs(20), Some(noisy), program)
+            .expect("drops must recover via retransmission");
         assert_eq!(clean, faulty);
     }
 
     #[test]
     fn benign_noise_preserves_results() {
-        let program = |mut mb: Mailbox<u64>| {
+        let program = |r: usize, mut mb: Mailbox<u64>| {
             let p = mb.num_ranks();
             let outgoing: Vec<(usize, u64)> = (0..p)
-                .flat_map(|to| {
-                    let r = mb.rank() as u64;
-                    (0..3).map(move |k| (to, r * 1000 + k))
-                })
+                .flat_map(|to| (0..3).map(move |k| (to, r as u64 * 1000 + k)))
                 .collect();
             let inbox = mb.exchange(outgoing);
             let sum = mb.allgather(inbox.iter().map(|(_, v)| v).sum::<u64>());
             mb.barrier();
             (inbox, sum)
         };
-        let clean = run_spmd::<u64, _, _>(6, program).expect("clean run");
+        let clean = run_clean(6, program);
         for seed in [1u64, 2, 3] {
             let plan = Arc::new(FaultPlan::benign(seed));
-            let noisy =
-                run_spmd_with::<u64, _, _>(6, Duration::from_secs(30), Some((plan, 0)), program)
-                    .expect("benign plan must not fail the run");
+            let noisy = run(6, Duration::from_secs(30), Some(plan), program)
+                .expect("benign plan must not fail the run");
             assert_eq!(clean, noisy, "seed {seed} changed results");
         }
     }

@@ -6,8 +6,8 @@
 //! worker of its own.  Each superstep or collective dispatches one job
 //! per rank to its thread instead of spawning fresh threads, which
 //! removes ~100–200 µs of spawn/join overhead per operation from the hot
-//! path.  Ranks communicate through
-//! [`crate::threaded::Mailbox`] channels, so the communication the
+//! path.  Ranks communicate through mailboxes of rank-to-rank channels,
+//! created fresh for every operation, so the communication the
 //! modeled [`Machine`](crate::Machine) *charges* is here actually
 //! *performed*.  Where the modeled machine reports τ/μ/δ seconds, this
 //! engine reports wall-clock seconds; the statistics log carries the same
@@ -25,7 +25,7 @@
 //!
 //! Failure semantics come from the mailbox layer: a failing rank poisons
 //! its peers and every entry point returns the *root* failure as a typed
-//! [`SpmdError`] within bounded time (see [`crate::threaded`]).  An
+//! [`SpmdError`] within bounded time.  An
 //! installed [`FaultPlan`](crate::FaultPlan) is threaded into every
 //! rank's mailbox as a per-(rank, epoch)
 //! [`FaultSession`](crate::fault::FaultSession), so this engine honors
@@ -89,8 +89,9 @@ impl<S: Send> ThreadedMachine<S> {
     /// Build a threaded machine whose rank `r` starts with `states[r]`.
     ///
     /// # Panics
-    /// Panics if `states.len() != cfg.ranks`.
+    /// Panics if `cfg.ranks == 0` or `states.len() != cfg.ranks`.
     pub fn new(cfg: MachineConfig, states: Vec<S>) -> Self {
+        assert!(cfg.ranks > 0, "machine needs at least one rank");
         assert_eq!(
             states.len(),
             cfg.ranks,
@@ -123,7 +124,7 @@ impl<S: Send> ThreadedMachine<S> {
     /// fault sessions.  Returns per-rank results in rank order plus the
     /// operation's wall time, or the root failure with phase/superstep
     /// context attached (peers are poisoned so the call never hangs).
-    fn run_ranks<M, R, F>(
+    pub(crate) fn run_ranks<M, R, F>(
         &mut self,
         phase: PhaseKind,
         f: F,
@@ -533,6 +534,12 @@ mod tests {
             }
         }
         assert_eq!(run_modeled(), run_threaded());
+    }
+
+    #[test]
+    #[should_panic(expected = "machine needs at least one rank")]
+    fn zero_ranks_rejected() {
+        let _ = ThreadedMachine::<()>::new(tiny(0), Vec::new());
     }
 
     #[test]

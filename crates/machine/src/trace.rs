@@ -34,9 +34,7 @@
 //! happens:
 //!
 //! * [`MemoryRecorder`] — unbounded in-memory vector (exporter input);
-//! * [`RingRecorder`] — bounded ring that keeps the most recent events;
 //! * [`JsonLinesRecorder`] — one JSON object per line to any writer;
-//! * [`CsvRecorder`] — one flat CSV row per event;
 //! * [`MultiRecorder`] — fan-out to several sinks;
 //! * [`SharedRecorder`] — clonable handle so the caller can keep access
 //!   to a sink after handing the engine its `Box<dyn Recorder>`.
@@ -45,8 +43,6 @@
 //!
 //! * [`chrome_trace`] — Chrome `trace_event` JSON for `chrome://tracing`
 //!   / Perfetto (one track per rank);
-//! * [`timeline_report`] — flamegraph-style per-rank/per-phase text
-//!   bars;
 //! * [`MetricsReport`] — per-phase p50/p95/max aggregation.
 //!
 //! ```
@@ -67,7 +63,6 @@
 //! assert_eq!(report.phases()[0].phase, PhaseKind::Push);
 //! ```
 
-use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
@@ -464,96 +459,6 @@ impl TraceEvent {
         s.push('}');
         s
     }
-
-    /// Header row matching [`TraceEvent::to_csv_row`].
-    pub const CSV_HEADER: &'static str = "event,rank,phase,superstep,epoch,iter,start_s,\
-         compute_s,comm_s,elapsed_s,msgs_sent,msgs_recv,bytes_sent,bytes_recv,detail";
-
-    /// Serialize to one flat CSV row (columns that do not apply to this
-    /// event kind are left empty).
-    pub fn to_csv_row(&self) -> String {
-        match self {
-            TraceEvent::Span(e) => format!(
-                "span,{},{},{},{},,{:.9},{:.9},{:.9},{:.9},{},{},{},{},",
-                e.rank,
-                e.phase.label(),
-                e.superstep,
-                e.epoch,
-                e.start_s,
-                e.compute_s,
-                e.comm_s,
-                e.end_s - e.start_s,
-                e.msgs_sent,
-                e.msgs_recv,
-                e.bytes_sent,
-                e.bytes_recv
-            ),
-            TraceEvent::Superstep(e) => format!(
-                "superstep,,{},{},{},,{:.9},{:.9},{:.9},{:.9},{},,{},,{}",
-                e.phase.label(),
-                e.superstep,
-                e.epoch,
-                e.start_s,
-                e.max_compute_s,
-                e.max_comm_s,
-                e.elapsed_s,
-                e.total_msgs,
-                e.total_bytes,
-                if e.collective {
-                    "collective"
-                } else {
-                    "exchange"
-                }
-            ),
-            TraceEvent::Iteration(e) => format!(
-                "iteration,,,,,{},,{:.9},{:.9},{:.9},,,,,particles {}..{}",
-                e.iter, e.compute_s, e.comm_s, e.time_s, e.min_particles, e.max_particles
-            ),
-            TraceEvent::Redistribution(e) => format!(
-                "redistribution,,,,,{},,,,{:.9},,,,,{}",
-                e.iter,
-                e.cost_s,
-                e.trigger.label()
-            ),
-            TraceEvent::Fault(e) => format!(
-                "fault,{},{},{},{},,,,,,,,,,{}",
-                e.rank.map(|r| r.to_string()).unwrap_or_default(),
-                e.phase.map(|p| p.label()).unwrap_or(""),
-                e.superstep.map(|v| v.to_string()).unwrap_or_default(),
-                e.epoch.map(|v| v.to_string()).unwrap_or_default(),
-                csv_escape(&e.cause)
-            ),
-            TraceEvent::Checkpoint(e) => format!(
-                "checkpoint,,,,,{},,,,,,,{},,{}",
-                e.iter,
-                e.bytes,
-                e.action.label()
-            ),
-            TraceEvent::PolicyDecision(e) => format!(
-                "policy_decision,,,,,{},{:.9},,,,,,,,observed={:.9} baseline={:.9} \
-                 projected={:.9} threshold={:.9} fired={}",
-                e.iter,
-                e.time_s,
-                e.observed_s,
-                e.baseline_s,
-                e.projected_loss_s,
-                e.threshold_s,
-                e.fired
-            ),
-            TraceEvent::RankLoad(e) => {
-                let counts = e
-                    .counts
-                    .iter()
-                    .map(|c| c.to_string())
-                    .collect::<Vec<_>>()
-                    .join(" ");
-                format!(
-                    "rank_load,,,,,{},{:.9},,,,,,,,counts {}",
-                    e.iter, e.time_s, counts
-                )
-            }
-        }
-    }
 }
 
 /// Render an `f64` for JSON (finite guaranteed by construction, but be
@@ -593,11 +498,6 @@ fn json_escape(s: &str) -> String {
     out
 }
 
-/// Make a string safe as a single CSV field (commas/newlines → spaces).
-fn csv_escape(s: &str) -> String {
-    s.replace([',', '\n', '\r'], " ")
-}
-
 /// A sink for [`TraceEvent`]s.
 ///
 /// Recorders are installed on an engine through its
@@ -610,15 +510,6 @@ pub trait Recorder: Send {
 
     /// Flush any buffered output (a no-op for in-memory sinks).
     fn flush(&mut self) {}
-
-    /// Number of event deliveries this recorder has discarded (bounded
-    /// sinks evicting, fan-outs summing over their sinks).  Exposed on
-    /// the trait so drop counts survive `Box<dyn Recorder>` erasure and
-    /// reports can say "totals undercount" instead of silently
-    /// truncating.  Defaults to 0 for lossless sinks.
-    fn dropped(&self) -> u64 {
-        0
-    }
 }
 
 /// Unbounded in-memory recorder; the usual exporter input.
@@ -647,59 +538,6 @@ impl MemoryRecorder {
 impl Recorder for MemoryRecorder {
     fn record(&mut self, event: &TraceEvent) {
         self.events.push(event.clone());
-    }
-}
-
-/// Bounded recorder keeping the most recent `capacity` events (older
-/// ones are dropped and counted) — constant memory for long runs.
-#[derive(Debug)]
-pub struct RingRecorder {
-    capacity: usize,
-    buf: VecDeque<TraceEvent>,
-    dropped: u64,
-}
-
-impl RingRecorder {
-    /// A ring holding at most `capacity` events.
-    ///
-    /// # Panics
-    /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "ring capacity must be positive");
-        Self {
-            capacity,
-            buf: VecDeque::with_capacity(capacity),
-            dropped: 0,
-        }
-    }
-
-    /// The retained events, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &TraceEvent> {
-        self.buf.iter()
-    }
-
-    /// The retained events as a vector, oldest first.
-    pub fn to_vec(&self) -> Vec<TraceEvent> {
-        self.buf.iter().cloned().collect()
-    }
-
-    /// How many events were evicted to honor the capacity bound.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-}
-
-impl Recorder for RingRecorder {
-    fn record(&mut self, event: &TraceEvent) {
-        if self.buf.len() == self.capacity {
-            self.buf.pop_front();
-            self.dropped += 1;
-        }
-        self.buf.push_back(event.clone());
-    }
-
-    fn dropped(&self) -> u64 {
-        self.dropped
     }
 }
 
@@ -751,53 +589,6 @@ impl<W: Write + Send> Recorder for JsonLinesRecorder<W> {
     }
 }
 
-/// Streams one flat CSV row per event (header written up front).
-pub struct CsvRecorder<W: Write + Send> {
-    w: W,
-    written: u64,
-}
-
-impl CsvRecorder<BufWriter<File>> {
-    /// Create (truncating) `path` and stream CSV rows into it.
-    ///
-    /// # Errors
-    /// Returns the I/O error when the file cannot be created.
-    pub fn create<P: AsRef<Path>>(path: P) -> io::Result<Self> {
-        Ok(Self::new(BufWriter::new(File::create(path)?)))
-    }
-}
-
-impl<W: Write + Send> CsvRecorder<W> {
-    /// Stream CSV rows into `w`; the header row is written immediately.
-    pub fn new(mut w: W) -> Self {
-        let _ = writeln!(w, "{}", TraceEvent::CSV_HEADER);
-        Self { w, written: 0 }
-    }
-
-    /// Number of events written so far (excluding the header).
-    pub fn written(&self) -> u64 {
-        self.written
-    }
-
-    /// Flush and return the underlying writer.
-    pub fn into_inner(mut self) -> W {
-        let _ = self.w.flush();
-        self.w
-    }
-}
-
-impl<W: Write + Send> Recorder for CsvRecorder<W> {
-    fn record(&mut self, event: &TraceEvent) {
-        if writeln!(self.w, "{}", event.to_csv_row()).is_ok() {
-            self.written += 1;
-        }
-    }
-
-    fn flush(&mut self) {
-        let _ = self.w.flush();
-    }
-}
-
 /// Fans every event out to several sinks (e.g. a JSON-lines file *and*
 /// an in-memory buffer for post-run export).
 #[derive(Default)]
@@ -830,14 +621,6 @@ impl Recorder for MultiRecorder {
         for s in &mut self.sinks {
             s.flush();
         }
-    }
-
-    fn dropped(&self) -> u64 {
-        // Every sink sees every delivery, so per-sink drop counts are
-        // independent and the fan-out total is their sum.  Before this
-        // override the default would report 0 even with a saturated
-        // ring inside — the accounting gap the trait method closes.
-        self.sinks.iter().map(|s| s.dropped()).sum()
     }
 }
 
@@ -873,10 +656,6 @@ impl<R: Recorder> Recorder for SharedRecorder<R> {
 
     fn flush(&mut self) {
         self.with(Recorder::flush);
-    }
-
-    fn dropped(&self) -> u64 {
-        self.with(|r| Recorder::dropped(r))
     }
 }
 
@@ -1137,22 +916,12 @@ pub struct PhaseMetrics {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsReport {
     phases: Vec<PhaseMetrics>,
-    dropped: u64,
 }
 
 impl MetricsReport {
     /// Aggregate the [`SuperstepEvent`]s in `events` by phase (ordered
-    /// by descending total time).  If the events came from a bounded
-    /// recorder, prefer [`MetricsReport::from_events_with_dropped`] so
-    /// the report can disclose the truncation.
+    /// by descending total time).
     pub fn from_events(events: &[TraceEvent]) -> Self {
-        Self::from_events_with_dropped(events, 0)
-    }
-
-    /// Like [`MetricsReport::from_events`], but carrying the source
-    /// recorder's [`Recorder::dropped`] count so the rendered report
-    /// warns that totals undercount instead of silently truncating.
-    pub fn from_events_with_dropped(events: &[TraceEvent], dropped: u64) -> Self {
         let mut phases = Vec::new();
         for phase in PhaseKind::ALL {
             let durations: Vec<f64> = events
@@ -1183,7 +952,7 @@ impl MetricsReport {
             });
         }
         phases.sort_by(|a, b| b.total_s.partial_cmp(&a.total_s).expect("finite totals"));
-        Self { phases, dropped }
+        Self { phases }
     }
 
     /// The per-phase rows, ordered by descending total time.
@@ -1191,21 +960,9 @@ impl MetricsReport {
         &self.phases
     }
 
-    /// Events the source recorder dropped before this aggregation.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
     /// Render as an aligned text table.
     pub fn render(&self) -> String {
         let mut out = String::new();
-        if self.dropped > 0 {
-            let _ = writeln!(
-                out,
-                "(warning: {} events dropped by a bounded recorder; totals undercount)",
-                self.dropped
-            );
-        }
         let _ = writeln!(
             out,
             "{:<12} {:>6} {:>12} {:>12} {:>12} {:>12} {:>10} {:>12}",
@@ -1252,70 +1009,6 @@ impl MetricsReport {
     }
 }
 
-/// Flamegraph-style per-rank timeline: for every rank, one bar per phase
-/// sized by that rank's summed busy time (compute + comm from its span
-/// events), plus a totals row.  `width` is the bar width in characters
-/// of the largest row.  For events read from a bounded recorder, use
-/// [`timeline_report_with_dropped`] so the truncation is disclosed.
-pub fn timeline_report(events: &[TraceEvent], width: usize) -> String {
-    timeline_report_with_dropped(events, width, 0)
-}
-
-/// [`timeline_report`] plus the source recorder's [`Recorder::dropped`]
-/// count; a nonzero count renders a leading warning line because the
-/// bars then undercount the run.
-pub fn timeline_report_with_dropped(events: &[TraceEvent], width: usize, dropped: u64) -> String {
-    let width = width.max(10);
-    let spans: Vec<&SpanEvent> = events.iter().filter_map(TraceEvent::span).collect();
-    let mut out = String::new();
-    if dropped > 0 {
-        let _ = writeln!(
-            out,
-            "(warning: {dropped} events dropped by a bounded recorder; bars undercount)"
-        );
-    }
-    if spans.is_empty() {
-        out.push_str("(no span events recorded)\n");
-        return out;
-    }
-    let ranks = spans.iter().map(|s| s.rank).max().unwrap_or(0) + 1;
-    let phases = PhaseKind::ALL;
-    // busy[rank][phase] = summed compute + comm
-    let mut busy = vec![[0.0f64; PhaseKind::ALL.len()]; ranks];
-    for s in &spans {
-        let pi = phases
-            .iter()
-            .position(|p| *p == s.phase)
-            .expect("known phase");
-        busy[s.rank][pi] += s.compute_s + s.comm_s;
-    }
-    let max_total: f64 = busy
-        .iter()
-        .map(|row| row.iter().sum::<f64>())
-        .fold(0.0, f64::max);
-    let _ = writeln!(
-        out,
-        "per-rank busy time by phase (s = scatter, f = field solve, g = gather, p = push, r = redistribute/setup, o = other)"
-    );
-    for (rank, row) in busy.iter().enumerate() {
-        let total: f64 = row.iter().sum();
-        let _ = write!(out, "rank {rank:>3} {total:>12.6}s |");
-        let glyphs = ['s', 'f', 'g', 'p', 'r', 'r', 'o'];
-        for (pi, &t) in row.iter().enumerate() {
-            let cells = if max_total > 0.0 {
-                (t / max_total * width as f64).round() as usize
-            } else {
-                0
-            };
-            for _ in 0..cells {
-                out.push(glyphs[pi]);
-            }
-        }
-        out.push('\n');
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1353,21 +1046,6 @@ mod tests {
     }
 
     #[test]
-    fn ring_recorder_keeps_most_recent() {
-        let mut ring = RingRecorder::new(3);
-        for i in 0..5 {
-            ring.record(&step(PhaseKind::Push, i as f64));
-        }
-        assert_eq!(ring.dropped(), 2);
-        let kept: Vec<f64> = ring
-            .events()
-            .filter_map(TraceEvent::superstep)
-            .map(|e| e.elapsed_s)
-            .collect();
-        assert_eq!(kept, vec![2.0, 3.0, 4.0]);
-    }
-
-    #[test]
     fn json_lines_one_object_per_line() {
         let mut rec = JsonLinesRecorder::new(Vec::new());
         rec.record(&span(0, PhaseKind::Scatter, 1.0));
@@ -1392,20 +1070,7 @@ mod tests {
     }
 
     #[test]
-    fn csv_recorder_writes_header_and_rows() {
-        let mut rec = CsvRecorder::new(Vec::new());
-        rec.record(&span(1, PhaseKind::Gather, 2.0));
-        let text = String::from_utf8(rec.into_inner()).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 2);
-        assert_eq!(lines[0], TraceEvent::CSV_HEADER);
-        assert!(lines[1].starts_with("span,1,gather,"));
-        // every row has the same number of columns as the header
-        assert_eq!(lines[1].matches(',').count(), lines[0].matches(',').count());
-    }
-
-    #[test]
-    fn csv_column_counts_match_for_all_event_kinds() {
+    fn every_event_kind_serializes_to_one_json_object() {
         let events = [
             span(0, PhaseKind::Push, 1.0),
             step(PhaseKind::Push, 1.0),
@@ -1427,7 +1092,7 @@ mod tests {
                 phase: Some(PhaseKind::Scatter),
                 superstep: Some(3),
                 epoch: None,
-                cause: "a, b".into(),
+                cause: "a, b\nsecond line".into(),
             }),
             TraceEvent::Checkpoint(CheckpointEvent {
                 iter: 5,
@@ -1449,9 +1114,24 @@ mod tests {
                 counts: vec![10, 20, 30],
             }),
         ];
-        let cols = TraceEvent::CSV_HEADER.matches(',').count();
         for ev in &events {
-            assert_eq!(ev.to_csv_row().matches(',').count(), cols, "{}", ev.kind());
+            let json = ev.to_json();
+            let kind = ev.kind();
+            assert!(
+                json.starts_with(&format!("{{\"event\":\"{kind}\"")),
+                "{json}"
+            );
+            assert_eq!(
+                json.matches('{').count(),
+                json.matches('}').count(),
+                "{json}"
+            );
+            assert_eq!(
+                json.matches('[').count(),
+                json.matches(']').count(),
+                "{json}"
+            );
+            assert!(!json.contains('\n'), "{json}");
         }
     }
 
@@ -1480,47 +1160,18 @@ mod tests {
         assert!(json.contains("\"event\":\"rank_load\""));
         assert!(json.contains("\"counts\":[5,6]"));
         assert_eq!(l.rank_load().unwrap().counts, vec![5, 6]);
-        assert!(l.to_csv_row().ends_with("counts 5 6"));
     }
 
     #[test]
     fn multi_recorder_fans_out() {
         let a = SharedRecorder::new(MemoryRecorder::new());
-        let b = SharedRecorder::new(RingRecorder::new(8));
+        let b = SharedRecorder::new(MemoryRecorder::new());
         let mut multi = MultiRecorder::new()
             .with(Box::new(a.clone()))
             .with(Box::new(b.clone()));
         multi.record(&step(PhaseKind::Other, 1.0));
         assert_eq!(a.with(|r| r.events().len()), 1);
-        assert_eq!(b.with(|r| r.to_vec().len()), 1);
-    }
-
-    #[test]
-    fn multi_recorder_surfaces_dropped_counts() {
-        let ring = SharedRecorder::new(RingRecorder::new(2));
-        let mem = SharedRecorder::new(MemoryRecorder::new());
-        let mut multi = MultiRecorder::new()
-            .with(Box::new(ring.clone()))
-            .with(Box::new(mem.clone()));
-        for i in 0..5 {
-            multi.record(&step(PhaseKind::Push, i as f64));
-        }
-        // The ring evicted 3, the memory sink none; the fan-out reports
-        // the sum through the trait (previously invisible behind the
-        // Box<dyn Recorder> erasure).
-        assert_eq!(Recorder::dropped(&multi), 3);
-        assert_eq!(ring.with(|r| r.dropped()), 3);
-        // And reports disclose the truncation instead of hiding it.
-        let events = mem.with(|r| r.events().to_vec());
-        let report = MetricsReport::from_events_with_dropped(&events, Recorder::dropped(&multi));
-        assert_eq!(report.dropped(), 3);
-        assert!(report.render().contains("3 events dropped"));
-        let tl = timeline_report_with_dropped(&events, 40, 3);
-        assert!(tl.contains("3 events dropped"));
-        // The undropped path stays warning-free.
-        assert!(!MetricsReport::from_events(&events)
-            .render()
-            .contains("dropped"));
+        assert_eq!(b.with(|r| r.events().len()), 1);
     }
 
     #[test]
@@ -1608,21 +1259,5 @@ mod tests {
         assert!(json.contains("\"rank 0\":100,\"rank 1\":50"));
         assert!(json.contains("\"name\":\"policy held\""));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
-    }
-
-    #[test]
-    fn timeline_report_scales_bars() {
-        let events = [
-            span(0, PhaseKind::Scatter, 4.0),
-            span(1, PhaseKind::Scatter, 2.0),
-            span(0, PhaseKind::Push, 1.0),
-        ];
-        let text = timeline_report(&events, 40);
-        assert!(text.contains("rank   0"));
-        assert!(text.contains("rank   1"));
-        let r0_bar = text.lines().nth(1).unwrap().matches('s').count();
-        let r1_bar = text.lines().nth(2).unwrap().matches('s').count();
-        assert!(r0_bar > r1_bar, "{text}");
-        assert!(timeline_report(&[], 40).contains("no span events"));
     }
 }

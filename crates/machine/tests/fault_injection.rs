@@ -17,8 +17,10 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use pic_machine::threaded::{run_spmd, run_spmd_with};
-use pic_machine::{FaultNoise, FaultPlan};
+use pic_machine::{
+    FaultNoise, FaultPlan, Machine, MachineConfig, Outbox, PhaseKind, SpmdEngine, SpmdError,
+    ThreadedMachine,
+};
 
 const FIXED_SEEDS: [u64; 3] = [0xC0FFEE, 0xBADF00D, 0x5EED];
 
@@ -31,59 +33,81 @@ fn chaos_seeds() -> Vec<u64> {
     seeds
 }
 
-/// A protocol-heavy SPMD program: point-to-point ring traffic, a full
-/// exchange, an allgather and barriers, folded into one digest per rank.
-fn protocol_mix(p: usize) -> Result<Vec<u64>, pic_machine::SpmdError> {
-    run_spmd::<u64, u64, _>(p, move |mut mb| protocol_mix_rank(p, &mut mb))
-}
-
-fn protocol_mix_rank(p: usize, mb: &mut pic_machine::threaded::Mailbox<u64>) -> u64 {
-    let r = mb.rank();
-    let mut digest = r as u64;
-    // ring rotation
-    mb.send((r + 1) % p, (r as u64) * 17 + 1);
-    for (from, v) in mb.recv_exact(1) {
-        digest = digest.wrapping_mul(31).wrapping_add(from as u64 ^ v);
-    }
-    mb.barrier();
-    // irregular exchange: rank r sends r%3 messages to each smaller rank
-    let outgoing: Vec<(usize, u64)> = (0..r)
-        .flat_map(|to| (0..r % 3).map(move |k| (to, (r * 100 + to * 10 + k) as u64)))
-        .collect();
-    for (from, v) in mb.exchange(outgoing) {
-        digest = digest
-            .wrapping_mul(37)
-            .wrapping_add(((from as u64) << 8) | (v % 251));
-    }
-    // allgather folds in rank order on every rank
-    for share in mb.allgather_vec(vec![digest, digest ^ 0xA5A5]) {
-        for v in share {
-            digest = digest.wrapping_mul(41).wrapping_add(v);
+/// A protocol-heavy SPMD program: a ring superstep, an irregular
+/// superstep, an allgatherv and barriers, folded into one digest per
+/// rank (each rank's state starts as its rank id).
+fn protocol_mix<E: SpmdEngine<u64>>(m: &mut E) -> Result<Vec<u64>, SpmdError> {
+    let p = m.num_ranks();
+    let fold = |mul: u64| {
+        move |_r: usize, digest: &mut u64, _ctx: &mut _, inbox: Vec<(usize, Vec<u64>)>| {
+            for (from, v) in inbox {
+                *digest = digest.wrapping_mul(mul).wrapping_add(from as u64 ^ v[0]);
+            }
         }
-    }
-    mb.barrier();
-    digest
+    };
+    // ring rotation
+    m.superstep(
+        PhaseKind::Other,
+        move |r, _d, _ctx, ob: &mut Outbox<Vec<u64>>| ob.send((r + 1) % p, vec![r as u64 * 17 + 1]),
+        fold(31),
+    )?;
+    m.barrier()?;
+    // irregular exchange: rank r sends r%3 messages to each smaller rank
+    m.superstep(
+        PhaseKind::Other,
+        |r, _d, _ctx, ob: &mut Outbox<Vec<u64>>| {
+            for to in 0..r {
+                for k in 0..r % 3 {
+                    ob.send(to, vec![(r * 100 + to * 10 + k) as u64]);
+                }
+            }
+        },
+        fold(37),
+    )?;
+    // allgatherv folds in rank order on every rank
+    m.allgatherv(
+        PhaseKind::Other,
+        8,
+        |_r, d| vec![*d, *d ^ 0xA5A5],
+        |_r, d, all: &[u64]| {
+            for v in all {
+                *d = d.wrapping_mul(41).wrapping_add(*v);
+            }
+        },
+    )?;
+    m.barrier()?;
+    Ok(m.ranks().to_vec())
 }
 
-fn protocol_mix_with_plan(
-    p: usize,
-    plan: Arc<FaultPlan>,
-) -> Result<Vec<u64>, pic_machine::SpmdError> {
-    run_spmd_with::<u64, u64, _>(
-        p,
-        Duration::from_secs(30),
-        Some((plan, 0)),
-        move |mut mb| protocol_mix_rank(p, &mut mb),
-    )
+/// [`protocol_mix`] on a `p`-rank [`ThreadedMachine`] under `plan`.
+fn protocol_mix_threaded(p: usize, plan: Option<Arc<FaultPlan>>) -> Result<Vec<u64>, SpmdError> {
+    let states = (0..p as u64).collect();
+    let mut m =
+        ThreadedMachine::new(MachineConfig::cm5(p), states).with_timeout(Duration::from_secs(30));
+    m.instruments_mut().fault_plan = plan;
+    protocol_mix(&mut m)
+}
+
+#[test]
+fn threaded_digests_match_the_modeled_machine() {
+    for p in [2usize, 5, 8] {
+        let mut modeled = Machine::new(MachineConfig::cm5(p), (0..p as u64).collect());
+        let expect = protocol_mix(&mut modeled).expect("modeled run");
+        assert_eq!(
+            protocol_mix_threaded(p, None).expect("clean run"),
+            expect,
+            "{p} ranks"
+        );
+    }
 }
 
 #[test]
 fn benign_chaos_is_bit_identical_across_seeds() {
     for p in [2usize, 5, 8] {
-        let clean = protocol_mix(p).expect("clean run");
+        let clean = protocol_mix_threaded(p, None).expect("clean run");
         for seed in chaos_seeds() {
             let plan = Arc::new(FaultPlan::benign(seed));
-            let noisy = protocol_mix_with_plan(p, plan)
+            let noisy = protocol_mix_threaded(p, Some(plan))
                 .unwrap_or_else(|e| panic!("benign plan seed {seed} failed: {e}"));
             assert_eq!(noisy, clean, "seed {seed} at {p} ranks changed results");
         }
@@ -97,10 +121,10 @@ fn heavy_drop_noise_exhausts_the_retry_path_without_changing_results() {
         ..FaultNoise::aggressive()
     };
     let p = 4;
-    let clean = protocol_mix(p).expect("clean run");
+    let clean = protocol_mix_threaded(p, None).expect("clean run");
     for seed in chaos_seeds() {
         let plan = Arc::new(FaultPlan::new(seed).with_noise(noise));
-        let noisy = protocol_mix_with_plan(p, plan).expect("drops must be retransmitted");
+        let noisy = protocol_mix_threaded(p, Some(plan)).expect("drops must be retransmitted");
         assert_eq!(noisy, clean, "seed {seed} changed results");
     }
 }
@@ -116,7 +140,7 @@ fn kill_plans_name_the_rank_promptly_on_every_seed() {
                 .with_noise(FaultNoise::mild()),
         );
         let started = Instant::now();
-        let err = protocol_mix_with_plan(p, plan).expect_err("the kill must fail the run");
+        let err = protocol_mix_threaded(p, Some(plan)).expect_err("the kill must fail the run");
         assert!(
             started.elapsed() < Duration::from_secs(10),
             "kill detection leaned on the receive timeout"
@@ -131,12 +155,12 @@ fn kill_plans_name_the_rank_promptly_on_every_seed() {
 fn killed_plans_rearm_for_repeated_injection() {
     let p = 3;
     let plan = Arc::new(FaultPlan::new(7).kill(1, 0));
-    let err = protocol_mix_with_plan(p, Arc::clone(&plan)).expect_err("armed kill");
+    let err = protocol_mix_threaded(p, Some(Arc::clone(&plan))).expect_err("armed kill");
     assert_eq!(err.rank, Some(1));
     // consumed: the same plan no longer fires
-    protocol_mix_with_plan(p, Arc::clone(&plan)).expect("consumed kill must not re-fire");
+    protocol_mix_threaded(p, Some(Arc::clone(&plan))).expect("consumed kill must not re-fire");
     plan.rearm();
-    let err = protocol_mix_with_plan(p, plan).expect_err("re-armed kill");
+    let err = protocol_mix_threaded(p, Some(plan)).expect_err("re-armed kill");
     assert_eq!(err.rank, Some(1));
 }
 
@@ -150,7 +174,7 @@ fn forced_delays_and_reorders_compose_with_kills() {
             .delay(0, 0, Duration::from_millis(2))
             .kill(3, 0),
     );
-    let err = protocol_mix_with_plan(p, plan).expect_err("kill fires");
+    let err = protocol_mix_threaded(p, Some(plan)).expect_err("kill fires");
     assert!(err.is_injected_kill());
     assert_eq!(err.rank, Some(3));
 }

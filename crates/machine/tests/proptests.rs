@@ -90,37 +90,3 @@ proptest! {
         prop_assert!(m1.elapsed_s() >= min_cost * 0.99);
     }
 }
-
-#[test]
-fn threaded_executor_matches_bsp_machine() {
-    // the same all-to-all SPMD program on real threads and on the BSP
-    // machine must produce identical rank states
-    use pic_machine::threaded::run_spmd;
-    let p = 6;
-    let threaded: Vec<u64> = run_spmd::<u64, u64, _>(p, move |mut mb| {
-        let r = mb.rank();
-        for to in 0..p {
-            if to != r {
-                mb.send(to, (r * r) as u64);
-            }
-        }
-        mb.recv_exact(p - 1).into_iter().map(|(_, v)| v).sum()
-    })
-    .expect("fault-free run");
-
-    let mut m = Machine::new(cfg(p), vec![0u64; p]);
-    m.superstep(
-        PhaseKind::Other,
-        move |r, _s, _ctx, ob: &mut Outbox<Vec<u64>>| {
-            for to in 0..p {
-                if to != r {
-                    ob.send(to, vec![(r * r) as u64]);
-                }
-            }
-        },
-        |_r, s, _ctx, inbox| {
-            *s = inbox.iter().map(|(_, v)| v[0]).sum();
-        },
-    );
-    assert_eq!(threaded, m.ranks());
-}

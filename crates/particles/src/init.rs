@@ -31,12 +31,6 @@ pub enum ParticleDistribution {
 }
 
 impl ParticleDistribution {
-    /// Loaders the paper's evaluation sweeps over.
-    pub const PAPER_CASES: [ParticleDistribution; 2] = [
-        ParticleDistribution::Uniform,
-        ParticleDistribution::IrregularCenter,
-    ];
-
     /// Short label for experiment rows.
     pub fn label(self) -> &'static str {
         match self {
