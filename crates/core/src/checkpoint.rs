@@ -228,7 +228,7 @@ impl Checkpoint {
         }
         let payload_len = u64::from_le_bytes(bytes[12..20].try_into().unwrap()) as usize;
         let rest = &bytes[20..];
-        if rest.len() < payload_len + 8 {
+        if payload_len.checked_add(8).is_none_or(|n| rest.len() < n) {
             return Err(CheckpointError::Truncated);
         }
         let payload = &rest[..payload_len];
@@ -295,6 +295,11 @@ impl Checkpoint {
             let h = r.u64()? as usize;
             if w == 0 || h == 0 || w.checked_mul(h).is_none() {
                 return Err(CheckpointError::Malformed("bad field dimensions"));
+            }
+            // six planes of f64: they must be in the payload before they
+            // are allocated
+            if (w * h).checked_mul(6 * 8).is_none_or(|n| n > r.remaining()) {
+                return Err(CheckpointError::Truncated);
             }
             let mut fields = FieldSet::zeros(w, h);
             for grid in [
@@ -411,7 +416,11 @@ impl<'a> Reader<'a> {
     }
 
     fn at_end(&self) -> bool {
-        self.pos == self.bytes.len()
+        self.remaining() == 0
+    }
+
+    fn remaining(&self) -> usize {
+        self.bytes.len() - self.pos
     }
 
     fn u8(&mut self) -> Result<u8, CheckpointError> {
@@ -439,7 +448,7 @@ impl<'a> Reader<'a> {
     /// trigger a huge allocation.
     fn len(&mut self) -> Result<usize, CheckpointError> {
         let n = self.u64()? as usize;
-        if n > self.bytes.len() - self.pos {
+        if n > self.remaining() {
             return Err(CheckpointError::Truncated);
         }
         Ok(n)
@@ -539,6 +548,40 @@ mod tests {
         let mut bad = bytes.clone();
         bad[0] = b'X';
         assert_eq!(Checkpoint::decode(&bad), Err(CheckpointError::BadMagic));
+    }
+
+    /// Give an edited encoding a valid checksum again.
+    fn reseal(bytes: &mut [u8]) {
+        let end = bytes.len() - 8;
+        let sum = fnv1a64(&bytes[20..end]);
+        bytes[end..].copy_from_slice(&sum.to_le_bytes());
+    }
+
+    #[test]
+    fn corrupt_payload_length_is_truncation() {
+        // a 36-byte input whose header claims a payload near u64::MAX
+        let mut bytes = sample().encode()[..36].to_vec();
+        for payload_len in [u64::MAX, u64::MAX - 3] {
+            bytes[12..20].copy_from_slice(&payload_len.to_le_bytes());
+            assert_eq!(Checkpoint::decode(&bytes), Err(CheckpointError::Truncated));
+        }
+    }
+
+    #[test]
+    fn huge_field_dimensions_fail_before_allocating() {
+        let mut bytes = sample().encode();
+        // the only rank's fields close the payload: w, h, six 4x3 planes
+        let w_at = bytes.len() - 8 - 6 * 12 * 8 - 16;
+        assert_eq!(
+            bytes[w_at..w_at + 16],
+            [4u64.to_le_bytes(), 3u64.to_le_bytes()].concat()
+        );
+        // 2^20 x 2^20 cells would be 48 TiB of planes
+        for at in [w_at, w_at + 8] {
+            bytes[at..at + 8].copy_from_slice(&(1u64 << 20).to_le_bytes());
+        }
+        reseal(&mut bytes);
+        assert_eq!(Checkpoint::decode(&bytes), Err(CheckpointError::Truncated));
     }
 
     #[test]

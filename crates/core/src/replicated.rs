@@ -18,7 +18,7 @@
 //! particles are placed, so it cannot scale.
 
 use pic_field::{CurrentSet, FieldSet, MaxwellSolver};
-use pic_machine::{Machine, PhaseKind};
+use pic_machine::{Machine, PhaseKind, SpmdEngine};
 use pic_particles::push::{boris_push, gamma_of, BorisStep};
 use pic_particles::{wrap_periodic, Cic, Particles};
 
@@ -110,31 +110,34 @@ impl ReplicatedGridPicSim {
                     }
                 }
                 ctx.charge_ops(st.particles.len() as f64 * 4.0 * costs::SCATTER_VERTEX);
-            });
+            })
+            .expect("replicated scatter");
 
         // --- global element-wise sum of the current arrays ------------------
         // three components, m doubles each: the O(m) global operation that
         // dominates at scale
-        self.machine.allreduce_elementwise(
-            PhaseKind::Scatter,
-            3 * m * 8,
-            |_r, st: &ReplicatedState| {
-                let mut v = Vec::with_capacity(3 * m);
-                v.extend_from_slice(st.currents.jx.as_slice());
-                v.extend_from_slice(st.currents.jy.as_slice());
-                v.extend_from_slice(st.currents.jz.as_slice());
-                v
-            },
-            |a, b| a + b,
-            |_r, st, sum: &[f64]| {
-                st.currents.jx.as_mut_slice().copy_from_slice(&sum[..m]);
-                st.currents
-                    .jy
-                    .as_mut_slice()
-                    .copy_from_slice(&sum[m..2 * m]);
-                st.currents.jz.as_mut_slice().copy_from_slice(&sum[2 * m..]);
-            },
-        );
+        self.machine
+            .allreduce_elementwise(
+                PhaseKind::Scatter,
+                3 * m * 8,
+                |_r, st: &ReplicatedState| {
+                    let mut v = Vec::with_capacity(3 * m);
+                    v.extend_from_slice(st.currents.jx.as_slice());
+                    v.extend_from_slice(st.currents.jy.as_slice());
+                    v.extend_from_slice(st.currents.jz.as_slice());
+                    v
+                },
+                |a, b| a + b,
+                |_r, st, sum: &[f64]| {
+                    st.currents.jx.as_mut_slice().copy_from_slice(&sum[..m]);
+                    st.currents
+                        .jy
+                        .as_mut_slice()
+                        .copy_from_slice(&sum[m..2 * m]);
+                    st.currents.jz.as_mut_slice().copy_from_slice(&sum[2 * m..]);
+                },
+            )
+            .expect("replicated current sum");
 
         // --- field solve: strip-distributed, then concatenated --------------
         let strip = move |r: usize| -> (usize, usize) { (r * ny / p, (r + 1) * ny / p) };
@@ -144,14 +147,16 @@ impl ReplicatedGridPicSim {
                 let (y0, y1) = strip(r);
                 solver.update_b_periodic_rows(&mut st.fields, y0, y1);
                 ctx.charge_ops(((y1 - y0) * nx) as f64 * costs::FIELD_POINT_B);
-            });
+            })
+            .expect("replicated B update");
         self.concat_strips(strip, Which::B);
         self.machine
             .local_step(PhaseKind::FieldSolve, move |r, st, ctx| {
                 let (y0, y1) = strip(r);
                 solver.update_e_periodic_rows(&mut st.fields, &st.currents, y0, y1);
                 ctx.charge_ops(((y1 - y0) * nx) as f64 * costs::FIELD_POINT_E);
-            });
+            })
+            .expect("replicated E update");
         self.concat_strips(strip, Which::E);
 
         // --- gather + push: fully local on the replicated mesh --------------
@@ -183,49 +188,54 @@ impl ReplicatedGridPicSim {
                     st.particles.y[i] = wrap_periodic(st.particles.y[i] + u2[1] / gamma * dt, ly);
                 }
                 ctx.charge_ops(n as f64 * (4.0 * costs::GATHER_VERTEX + costs::PUSH_PARTICLE));
-            });
+            })
+            .expect("replicated gather and push");
     }
 
     /// Allgather the just-updated field strips so every rank holds the
     /// full, consistent mesh again (the paper's "global concatenation").
-    fn concat_strips(&mut self, strip: impl Fn(usize) -> (usize, usize) + Copy, which: Which) {
+    fn concat_strips(
+        &mut self,
+        strip: impl Fn(usize) -> (usize, usize) + Copy + Sync,
+        which: Which,
+    ) {
         let nx = self.cfg.nx;
         let p = self.machine.num_ranks();
-        self.machine.allgatherv(
-            PhaseKind::FieldSolve,
-            8,
-            |r, st: &ReplicatedState| {
-                let (y0, y1) = strip(r);
-                let mut v = Vec::with_capacity((y1 - y0) * nx * 3);
-                let grids = which.grids(&st.fields);
-                for g in grids {
-                    for y in y0..y1 {
-                        for x in 0..nx {
-                            v.push(g[(x, y)]);
-                        }
-                    }
-                }
-                v
-            },
-            move |_r, st, concat: &[f64]| {
-                // concatenation is in rank order; walk it back into rows
-                let mut off = 0;
-                for src in 0..p {
-                    let (y0, y1) = strip(src);
-                    let rows = y1 - y0;
-                    let mut grids = which.grids_mut(&mut st.fields);
-                    for g in grids.iter_mut() {
+        self.machine
+            .allgatherv(
+                PhaseKind::FieldSolve,
+                8,
+                |r, st: &ReplicatedState| {
+                    let (y0, y1) = strip(r);
+                    let mut v = Vec::with_capacity((y1 - y0) * nx * 3);
+                    let grids = which.grids(&st.fields);
+                    for g in grids {
                         for y in y0..y1 {
                             for x in 0..nx {
-                                g[(x, y)] = concat[off];
-                                off += 1;
+                                v.push(g[(x, y)]);
                             }
                         }
                     }
-                    let _ = rows;
-                }
-            },
-        );
+                    v
+                },
+                move |_r, st, concat: &[f64]| {
+                    // concatenation is in rank order; walk it back into rows
+                    let mut off = 0;
+                    for src in 0..p {
+                        let (y0, y1) = strip(src);
+                        let mut grids = which.grids_mut(&mut st.fields);
+                        for g in grids.iter_mut() {
+                            for y in y0..y1 {
+                                for x in 0..nx {
+                                    g[(x, y)] = concat[off];
+                                    off += 1;
+                                }
+                            }
+                        }
+                    }
+                },
+            )
+            .expect("replicated strip concatenation");
     }
 
     /// Iterations run so far.

@@ -4,7 +4,7 @@
 
 use pic_core::{DedupKind, ParallelPicSim, SequentialPicSim, SimConfig};
 use pic_index::IndexScheme;
-use pic_machine::MachineConfig;
+use pic_machine::{MachineConfig, SpmdEngine};
 use pic_partition::PolicyKind;
 
 fn sorted_positions(xs: &[f64], ys: &[f64]) -> Vec<(i64, i64)> {

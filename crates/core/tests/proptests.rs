@@ -4,7 +4,7 @@
 
 use pic_core::{DedupKind, MovementMethod, ParallelPicSim, SimConfig};
 use pic_index::IndexScheme;
-use pic_machine::MachineConfig;
+use pic_machine::{MachineConfig, SpmdEngine};
 use pic_particles::ParticleDistribution;
 use pic_partition::PolicyKind;
 use proptest::prelude::*;

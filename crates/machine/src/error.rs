@@ -23,8 +23,8 @@ use crate::stats::PhaseKind;
 /// Everything known about a receive that gave up waiting.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TimeoutDetail {
-    /// What the rank was waiting inside (`"exchange"`, `"allgather"`,
-    /// `"barrier"`).
+    /// What the rank was waiting inside (`"exchange"` or
+    /// `"allgather"`).
     pub operation: &'static str,
     /// Messages the operation needed in total (0 when unknown up front,
     /// e.g. an exchange still waiting for count handshakes).

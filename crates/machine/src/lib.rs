@@ -25,11 +25,12 @@
 //!
 //! Beyond the modeled machine, the crate ships a second executor: the
 //! real-threads [`ThreadedMachine`] runs every virtual rank on its own OS
-//! thread with genuine message passing over rank-to-rank channels.  Both executors implement [`SpmdEngine`], so the same phase
-//! program runs — and produces bit-identical rank states — on either.
+//! thread with genuine message passing over rank-to-rank channels.  Both
+//! executors implement [`SpmdEngine`], so the same phase program runs —
+//! and produces bit-identical rank states — on either.
 //!
 //! ```
-//! use pic_machine::{Machine, MachineConfig, PhaseKind};
+//! use pic_machine::{Machine, MachineConfig, PhaseKind, SpmdEngine};
 //!
 //! // Each rank holds a counter; one superstep sends it to the next rank.
 //! let cfg = MachineConfig::cm5(4);
@@ -45,7 +46,8 @@
 //!             *state += msg[0];
 //!         }
 //!     },
-//! );
+//! )
+//! .expect("no rank fails");
 //! assert_eq!(m.ranks()[1], 0); // rank 1 received rank 0's value 0
 //! assert_eq!(m.ranks()[0], 3); // rank 0 received rank 3's value 3
 //! ```
@@ -53,7 +55,6 @@
 #![warn(missing_docs)]
 
 pub mod clock;
-pub mod collectives;
 pub mod config;
 pub mod engine;
 pub mod error;

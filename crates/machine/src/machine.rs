@@ -1,4 +1,4 @@
-//! The BSP engine: supersteps over rank-local states.
+//! The BSP engine: supersteps and collectives over rank-local states.
 //!
 //! A superstep is `compute -> route -> deliver -> barrier`:
 //!
@@ -14,16 +14,28 @@
 //! Self-messages are delivered but cost nothing, matching the paper's
 //! machine model where only *off-processor* accesses pay τ/μ.
 //!
+//! Collectives compute their result directly over the state vector and
+//! charge the modeled cost.  The paper's algorithms need global
+//! concatenation (line 1 of `Bucket_incremental_sorting`, to gather all
+//! ranks' bucket boundaries); under the two-level model a
+//! recursive-doubling implementation costs each rank
+//! `stages * tau + (p - 1) * share_bytes * mu`, with `stages` depending
+//! on the topology.
+//!
 //! Ranks run on a persistent pool of `min(ranks, PIC_HOST_THREADS)` host
 //! workers, the calling thread among them, each owning a fixed contiguous
 //! chunk of ranks; outputs are reassembled in rank order, so the pool
 //! width never changes results.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
 use crate::clock::Clock;
 use crate::config::MachineConfig;
+use crate::engine::SpmdEngine;
+use crate::error::{FailureCause, SpmdError};
 use crate::payload::Payload;
 use crate::pool::{host_width, WorkerPool};
-use crate::record::{Accounting, RankEntry, SuperstepRecord};
+use crate::record::{Accounting, CollectiveShape, Instruments, RankEntry, SuperstepRecord};
 use crate::stats::{PhaseKind, StatsLog};
 
 /// Per-rank, per-superstep accounting handed to the phase closures.
@@ -91,19 +103,21 @@ impl<M: Payload> Outbox<M> {
 }
 
 /// The virtual machine: configuration, rank states, clocks and statistics.
+///
+/// Its operations are those of [`SpmdEngine`], plus the modeled-only
+/// [`Self::allreduce_elementwise`] of the replicated-grid baseline.
 pub struct Machine<S> {
     cfg: MachineConfig,
     states: Vec<S>,
-    pub(crate) clocks: Vec<Clock>,
+    clocks: Vec<Clock>,
     /// Statistics log, installed instruments and the operation record.
     /// The modeled machine has no real wires: of an installed fault
     /// plan, only the kill faults apply.
-    pub(crate) acct: Accounting,
+    acct: Accounting,
     /// Driver-set fault epoch (the PIC driver uses the iteration number).
     fault_epoch: u64,
-    /// Operations issued through the engine trait (superstep index in
-    /// error context).
-    pub(crate) supersteps: u64,
+    /// Operations issued so far (superstep index in error context).
+    supersteps: u64,
     /// Most host workers to run ranks on.
     width: usize,
     /// One worker per chunk of ranks, started on first use.
@@ -144,158 +158,292 @@ impl<S: Send> Machine<S> {
         }
     }
 
-    /// Advance the fault epoch (the PIC driver sets it to the iteration
-    /// number so fault specs can say "at iteration 25").
-    pub fn set_fault_epoch(&mut self, epoch: u64) {
-        self.fault_epoch = epoch;
-    }
-
-    /// The current fault epoch.
-    pub fn fault_epoch(&self) -> u64 {
-        self.fault_epoch
-    }
-
-    /// Machine configuration.
-    pub fn config(&self) -> &MachineConfig {
-        &self.cfg
-    }
-
-    /// Number of virtual ranks.
-    pub fn num_ranks(&self) -> usize {
-        self.cfg.ranks
-    }
-
-    /// Immutable view of rank states.
-    pub fn ranks(&self) -> &[S] {
-        &self.states
-    }
-
-    /// Mutable view of rank states (setup only; mutation outside
-    /// supersteps is not charged to any clock).
-    pub fn ranks_mut(&mut self) -> &mut [S] {
-        &mut self.states
-    }
-
-    /// Per-rank clocks (all equal after a barrier).
+    /// Per-rank clocks (all equal after every operation).
     pub fn clocks(&self) -> &[Clock] {
         &self.clocks
     }
 
+    /// Element-wise all-reduce of a per-rank array (the replicated
+    /// mesh's current grids in the Lubeck & Faber baseline): every rank
+    /// contributes a vector, all receive the element-wise fold, applied
+    /// in rank order.  Each rank is charged
+    /// `stages * (tau + share_bytes * mu)` — a pipelined tree reduction
+    /// over the whole array, the dominant cost of the replicated-grid
+    /// method at scale.
+    ///
+    /// Fails like the [`SpmdEngine`] operations; ranks contributing
+    /// arrays of different lengths fail it with a panic cause.
+    pub fn allreduce_elementwise<T, F, R, G>(
+        &mut self,
+        phase: PhaseKind,
+        share_bytes: usize,
+        extract: F,
+        reduce: R,
+        apply: G,
+    ) -> Result<(), SpmdError>
+    where
+        F: Fn(usize, &S) -> Vec<T>,
+        R: Fn(&T, &T) -> T,
+        G: Fn(usize, &mut S, &[T]),
+    {
+        self.guarded(phase, |m| {
+            let mut it = m.states.iter().enumerate().map(|(r, s)| extract(r, s));
+            let mut acc = it.next().expect("machine has at least one rank");
+            for v in it {
+                assert_eq!(v.len(), acc.len(), "ragged allreduce contributions");
+                for (a, b) in acc.iter_mut().zip(&v) {
+                    *a = reduce(a, b);
+                }
+            }
+            for (r, s) in m.states.iter_mut().enumerate() {
+                apply(r, s, &acc);
+            }
+            m.charge_collective(phase, CollectiveShape::Pipelined, share_bytes);
+        })
+    }
+
+    /// Run one operation: bump the superstep counter, fail first if a
+    /// kill fault strikes any rank now, and turn a panic inside `op` into
+    /// a typed error carrying the phase, superstep index and fault epoch.
+    fn guarded(&mut self, phase: PhaseKind, op: impl FnOnce(&mut Self)) -> Result<(), SpmdError> {
+        let step = self.supersteps;
+        self.supersteps += 1;
+        let epoch = self.fault_epoch;
+        if let Some(plan) = &self.acct.instruments.fault_plan {
+            if let Some(r) = (0..self.cfg.ranks).find(|&r| plan.consume_kill(r, epoch, phase)) {
+                let cause = FailureCause::Killed { epoch };
+                return Err(SpmdError::on_rank(r, cause).in_phase(phase, step, epoch));
+            }
+        }
+        catch_unwind(AssertUnwindSafe(|| op(self)))
+            .map_err(|p| SpmdError::from_panic_payload(p).in_phase(phase, step, epoch))
+    }
+
+    /// Charge every rank for a collective moving `share_bytes` per rank
+    /// in `shape`, synchronize the clocks and account the operation.
+    fn charge_collective(&mut self, phase: PhaseKind, shape: CollectiveShape, share_bytes: usize) {
+        let cfg = self.cfg;
+        let p = cfg.ranks;
+        let stages = cfg.topology.collective_stages(p) as f64;
+        let comm = match shape {
+            _ if p == 1 => 0.0,
+            CollectiveShape::Doubling => stages * cfg.tau + ((p - 1) * share_bytes) as f64 * cfg.mu,
+            CollectiveShape::Pipelined => cfg.collective_cost(share_bytes),
+        };
+        let start = self.elapsed_s();
+        for c in &mut self.clocks {
+            c.advance_comm(comm);
+        }
+        self.acct
+            .begin(phase, self.fault_epoch, start)
+            .set_collective(&cfg, shape, share_bytes, comm);
+        self.acct.commit();
+    }
+}
+
+impl<S: Send> SpmdEngine<S> for Machine<S> {
+    fn build(cfg: MachineConfig, states: Vec<S>) -> Self {
+        Machine::new(cfg, states)
+    }
+
+    fn num_ranks(&self) -> usize {
+        self.cfg.ranks
+    }
+
+    fn machine_config(&self) -> &MachineConfig {
+        &self.cfg
+    }
+
+    fn ranks(&self) -> &[S] {
+        &self.states
+    }
+
+    fn ranks_mut(&mut self) -> &mut [S] {
+        &mut self.states
+    }
+
+    fn into_ranks(self) -> Vec<S> {
+        self.states
+    }
+
     /// Modeled elapsed time: the slowest rank's total.
-    pub fn elapsed_s(&self) -> f64 {
+    fn elapsed_s(&self) -> f64 {
         self.clocks.iter().map(Clock::total_s).fold(0.0, f64::max)
     }
 
-    /// Maximum compute seconds over ranks.
-    pub fn compute_s(&self) -> f64 {
+    fn compute_s(&self) -> f64 {
         self.clocks.iter().map(|c| c.compute_s).fold(0.0, f64::max)
     }
 
-    /// Superstep statistics log.
-    pub fn stats(&self) -> &StatsLog {
+    fn stats(&self) -> &StatsLog {
         &self.acct.stats
     }
 
-    /// Mutable statistics log (the PIC driver drains it per iteration).
-    pub fn stats_mut(&mut self) -> &mut StatsLog {
+    fn stats_mut(&mut self) -> &mut StatsLog {
         &mut self.acct.stats
     }
 
-    /// Run one superstep of `phase`.
-    ///
-    /// `compute` runs first on every rank and may send messages; `deliver`
-    /// then runs on every rank with its inbox, sorted by sender rank.
-    /// Both closures may charge op units.
-    pub fn superstep<M, F, G>(&mut self, phase: PhaseKind, compute: F, deliver: G)
+    fn set_fault_epoch(&mut self, epoch: u64) {
+        self.fault_epoch = epoch;
+    }
+
+    fn fault_epoch(&self) -> u64 {
+        self.fault_epoch
+    }
+
+    fn instruments(&self) -> &Instruments {
+        &self.acct.instruments
+    }
+
+    fn instruments_mut(&mut self) -> &mut Instruments {
+        &mut self.acct.instruments
+    }
+
+    fn superstep<M, F, G>(
+        &mut self,
+        phase: PhaseKind,
+        compute: F,
+        deliver: G,
+    ) -> Result<(), SpmdError>
     where
         M: Payload,
         F: Fn(usize, &mut S, &mut PhaseCtx, &mut Outbox<M>) + Sync,
         G: Fn(usize, &mut S, &mut PhaseCtx, Vec<(usize, M)>) + Sync,
     {
-        let (p, width) = (self.cfg.ranks, self.width);
-        let pool = self
-            .pool
-            .get_or_insert_with(|| WorkerPool::chunked(p, width));
+        self.guarded(phase, |m| {
+            let (p, width) = (m.cfg.ranks, m.width);
+            let pool = m.pool.get_or_insert_with(|| WorkerPool::chunked(p, width));
 
-        // --- compute half-step -------------------------------------------------
-        let outputs: Vec<(Vec<(usize, M)>, f64)> =
-            pool.map_chunks(&mut self.states, vec![(); p], &|r, s, ()| {
-                let mut ctx = PhaseCtx::default();
-                let mut outbox = Outbox::new(p);
-                compute(r, s, &mut ctx, &mut outbox);
-                (outbox.msgs, ctx.ops)
-            });
+            // --- compute half-step ---------------------------------------------
+            let outputs: Vec<(Vec<(usize, M)>, f64)> =
+                pool.map_chunks(&mut m.states, vec![(); p], &|r, s, ()| {
+                    let mut ctx = PhaseCtx::default();
+                    let mut outbox = Outbox::new(p);
+                    compute(r, s, &mut ctx, &mut outbox);
+                    (outbox.msgs, ctx.ops)
+                });
 
-        // --- route -------------------------------------------------------------
-        // Per-pair tallies for the metrics comm matrix are only collected
-        // when a registry is installed.  The router sees both ends of
-        // every transfer, so it logs the sender and the receiver side.
-        let log_pairs = self.acct.instruments.metrics.is_some();
-        let start = self.clocks.first().map_or(0.0, Clock::total_s);
-        let rec = self.acct.begin(phase, self.fault_epoch, start);
-        rec.ranks.resize(p, RankEntry::default());
-        let mut inboxes: Vec<Vec<(usize, M)>> = (0..p).map(|_| Vec::new()).collect();
-        for (from, (msgs, ops)) in outputs.into_iter().enumerate() {
-            // op units until `settle` charges them
-            rec.ranks[from].compute_s = ops;
-            for (to, msg) in msgs {
-                if to != from {
-                    let bytes = msg.size_bytes() as u64;
-                    rec.ranks[from].msgs_sent += 1;
-                    rec.ranks[from].bytes_sent += bytes;
-                    rec.ranks[to].msgs_recv += 1;
-                    rec.ranks[to].bytes_recv += bytes;
-                    if log_pairs {
-                        rec.sent_pairs.push((from, to, bytes));
-                        rec.recv_pairs.push((from, to, bytes));
+            // --- route ---------------------------------------------------------
+            // Per-pair tallies for the metrics comm matrix are only collected
+            // when a registry is installed.  The router sees both ends of
+            // every transfer, so it logs the sender and the receiver side.
+            let log_pairs = m.acct.instruments.metrics.is_some();
+            let start = m.clocks.first().map_or(0.0, Clock::total_s);
+            let rec = m.acct.begin(phase, m.fault_epoch, start);
+            rec.ranks.resize(p, RankEntry::default());
+            let mut inboxes: Vec<Vec<(usize, M)>> = (0..p).map(|_| Vec::new()).collect();
+            for (from, (msgs, ops)) in outputs.into_iter().enumerate() {
+                // op units until `settle` charges them
+                rec.ranks[from].compute_s = ops;
+                for (to, msg) in msgs {
+                    if to != from {
+                        let bytes = msg.size_bytes() as u64;
+                        rec.ranks[from].msgs_sent += 1;
+                        rec.ranks[from].bytes_sent += bytes;
+                        rec.ranks[to].msgs_recv += 1;
+                        rec.ranks[to].bytes_recv += bytes;
+                        if log_pairs {
+                            rec.sent_pairs.push((from, to, bytes));
+                            rec.recv_pairs.push((from, to, bytes));
+                        }
                     }
+                    inboxes[to].push((from, msg));
                 }
-                inboxes[to].push((from, msg));
             }
-        }
 
-        // --- deliver half-step -------------------------------------------------
-        let deliver_ops = pool.map_chunks(&mut self.states, inboxes, &|r, s, inbox| {
-            let mut ctx = PhaseCtx::default();
-            deliver(r, s, &mut ctx, inbox);
-            ctx.ops
-        });
-        for (e, ops) in rec.ranks.iter_mut().zip(deliver_ops) {
-            e.compute_s += ops;
-        }
-        settle(&self.cfg, &mut self.clocks, rec, start);
-        self.acct.commit();
+            // --- deliver half-step ---------------------------------------------
+            let deliver_ops = pool.map_chunks(&mut m.states, inboxes, &|r, s, inbox| {
+                let mut ctx = PhaseCtx::default();
+                deliver(r, s, &mut ctx, inbox);
+                ctx.ops
+            });
+            for (e, ops) in rec.ranks.iter_mut().zip(deliver_ops) {
+                e.compute_s += ops;
+            }
+            settle(&m.cfg, &mut m.clocks, rec, start);
+            m.acct.commit();
+        })
     }
 
-    /// A communication-free superstep: every rank runs `compute` locally.
     /// Accounted exactly like a [`Self::superstep`] that sends nothing,
     /// without dispatching an empty deliver half.
-    pub fn local_step<F>(&mut self, phase: PhaseKind, compute: F)
+    fn local_step<F>(&mut self, phase: PhaseKind, compute: F) -> Result<(), SpmdError>
     where
         F: Fn(usize, &mut S, &mut PhaseCtx) + Sync,
     {
-        let (p, width) = (self.cfg.ranks, self.width);
-        let pool = self
-            .pool
-            .get_or_insert_with(|| WorkerPool::chunked(p, width));
-        let ops = pool.map_chunks(&mut self.states, vec![(); p], &|r, s, ()| {
-            let mut ctx = PhaseCtx::default();
-            compute(r, s, &mut ctx);
-            ctx.ops
-        });
-        let start = self.clocks.first().map_or(0.0, Clock::total_s);
-        let rec = self.acct.begin(phase, self.fault_epoch, start);
-        rec.ranks.extend(ops.into_iter().map(|ops| RankEntry {
-            compute_s: ops,
-            ..RankEntry::default()
-        }));
-        settle(&self.cfg, &mut self.clocks, rec, start);
-        self.acct.commit();
+        self.guarded(phase, |m| {
+            let (p, width) = (m.cfg.ranks, m.width);
+            let pool = m.pool.get_or_insert_with(|| WorkerPool::chunked(p, width));
+            let ops = pool.map_chunks(&mut m.states, vec![(); p], &|r, s, ()| {
+                let mut ctx = PhaseCtx::default();
+                compute(r, s, &mut ctx);
+                ctx.ops
+            });
+            let start = m.clocks.first().map_or(0.0, Clock::total_s);
+            let rec = m.acct.begin(phase, m.fault_epoch, start);
+            rec.ranks.extend(ops.into_iter().map(|ops| RankEntry {
+                compute_s: ops,
+                ..RankEntry::default()
+            }));
+            settle(&m.cfg, &mut m.clocks, rec, start);
+            m.acct.commit();
+        })
     }
 
-    /// Consume the machine, returning the final rank states.
-    pub fn into_ranks(self) -> Vec<S> {
-        self.states
+    fn allgather<T, F, G>(
+        &mut self,
+        phase: PhaseKind,
+        bytes_per_item: usize,
+        extract: F,
+        apply: G,
+    ) -> Result<(), SpmdError>
+    where
+        T: Clone + Send,
+        F: Fn(usize, &S) -> T + Sync,
+        G: Fn(usize, &mut S, &[T]) + Sync,
+    {
+        self.guarded(phase, |m| {
+            let gathered: Vec<T> = m
+                .states
+                .iter()
+                .enumerate()
+                .map(|(r, s)| extract(r, s))
+                .collect();
+            for (r, s) in m.states.iter_mut().enumerate() {
+                apply(r, s, &gathered);
+            }
+            m.charge_collective(phase, CollectiveShape::Doubling, bytes_per_item);
+        })
+    }
+
+    /// The modeled share is the largest contribution: recursive doubling
+    /// is bottlenecked by it.
+    fn allgatherv<T, F, G>(
+        &mut self,
+        phase: PhaseKind,
+        bytes_per_item: usize,
+        extract: F,
+        apply: G,
+    ) -> Result<(), SpmdError>
+    where
+        T: Clone + Send,
+        F: Fn(usize, &S) -> Vec<T> + Sync,
+        G: Fn(usize, &mut S, &[T]) + Sync,
+    {
+        self.guarded(phase, |m| {
+            let parts: Vec<Vec<T>> = m
+                .states
+                .iter()
+                .enumerate()
+                .map(|(r, s)| extract(r, s))
+                .collect();
+            let max_share = parts.iter().map(Vec::len).max().unwrap_or(0);
+            let concat: Vec<T> = parts.into_iter().flatten().collect();
+            for (r, s) in m.states.iter_mut().enumerate() {
+                apply(r, s, &concat);
+            }
+            m.charge_collective(phase, CollectiveShape::Doubling, max_share * bytes_per_item);
+        })
     }
 }
 
@@ -353,7 +501,8 @@ mod tests {
                     s.push(from);
                 }
             },
-        );
+        )
+        .expect("superstep");
         assert_eq!(m.ranks()[0], vec![0, 1, 2, 3]);
         assert!(m.ranks()[1].is_empty());
     }
@@ -365,7 +514,8 @@ mod tests {
             PhaseKind::Other,
             |r, _s, _ctx, ob: &mut Outbox<Vec<u64>>| ob.send(r, vec![1, 2, 3]),
             |_r, s, _ctx, inbox| *s += inbox.len() as u64,
-        );
+        )
+        .expect("superstep");
         let rec = m.stats().records()[0];
         assert_eq!(rec.total_msgs, 0);
         assert_eq!(rec.total_bytes, 0);
@@ -384,7 +534,8 @@ mod tests {
                 }
             },
             |_, _, _, _| {},
-        );
+        )
+        .expect("superstep");
         let rec = m.stats().records()[0];
         assert_eq!(rec.max_bytes_sent, 80);
         assert_eq!(rec.max_msgs_sent, 1);
@@ -402,24 +553,14 @@ mod tests {
         let mut m = Machine::new(tiny(2), vec![(); 2]);
         m.local_step(PhaseKind::Push, |r, _s, ctx| {
             ctx.charge_ops(if r == 0 { 100.0 } else { 300.0 });
-        });
+        })
+        .expect("local step");
         // slowest rank: 300 * 0.01 = 3.0
         assert!((m.elapsed_s() - 3.0).abs() < 1e-12);
         let rec = m.stats().records()[0];
         assert!((rec.max_compute_s - 3.0).abs() < 1e-12);
         // rank 0 idled 2.0s, charged to comm by the barrier
         assert!((m.clocks()[0].comm_s - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn sending_to_invalid_rank_panics() {
-        let mut m = Machine::new(tiny(2), vec![(); 2]);
-        m.superstep(
-            PhaseKind::Other,
-            |_r, _s, _ctx, ob: &mut Outbox<Vec<u64>>| ob.send(7, vec![]),
-            |_, _, _, _| {},
-        );
     }
 
     #[test]
@@ -440,7 +581,8 @@ mod tests {
                 }
             },
             |_, _, _, _| {},
-        );
+        )
+        .expect("superstep");
         let rec = m.stats().records()[0];
         assert_eq!(rec.max_msgs_sent, 3);
         assert_eq!(rec.max_bytes_sent, 12);
@@ -448,12 +590,82 @@ mod tests {
         assert_eq!(rec.total_bytes, 24);
     }
 
+    #[test]
+    fn allgather_distributes_all_values() {
+        let mut m = Machine::new(tiny(4), vec![(0u64, Vec::new()); 4]);
+        m.allgather(
+            PhaseKind::Setup,
+            8,
+            |r, _s| r as u64 * 10,
+            |_r, s, all: &[u64]| s.1 = all.to_vec(),
+        )
+        .expect("allgather");
+        for (_v, all) in m.ranks() {
+            assert_eq!(all, &[0, 10, 20, 30]);
+        }
+        // log2(4)=2 stages * tau + 3 ranks * 8B * mu = 2 + 2.4
+        assert!((m.elapsed_s() - 4.4).abs() < 1e-12, "{}", m.elapsed_s());
+    }
+
+    #[test]
+    fn allgatherv_concatenates_in_rank_order() {
+        let mut m = Machine::new(tiny(3), vec![Vec::<u32>::new(); 3]);
+        m.allgatherv(
+            PhaseKind::Setup,
+            4,
+            |r, _s| vec![r as u32; r + 1],
+            |_r, s, concat: &[u32]| *s = concat.to_vec(),
+        )
+        .expect("allgatherv");
+        assert_eq!(m.ranks()[0], vec![0, 1, 1, 2, 2, 2]);
+    }
+
+    #[test]
+    fn allreduce_elementwise_folds_over_all_ranks() {
+        let mut m = Machine::new(tiny(4), vec![0.0f64; 4]);
+        for (r, s) in m.ranks_mut().iter_mut().enumerate() {
+            *s = r as f64 + 1.0;
+        }
+        m.allreduce_elementwise(
+            PhaseKind::Other,
+            8,
+            |_r, s| vec![*s],
+            |a, b| a.max(*b),
+            |_r, s, max| *s = max[0],
+        )
+        .expect("allreduce_elementwise");
+        assert!(m.ranks().iter().all(|&v| v == 4.0));
+        // ragged contributions fail the operation instead of the caller
+        let err = m
+            .allreduce_elementwise(
+                PhaseKind::Scatter,
+                8,
+                |r, s| vec![*s; r],
+                |a, b| a + b,
+                |_r, _s, _acc| {},
+            )
+            .expect_err("ragged contributions must fail");
+        assert_eq!(
+            (err.phase, err.superstep),
+            (Some(PhaseKind::Scatter), Some(1))
+        );
+        assert!(matches!(&err.cause, FailureCause::Panic(msg) if msg.contains("ragged")));
+    }
+
+    #[test]
+    fn single_rank_collectives_are_free() {
+        let mut m = Machine::new(tiny(1), vec![0u64]);
+        m.allgather(PhaseKind::Setup, 8, |_r, s| *s, |_r, _s, _all: &[u64]| {})
+            .expect("allgather");
+        assert_eq!(m.elapsed_s(), 0.0);
+    }
+
     /// Rank states, clocks and `StatsLog` rows, every float as its bits.
     type Observed = (Vec<(u64, u64)>, Vec<u64>, Vec<[u64; 10]>);
 
     /// A phase program touching every operation: uneven fan-out with
     /// self-messages, charged ops in both halves, a local step and all
-    /// four collectives.  Returns everything an observer can see.
+    /// three collectives.  Returns everything an observer can see.
     fn mixed_program(m: &mut Machine<(u64, f64)>) -> Observed {
         let p = m.num_ranks();
         for step in 0..3u64 {
@@ -473,36 +685,35 @@ mod tests {
                         s.1 += msg.len() as f64 / (from as f64 + 1.0);
                     }
                 },
-            );
+            )
+            .expect("superstep");
             m.local_step(PhaseKind::Push, |r, s, ctx| {
                 ctx.charge_ops(s.1.fract() * 100.0 + r as f64);
                 s.1 = s.1.sqrt() + 0.1;
-            });
+            })
+            .expect("local step");
             m.allgather(
                 PhaseKind::Setup,
                 8,
                 |_r, s| s.0,
                 |r, s, all: &[u64]| s.0 ^= all[(r + 1) % all.len()],
-            );
+            )
+            .expect("allgather");
             m.allgatherv(
                 PhaseKind::Setup,
                 8,
                 |r, s| vec![s.1; r % 3],
                 |_r, s, concat: &[f64]| s.1 += concat.iter().sum::<f64>() * 1e-3,
-            );
-            m.allreduce(
-                PhaseKind::Other,
-                |_r, s| s.1,
-                |a, b| a * 0.5 + b,
-                |_r, s, &v| s.1 -= v * 1e-6,
-            );
+            )
+            .expect("allgatherv");
             m.allreduce_elementwise(
                 PhaseKind::FieldSolve,
                 16,
                 |r, s| vec![s.1, r as f64],
                 |a, b| a + b,
                 |_r, s, acc| s.1 += acc[0] * 1e-9,
-            );
+            )
+            .expect("allreduce_elementwise");
         }
         let states = m.ranks().iter().map(|s| (s.0, s.1.to_bits())).collect();
         let clocks = m
@@ -571,7 +782,8 @@ mod tests {
                             *s = s.wrapping_mul(31).wrapping_add(from as u64).wrapping_add(msg[1]);
                         }
                     },
-                );
+                )
+                .expect("superstep");
                 (m.ranks().to_vec(), m.elapsed_s().to_bits())
             };
             proptest::prop_assert_eq!(run(1), run(width));
@@ -580,31 +792,29 @@ mod tests {
 
     #[test]
     fn pool_survives_a_failed_operation() {
-        use crate::engine::SpmdEngine;
         // four chunks of eight ranks; rank 27 sits in the last one
         let mut m = Machine::with_width(tiny(32), vec![0u64; 32], 4);
-        SpmdEngine::local_step(&mut m, PhaseKind::Other, |_r, s, _ctx| *s += 1)
+        m.local_step(PhaseKind::Other, |_r, s, _ctx| *s += 1)
             .expect("fault-free step");
-        let err = SpmdEngine::superstep(
-            &mut m,
-            PhaseKind::Gather,
-            |r, _s, _ctx, _ob: &mut Outbox<Vec<u64>>| {
-                if r == 27 {
-                    panic!("transient failure on rank {r}");
-                }
-            },
-            |_, _, _, _| {},
-        )
-        .expect_err("rank 27 must fail the superstep");
+        let err = m
+            .superstep(
+                PhaseKind::Gather,
+                |r, _s, _ctx, _ob: &mut Outbox<Vec<u64>>| {
+                    if r == 27 {
+                        panic!("transient failure on rank {r}");
+                    }
+                },
+                |_, _, _, _| {},
+            )
+            .expect_err("rank 27 must fail the superstep");
         assert_eq!(err.phase, Some(PhaseKind::Gather));
         assert_eq!(err.superstep, Some(1));
         match &err.cause {
-            crate::FailureCause::Panic(msg) => assert_eq!(msg, "transient failure on rank 27"),
+            FailureCause::Panic(msg) => assert_eq!(msg, "transient failure on rank 27"),
             other => panic!("expected Panic cause, got {other:?}"),
         }
         // the persistent workers must still serve subsequent operations
-        SpmdEngine::superstep(
-            &mut m,
+        m.superstep(
             PhaseKind::Gather,
             |r, s, _ctx, ob: &mut Outbox<Vec<u64>>| {
                 ob.send((r + 1) % 32, vec![r as u64]);
@@ -629,12 +839,14 @@ mod tests {
         for _ in 0..3 {
             m.local_step(PhaseKind::Other, |_r, s, _ctx| {
                 s.push(thread::current().id())
-            });
+            })
+            .expect("local step");
             m.superstep(
                 PhaseKind::Other,
                 |_r, s, _ctx, _ob: &mut Outbox<Vec<u8>>| s.push(thread::current().id()),
                 |_r, s, _ctx, _inbox| s.push(thread::current().id()),
-            );
+            )
+            .expect("superstep");
         }
         let ids: Vec<ThreadId> = m.ranks().iter().map(|s| s[0]).collect();
         for (r, s) in m.ranks().iter().enumerate() {
@@ -650,7 +862,8 @@ mod tests {
     fn machines_join_their_workers_on_drop() {
         for _ in 0..100 {
             let mut m = Machine::with_width(tiny(8), vec![0u64; 8], 4);
-            m.local_step(PhaseKind::Other, |r, s, _ctx| *s = r as u64);
+            m.local_step(PhaseKind::Other, |r, s, _ctx| *s = r as u64)
+                .expect("local step");
             let workers = m.pool.as_ref().expect("pool started").liveness();
             drop(m);
             assert!(workers.upgrade().is_none(), "a worker outlived its machine");

@@ -70,10 +70,10 @@ pub(crate) struct RankEntry {
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum CollectiveShape {
     /// Recursive doubling: every rank ends up with all `p - 1` other
-    /// shares (allgather, allgatherv, allreduce).
+    /// shares (allgather, allgatherv).
     Doubling,
     /// A pipelined tree over the whole array: one share per stage
-    /// (element-wise allreduce).
+    /// (the modeled machine's element-wise allreduce).
     Pipelined,
 }
 

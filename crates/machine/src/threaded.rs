@@ -12,7 +12,8 @@
 //! all-to-many [`Mailbox::exchange`] (every rank sends every peer one
 //! batch wire — possibly empty, which doubles as the "nothing from me"
 //! handshake) and the global concatenation ([`Mailbox::allgather`],
-//! [`Mailbox::allgatherv`]) — plus a dissemination [`Mailbox::barrier`].
+//! [`Mailbox::allgatherv`]).  No barrier is needed: the worker pool's
+//! completion wait already synchronizes all ranks after every operation.
 //!
 //! ## Failure semantics
 //!
@@ -91,9 +92,6 @@ pub(crate) enum Wire<M> {
     Batch(u64, Vec<M>),
     /// A whole vector contributed to vector collective `seq`.
     Many(u64, Vec<M>),
-    /// Dissemination-barrier token of collective `seq`, for the given
-    /// round.
-    Barrier(u64, u32),
     /// The sending rank failed; receivers must unwind.
     Poison,
 }
@@ -412,35 +410,6 @@ impl<M: Send> Mailbox<M> {
     {
         self.allgather_vec(values).into_iter().flatten().collect()
     }
-
-    /// Dissemination barrier: `ceil(log2 p)` rounds of token passing.
-    ///
-    /// Tokens are tagged with the barrier's collective sequence number
-    /// and the round, so neither a fast peer's *next* barrier nor a
-    /// different round of this one can satisfy the wait.
-    pub(crate) fn barrier(&mut self) {
-        self.check_kill();
-        self.seq += 1;
-        let seq = self.seq;
-        let p = self.num_ranks();
-        let mut round = 0u32;
-        let mut dist = 1usize;
-        while dist < p {
-            let to = (self.rank + dist) % p;
-            let expect_from = (self.rank + p - dist) % p;
-            self.push_wire(to, Wire::Barrier(seq, round));
-            let want = round;
-            let (got_from, _) = self.next_matching(
-                "barrier",
-                move |w| matches!(w, Wire::Barrier(s, r) if *s == seq && *r == want),
-                move || (1, 0, Vec::new()),
-            );
-            debug_assert_eq!(got_from, expect_from, "unexpected barrier peer");
-            round += 1;
-            dist *= 2;
-        }
-        self.flush_lost();
-    }
 }
 
 /// Broadcast poison to every rank (used by the engine's rank jobs on
@@ -542,7 +511,6 @@ mod tests {
         let results = run_clean::<u64, _>(5, |r, mut mb| {
             let gathered = mb.allgather(r as u64 * 7);
             let concat = mb.allgatherv(vec![r as u64; r]);
-            mb.barrier();
             (gathered, concat)
         });
         let expect_concat: Vec<u64> = (0..5u64).flat_map(|r| vec![r; r as usize]).collect();
@@ -560,8 +528,8 @@ mod tests {
                 if r == p / 2 {
                     panic!("injected failure on rank {}", p / 2);
                 }
-                // everyone else waits in a barrier the failed rank never enters
-                mb.barrier();
+                // everyone else waits in an exchange the failed rank never enters
+                mb.exchange(Vec::new());
             })
             .expect_err("run must fail");
             match &err.cause {
@@ -582,9 +550,9 @@ mod tests {
     fn deadlock_times_out_with_structured_detail() {
         let start = Instant::now();
         let err = run::<(), ()>(2, Duration::from_millis(200), None, |r, mut mb| {
-            // rank 0 enters a barrier that rank 1 skips
+            // rank 0 enters an exchange that rank 1 skips
             if r == 0 {
-                mb.barrier();
+                mb.exchange(Vec::new());
             }
         })
         .expect_err("deadlock must fail");
@@ -594,9 +562,10 @@ mod tests {
         let FailureCause::Timeout(detail) = &err.cause else {
             panic!("expected timeout cause");
         };
-        assert_eq!(detail.operation, "barrier");
-        assert_eq!(detail.expected, 1);
-        assert_eq!(detail.received, 0);
+        assert_eq!(detail.operation, "exchange");
+        // rank 0's own (empty) batch arrived; rank 1's never will
+        assert_eq!(detail.expected, 2);
+        assert_eq!(detail.received, 1);
         assert!(detail.waited >= Duration::from_millis(200));
     }
 
@@ -605,7 +574,7 @@ mod tests {
         let plan = Arc::new(FaultPlan::new(3).kill(2, 0));
         let start = Instant::now();
         let err = run::<(), ()>(8, Duration::from_secs(20), Some(plan), |_r, mut mb| {
-            mb.barrier();
+            mb.exchange(Vec::new());
         })
         .expect_err("killed run must fail");
         assert!(err.is_injected_kill(), "got {err:?}");
@@ -646,7 +615,6 @@ mod tests {
                 .collect();
             let inbox = mb.exchange(outgoing);
             let sum = mb.allgather(inbox.iter().map(|(_, v)| v).sum::<u64>());
-            mb.barrier();
             (inbox, sum)
         };
         let clean = run_clean(6, program);

@@ -19,8 +19,7 @@
 //!
 //! * the exchange delivers inboxes sorted by sender rank with per-sender
 //!   order preserved — the modeled router's order;
-//! * collective folds run in rank order on every rank, so floating-point
-//!   reductions associate identically;
+//! * collectives concatenate contributions in rank order;
 //! * ranks share no mutable state between synchronization points.
 //!
 //! Failure semantics come from the mailbox layer: a failing rank poisons
@@ -166,22 +165,16 @@ impl<S: Send> ThreadedMachine<S> {
         }
     }
 
-    /// Account a collective: the message and byte counts the modeled
-    /// machine charges (they describe the algorithm, not the executor)
-    /// over the measured wall time.
-    fn account_collective(
-        &mut self,
-        phase: PhaseKind,
-        shape: CollectiveShape,
-        share_bytes: usize,
-        wall: Duration,
-    ) {
+    /// Account a recursive-doubling collective: the message and byte
+    /// counts the modeled machine charges (they describe the algorithm,
+    /// not the executor) over the measured wall time.
+    fn account_collective(&mut self, phase: PhaseKind, share_bytes: usize, wall: Duration) {
         let wall_s = wall.as_secs_f64();
         let start = self.elapsed_wall_s;
         self.elapsed_wall_s += wall_s;
         self.acct
             .begin(phase, self.fault_epoch, start)
-            .set_collective(&self.cfg, shape, share_bytes, wall_s);
+            .set_collective(&self.cfg, CollectiveShape::Doubling, share_bytes, wall_s);
         self.acct.commit();
     }
 
@@ -383,7 +376,7 @@ impl<S: Send> SpmdEngine<S> for ThreadedMachine<S> {
             let all = mb.allgather(extract(r, s));
             apply(r, s, &all);
         })?;
-        self.account_collective(phase, CollectiveShape::Doubling, bytes_per_item, wall);
+        self.account_collective(phase, bytes_per_item, wall);
         Ok(())
     }
 
@@ -409,80 +402,7 @@ impl<S: Send> SpmdEngine<S> for ThreadedMachine<S> {
             share
         })?;
         let max_share = lens.into_iter().max().unwrap_or(0);
-        self.account_collective(
-            phase,
-            CollectiveShape::Doubling,
-            max_share * bytes_per_item,
-            wall,
-        );
-        Ok(())
-    }
-
-    fn allreduce<T, F, R, G>(
-        &mut self,
-        phase: PhaseKind,
-        extract: F,
-        reduce: R,
-        apply: G,
-    ) -> Result<(), SpmdError>
-    where
-        T: Clone + Send,
-        F: Fn(usize, &S) -> T + Sync,
-        R: Fn(T, T) -> T + Sync,
-        G: Fn(usize, &mut S, &T) + Sync,
-    {
-        let extract = &extract;
-        let reduce = &reduce;
-        let apply = &apply;
-        let (_, wall) = self.run_ranks::<T, (), _>(phase, move |r, s, mut mb| {
-            // gather everyone's value, fold in rank order locally: the
-            // same association order as the modeled machine, so
-            // floating-point results are bit-identical.
-            let mut it = mb.allgather(extract(r, s)).into_iter();
-            let first = it.next().expect("machine has at least one rank");
-            let folded = it.fold(first, reduce);
-            apply(r, s, &folded);
-        })?;
-        self.account_collective(phase, CollectiveShape::Doubling, 8, wall);
-        Ok(())
-    }
-
-    fn allreduce_elementwise<T, F, R, G>(
-        &mut self,
-        phase: PhaseKind,
-        share_bytes: usize,
-        extract: F,
-        reduce: R,
-        apply: G,
-    ) -> Result<(), SpmdError>
-    where
-        T: Clone + Send,
-        F: Fn(usize, &S) -> Vec<T> + Sync,
-        R: Fn(&T, &T) -> T + Sync,
-        G: Fn(usize, &mut S, &[T]) + Sync,
-    {
-        let extract = &extract;
-        let reduce = &reduce;
-        let apply = &apply;
-        let (_, wall) = self.run_ranks::<Vec<T>, (), _>(phase, move |r, s, mut mb| {
-            let mut parts = mb.allgather(extract(r, s)).into_iter();
-            let mut acc = parts.next().expect("machine has at least one rank");
-            for v in parts {
-                assert_eq!(v.len(), acc.len(), "ragged allreduce contributions");
-                for (a, b) in acc.iter_mut().zip(&v) {
-                    *a = reduce(a, b);
-                }
-            }
-            apply(r, s, &acc);
-        })?;
-        self.account_collective(phase, CollectiveShape::Pipelined, share_bytes, wall);
-        Ok(())
-    }
-
-    fn barrier(&mut self) -> Result<(), SpmdError> {
-        let (_, wall) =
-            self.run_ranks::<(), (), _>(PhaseKind::Other, |_r, _s, mut mb| mb.barrier())?;
-        self.elapsed_wall_s += wall.as_secs_f64();
+        self.account_collective(phase, max_share * bytes_per_item, wall);
         Ok(())
     }
 }
@@ -586,22 +506,6 @@ mod tests {
                 |_r, s, concat: &[f64]| s.1.extend_from_slice(concat),
             )
             .expect("allgatherv");
-            m.allreduce(
-                PhaseKind::Other,
-                |_r, s| s.0,
-                |a, b| a + b * 1.0000001,
-                |_r, s, &v| s.0 = v,
-            )
-            .expect("allreduce");
-            m.allreduce_elementwise(
-                PhaseKind::Other,
-                8,
-                |r, _s| vec![r as f64, 1.0 / (r as f64 + 1.0)],
-                |a, b| a + b,
-                |_r, s, acc| s.1.extend_from_slice(acc),
-            )
-            .expect("allreduce_elementwise");
-            m.barrier().expect("barrier");
             m.ranks().to_vec()
         }
         let states = |p: usize| (0..p).map(|r| (r as f64 * 0.31, Vec::new())).collect();
@@ -609,7 +513,7 @@ mod tests {
         let mut threaded = ThreadedMachine::new(tiny(6), states(6));
         let a = drive(&mut modeled);
         let b = drive(&mut threaded);
-        // bit-identical including float folds
+        // bit-identical, floats included
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.0.to_bits(), y.0.to_bits());
             assert_eq!(x.1.len(), y.1.len());
@@ -625,7 +529,7 @@ mod tests {
         // the pool dispatches, it never respawns
         let mut m = ThreadedMachine::new(tiny(4), vec![Vec::<thread::ThreadId>::new(); 4]);
         for _ in 0..3 {
-            SpmdEngine::local_step(&mut m, PhaseKind::Other, |_r, s, _ctx| {
+            m.local_step(PhaseKind::Other, |_r, s, _ctx| {
                 s.push(thread::current().id());
             })
             .expect("fault-free step");
@@ -707,30 +611,61 @@ mod tests {
         let mut m =
             ThreadedMachine::new(tiny(4), vec![0u64; 4]).with_timeout(Duration::from_secs(10));
         m.instruments_mut().fault_plan = Some(Arc::new(FaultPlan::new(1).kill(1, 7)));
+        let step =
+            |m: &mut ThreadedMachine<u64>| m.local_step(PhaseKind::Gather, |_r, _s, _ctx| {});
         m.set_fault_epoch(6);
-        m.barrier().expect("epoch 6: no fault armed");
+        step(&mut m).expect("epoch 6: no fault armed");
         m.set_fault_epoch(7);
-        let err = m.barrier().expect_err("epoch 7: rank 1 must die");
+        let err = step(&mut m).expect_err("epoch 7: rank 1 must die");
         assert!(err.is_injected_kill());
         assert_eq!(err.rank, Some(1));
+        assert_eq!(err.phase, Some(PhaseKind::Gather));
         assert_eq!(err.epoch, Some(7));
         // the kill is one-shot: a restarted epoch runs clean
-        m.barrier().expect("kill must not re-fire");
+        step(&mut m).expect("kill must not re-fire");
     }
 
     #[test]
     fn modeled_machine_honors_kill_faults_identically() {
         let mut m = crate::Machine::new(tiny(4), vec![0u64; 4]);
         m.instruments_mut().fault_plan = Some(Arc::new(FaultPlan::new(1).kill(2, 3)));
-        SpmdEngine::set_fault_epoch(&mut m, 3);
-        // qualified call: the inherent (panicking) `local_step` would
-        // otherwise shadow the trait method
-        let err = SpmdEngine::local_step(&mut m, PhaseKind::Push, |_r, _s, _ctx| {})
+        m.set_fault_epoch(3);
+        let err = m
+            .local_step(PhaseKind::Push, |_r, _s, _ctx| {})
             .expect_err("kill must fire on the modeled machine too");
         assert!(err.is_injected_kill());
         assert_eq!(err.rank, Some(2));
         assert_eq!(err.phase, Some(PhaseKind::Push));
-        SpmdEngine::local_step(&mut m, PhaseKind::Push, |_r, _s, _ctx| {})
+        m.local_step(PhaseKind::Push, |_r, _s, _ctx| {})
             .expect("one-shot: second attempt runs clean");
+    }
+
+    #[test]
+    fn out_of_range_destination_fails_alike_on_both_executors() {
+        fn program<E: SpmdEngine<()>>(m: &mut E) -> SpmdError {
+            m.local_step(PhaseKind::Setup, |_r, _s, _ctx| {})
+                .expect("fault-free step");
+            m.superstep(
+                PhaseKind::Scatter,
+                |_r, _s, _ctx, ob: &mut Outbox<Vec<u64>>| ob.send(7, vec![]),
+                |_, _, _, _| {},
+            )
+            .expect_err("rank 7 does not exist on a 2-rank machine")
+        }
+        let modeled = program(&mut crate::Machine::new(tiny(2), vec![(); 2]));
+        let threaded = program(
+            &mut ThreadedMachine::new(tiny(2), vec![(); 2]).with_timeout(Duration::from_secs(10)),
+        );
+        for err in [&modeled, &threaded] {
+            assert_eq!(err.phase, Some(PhaseKind::Scatter));
+            assert_eq!(err.superstep, Some(1));
+            match &err.cause {
+                crate::error::FailureCause::Panic(msg) => {
+                    assert!(msg.contains("out of range"), "got {msg:?}")
+                }
+                other => panic!("expected Panic cause, got {other:?}"),
+            }
+        }
+        assert_eq!(modeled.cause, threaded.cause);
     }
 }

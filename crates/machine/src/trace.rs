@@ -52,7 +52,7 @@
 //! let rec = SharedRecorder::new(MemoryRecorder::new());
 //! let mut m = Machine::new(MachineConfig::cm5(4), vec![0u64; 4]);
 //! m.instruments_mut().recorder = Some(Box::new(rec.clone()));
-//! SpmdEngine::local_step(&mut m, PhaseKind::Push, |_r, s, ctx| {
+//! m.local_step(PhaseKind::Push, |_r, s, ctx| {
 //!     *s += 1;
 //!     ctx.charge_ops(10.0);
 //! })
@@ -129,8 +129,8 @@ pub struct SuperstepEvent {
     pub total_msgs: u64,
     /// Total off-rank bytes across ranks.
     pub total_bytes: u64,
-    /// True when the superstep was a collective (allgather, allreduce,
-    /// barrier) rather than a point-to-point exchange superstep.
+    /// True when the superstep was a collective (allgather, allgatherv,
+    /// element-wise allreduce) rather than an exchange superstep.
     pub collective: bool,
 }
 

@@ -34,8 +34,8 @@ fn chaos_seeds() -> Vec<u64> {
 }
 
 /// A protocol-heavy SPMD program: a ring superstep, an irregular
-/// superstep, an allgatherv and barriers, folded into one digest per
-/// rank (each rank's state starts as its rank id).
+/// superstep and an allgatherv, folded into one digest per rank (each
+/// rank's state starts as its rank id).
 fn protocol_mix<E: SpmdEngine<u64>>(m: &mut E) -> Result<Vec<u64>, SpmdError> {
     let p = m.num_ranks();
     let fold = |mul: u64| {
@@ -51,7 +51,6 @@ fn protocol_mix<E: SpmdEngine<u64>>(m: &mut E) -> Result<Vec<u64>, SpmdError> {
         move |r, _d, _ctx, ob: &mut Outbox<Vec<u64>>| ob.send((r + 1) % p, vec![r as u64 * 17 + 1]),
         fold(31),
     )?;
-    m.barrier()?;
     // irregular exchange: rank r sends r%3 messages to each smaller rank
     m.superstep(
         PhaseKind::Other,
@@ -75,7 +74,6 @@ fn protocol_mix<E: SpmdEngine<u64>>(m: &mut E) -> Result<Vec<u64>, SpmdError> {
             }
         },
     )?;
-    m.barrier()?;
     Ok(m.ranks().to_vec())
 }
 

@@ -3,7 +3,7 @@
 //! host pool width never changes results is a unit test of the crate:
 //! the width is not a public knob.)
 
-use pic_machine::{Machine, MachineConfig, Outbox, PhaseKind, Topology};
+use pic_machine::{Machine, MachineConfig, Outbox, PhaseKind, SpmdEngine, Topology};
 use proptest::prelude::*;
 
 fn cfg(p: usize) -> MachineConfig {
@@ -35,7 +35,8 @@ proptest! {
                 }
             },
             |_, _, _, _| {},
-        );
+        )
+        .expect("fault-free superstep");
         let rec = m.stats().records()[0];
         let expect_msgs: u64 = sends
             .iter()
@@ -65,7 +66,8 @@ proptest! {
             let ops2 = ops.clone();
             m.local_step(PhaseKind::Push, move |r, _s, ctx| {
                 ctx.charge_ops(ops2[r % ops2.len()]);
-            });
+            })
+            .expect("fault-free local step");
             let now = m.elapsed_s();
             prop_assert!(now >= last);
             last = now;
@@ -81,9 +83,11 @@ proptest! {
     fn allgather_cost_scales_with_share(p in 2usize..64, small in 1usize..100) {
         let big = small * 10;
         let mut m1 = Machine::new(cfg(p), vec![0u64; p]);
-        m1.allgather(PhaseKind::Setup, small, |r, _s| r as u64, |_r, _s, _a: &[u64]| {});
+        m1.allgather(PhaseKind::Setup, small, |r, _s| r as u64, |_r, _s, _a: &[u64]| {})
+            .expect("fault-free allgather");
         let mut m2 = Machine::new(cfg(p), vec![0u64; p]);
-        m2.allgather(PhaseKind::Setup, big, |r, _s| r as u64, |_r, _s, _a: &[u64]| {});
+        m2.allgather(PhaseKind::Setup, big, |r, _s| r as u64, |_r, _s, _a: &[u64]| {})
+            .expect("fault-free allgather");
         prop_assert!(m2.elapsed_s() > m1.elapsed_s());
         let tau = 2.0;
         let min_cost = (p as f64).log2().floor() * tau;

@@ -71,7 +71,8 @@ proptest! {
                 |_r, s, _ctx, inbox| {
                     *s += inbox.len() as u64;
                 },
-            );
+            )
+            .expect("fault-free superstep");
         }
 
         let events = shared.with(|rec| rec.take());
@@ -136,7 +137,8 @@ proptest! {
             8,
             |_r, s: &(u64, u64)| s.0,
             |_r, s, all: &[u64]| s.1 = all.iter().sum(),
-        );
+        )
+        .expect("fault-free allgather");
 
         let events = shared.with(|rec| rec.take());
         let spans: Vec<_> = events
@@ -174,8 +176,7 @@ fn threaded_recorder_captures_spans_and_collectives() {
     let mut m = ThreadedMachine::new(cfg(p), vec![0u64; p]);
     m.instruments_mut().recorder = Some(Box::new(shared.clone()));
 
-    SpmdEngine::superstep(
-        &mut m,
+    m.superstep(
         PhaseKind::Push,
         |r, s: &mut u64, _ctx, out: &mut Outbox<Vec<u64>>| {
             out.send((r + 1) % 4, vec![r as u64]);
@@ -186,13 +187,13 @@ fn threaded_recorder_captures_spans_and_collectives() {
         },
     )
     .expect("fault-free superstep");
-    m.allreduce(
+    m.allgather(
         PhaseKind::FieldSolve,
+        8,
         |_r, s: &u64| *s,
-        |a, b| a + b,
-        |_r, s, sum: &u64| *s = *sum,
+        |_r, s, all: &[u64]| *s = all.iter().sum(),
     )
-    .expect("fault-free allreduce");
+    .expect("fault-free allgather");
 
     let events = shared.with(|rec| rec.take());
     let spans: Vec<_> = events
@@ -230,13 +231,13 @@ fn threaded_recorder_captures_spans_and_collectives() {
 #[test]
 fn take_and_reinstall_recorder_round_trips() {
     fn drive<E: SpmdEngine<u64>>(m: &mut E) {
-        m.allreduce(
+        m.allgather(
             PhaseKind::Other,
+            8,
             |_r, s: &u64| *s,
-            |a, b| a + b,
-            |_r, s, sum: &u64| *s = *sum,
+            |_r, s, all: &[u64]| *s = all.iter().sum(),
         )
-        .expect("fault-free allreduce");
+        .expect("fault-free allgather");
     }
 
     let shared = SharedRecorder::new(MemoryRecorder::new());
@@ -257,8 +258,8 @@ fn take_and_reinstall_recorder_round_trips() {
     assert!(shared.with(|rec| rec.events().len()) > n_traced);
 }
 
-/// One program touching every engine operation: a point-to-point
-/// superstep, a local step, the four collectives and a barrier.  Two
+/// One program touching every engine operation: exchange supersteps, a
+/// local step and both collectives, each collective in two phases.  Two
 /// phases mix a superstep with a collective.
 fn mixed_program<E: SpmdEngine<(u64, Vec<f64>)>>(m: &mut E) {
     let p = m.num_ranks();
@@ -297,28 +298,26 @@ fn mixed_program<E: SpmdEngine<(u64, Vec<f64>)>>(m: &mut E) {
             |_r, s, all: &[u64]| s.1.push(all.len() as f64),
         )
         .expect("allgatherv");
-        m.allreduce(
+        m.allgather(
             PhaseKind::FieldSolve,
+            8,
             |_r, s| s.0 as f64,
-            |a, b| a + b,
-            |_r, s, v: &f64| s.1.push(*v),
+            |_r, s, all: &[f64]| s.1.push(all.iter().sum()),
         )
-        .expect("allreduce");
-        m.allreduce_elementwise(
+        .expect("allgather");
+        m.allgatherv(
             PhaseKind::Scatter,
-            24,
+            8,
             |r, _s| vec![r as f64, 0.5, 2.0],
-            |a, b| a + b,
-            |_r, s, acc: &[f64]| s.1.extend_from_slice(acc),
+            |_r, s, all: &[f64]| s.1.extend_from_slice(all),
         )
-        .expect("allreduce_elementwise");
+        .expect("allgatherv");
         m.superstep(
             PhaseKind::Setup,
             move |r, _s, _ctx, out: &mut Outbox<Vec<u8>>| out.send((r + p - 1) % p, vec![0; r]),
             |_r, _s, _ctx, _inbox| {},
         )
         .expect("superstep");
-        m.barrier().expect("barrier");
     }
 }
 
@@ -337,9 +336,8 @@ fn observed<E: SpmdEngine<(u64, Vec<f64>)>>(
 }
 
 /// The stats log, the trace and the registry agree phase by phase on
-/// both executors — supersteps, collectives (element-wise all-reduce
-/// included) and barriers — and the two executors log identical
-/// message and byte counts record by record.
+/// both executors — supersteps and collectives — and the two executors
+/// log identical message and byte counts record by record.
 #[test]
 fn every_sink_agrees_on_both_executors() {
     for p in [1usize, 4, 6] {
@@ -352,7 +350,7 @@ fn every_sink_agrees_on_both_executors() {
         let threaded = observed(ThreadedMachine::new(cfg(p), states()));
         for (name, (stats, events, metrics)) in [("modeled", &modeled), ("threaded", &threaded)] {
             let reg = metrics.snapshot();
-            // 7 accounted operations per round (the barrier emits none)
+            // 7 accounted operations per round
             assert_eq!(stats.records().len(), 14, "{name} p={p}");
             for phase in PhaseKind::ALL {
                 let rows: Vec<_> = stats.phase(phase).collect();

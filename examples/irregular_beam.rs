@@ -12,6 +12,7 @@
 //! cargo run --release --example irregular_beam
 //! ```
 
+use pic1996::machine::SpmdEngine;
 use pic1996::prelude::*;
 use pic_particles::ParticleDistribution;
 

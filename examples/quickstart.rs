@@ -5,6 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
+use pic1996::machine::SpmdEngine;
 use pic1996::prelude::*;
 
 fn main() {

@@ -1,6 +1,7 @@
 //! Workspace-level integration: the umbrella crate's public API drives a
 //! full simulation and the cross-crate data flows hold together.
 
+use pic1996::machine::SpmdEngine;
 use pic1996::prelude::*;
 use pic1996::{core::ideal_bounds, index::neighbor_jump_stats};
 use pic_particles::ParticleDistribution;
