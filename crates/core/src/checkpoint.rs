@@ -19,7 +19,7 @@ use std::fmt;
 
 use pic_field::FieldSet;
 use pic_particles::Particles;
-use pic_partition::PolicyState;
+use pic_partition::{Policy, PolicyKind};
 
 use crate::sim::PhaseBreakdown;
 use crate::state::RankState;
@@ -27,7 +27,7 @@ use crate::state::RankState;
 /// File magic for encoded checkpoints.
 pub const CHECKPOINT_MAGIC: [u8; 8] = *b"PICCKPT\0";
 /// Current encoding version.
-pub const CHECKPOINT_VERSION: u32 = 1;
+pub const CHECKPOINT_VERSION: u32 = 2;
 
 /// Why a checkpoint could not be decoded.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -138,8 +138,8 @@ pub struct Checkpoint {
     pub redistribute_total_s: f64,
     /// Cumulative per-phase time split.
     pub breakdown: PhaseBreakdown,
-    /// Redistribution policy decision state.
-    pub policy: PolicyState,
+    /// The redistribution policy, decision state included.
+    pub policy: Policy,
     /// One snapshot per rank, in rank order.
     pub ranks: Vec<RankSnapshot>,
 }
@@ -162,19 +162,17 @@ impl Checkpoint {
         payload.f64(self.breakdown.gather_s);
         payload.f64(self.breakdown.push_s);
         payload.f64(self.breakdown.redistribute_s);
-        match self.policy {
-            PolicyState::Stateless => payload.u8(0),
-            PolicyState::DynamicSar {
-                i0,
-                t0,
-                redist_cost,
-            } => {
+        match self.policy.kind {
+            PolicyKind::Static => payload.u8(0),
+            PolicyKind::Periodic(k) => {
                 payload.u8(1);
-                payload.u64(i0 as u64);
-                payload.opt_f64(t0);
-                payload.f64(redist_cost);
+                payload.u64(k as u64);
             }
+            PolicyKind::DynamicSar => payload.u8(2),
         }
+        payload.u64(self.policy.i0 as u64);
+        payload.opt_f64(self.policy.t0);
+        payload.f64(self.policy.redist_cost);
         payload.u64(self.ranks.len() as u64);
         for r in &self.ranks {
             payload.u64(r.rank as u64);
@@ -250,14 +248,17 @@ impl Checkpoint {
             push_s: r.f64()?,
             redistribute_s: r.f64()?,
         };
-        let policy = match r.u8()? {
-            0 => PolicyState::Stateless,
-            1 => PolicyState::DynamicSar {
-                i0: r.u64()? as usize,
-                t0: r.opt_f64()?,
-                redist_cost: r.f64()?,
-            },
-            _ => return Err(CheckpointError::Malformed("unknown policy state tag")),
+        let kind = match r.u8()? {
+            0 => PolicyKind::Static,
+            1 => PolicyKind::Periodic(r.u64()? as usize),
+            2 => PolicyKind::DynamicSar,
+            _ => return Err(CheckpointError::Malformed("unknown policy kind tag")),
+        };
+        let policy = Policy {
+            kind,
+            i0: r.u64()? as usize,
+            t0: r.opt_f64()?,
+            redist_cost: r.f64()?,
         };
         let nranks = r.len()?;
         let mut ranks = Vec::with_capacity(nranks);
@@ -499,7 +500,8 @@ mod tests {
                 push_s: 4.0,
                 redistribute_s: 5.0,
             },
-            policy: PolicyState::DynamicSar {
+            policy: Policy {
+                kind: PolicyKind::DynamicSar,
                 i0: 20,
                 t0: Some(0.75),
                 redist_cost: 2.5,
@@ -521,6 +523,19 @@ mod tests {
         let decoded = Checkpoint::decode(&ck.encode()).expect("roundtrip");
         assert_eq!(decoded, ck);
         assert_eq!(decoded.total_particles(), 2);
+        // every policy kind, each after one post-redistribution decision
+        for kind in [
+            PolicyKind::Static,
+            PolicyKind::Periodic(7),
+            PolicyKind::DynamicSar,
+        ] {
+            let mut ck = sample();
+            ck.policy = kind.build();
+            ck.policy.notify_redistributed(12, 0.25);
+            ck.policy.decide(13, 1.5);
+            let decoded = Checkpoint::decode(&ck.encode()).expect("roundtrip");
+            assert_eq!(decoded, ck, "{kind:?}");
+        }
     }
 
     #[test]

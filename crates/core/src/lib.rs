@@ -22,7 +22,7 @@
 //! 4. **Push** — the relativistic Boris update; no communication, because
 //!    particles never migrate between redistributions.
 //!
-//! Between iterations a [`pic_partition::RedistributionPolicy`] decides
+//! Between iterations a [`pic_partition::Policy`] decides
 //! whether to run the Hilbert index-based redistribution (bucket
 //! incremental sort + order-maintaining balance).
 //!
@@ -61,7 +61,7 @@ pub use config::{DedupKind, MovementMethod, SimConfig};
 pub use diagnostics::EnergyReport;
 pub use electrostatic::ElectrostaticPicSim;
 pub use ghost::{DirectTableAccumulator, GhostAccumulator, HashTableAccumulator};
-pub use recovery::{run_with_recovery, run_with_recovery_traced, RecoveryOutcome};
+pub use recovery::{run_with_recovery, RecoveryOutcome};
 pub use replicated::ReplicatedGridPicSim;
 pub use scratch::ScratchArena;
 pub use sequential::SequentialPicSim;

@@ -16,11 +16,8 @@
 //! recovery exercises the full serialize → checksum → deserialize path
 //! rather than cloning live state.
 
-use std::sync::Arc;
-
 use pic_machine::{
-    CheckpointAction, CheckpointEvent, FaultPlan, Instruments, Recorder, SpmdEngine, SpmdError,
-    TraceEvent,
+    CheckpointAction, CheckpointEvent, Instruments, SpmdEngine, SpmdError, TraceEvent,
 };
 
 use crate::checkpoint::Checkpoint;
@@ -42,14 +39,20 @@ pub struct RecoveryOutcome<E: SpmdEngine<RankState>> {
     pub failures: Vec<SpmdError>,
 }
 
-/// Run `iterations` steps with checkpoint/restart recovery.
+/// Run `iterations` steps with checkpoint/restart recovery, with
+/// `instruments` (fault plan, recorder, metrics registry) installed for
+/// the whole protected run.
 ///
 /// A checkpoint is taken after the initial distribution and then after
 /// every `checkpoint_every`-th completed iteration (`0` disables
 /// periodic snapshots, leaving only the post-setup one).  On an
 /// iteration failure the driver decodes the latest snapshot, rebuilds
-/// the simulation, re-installs `plan`, and continues; after
-/// `max_restarts` restarts the next failure is returned to the caller.
+/// the simulation, carries the instruments from the dead simulation
+/// into the resumed one, and continues; after `max_restarts` restarts
+/// the next failure is returned to the caller.  A recorder sees the
+/// whole protected run as one event stream, including a
+/// [`CheckpointEvent`] for every snapshot saved and restored (fault
+/// events are emitted by the driver at the failing iteration).
 ///
 /// # Errors
 /// Returns the error of the failure that exhausted `max_restarts`, or
@@ -58,36 +61,9 @@ pub fn run_with_recovery<E: SpmdEngine<RankState>>(
     cfg: SimConfig,
     iterations: usize,
     checkpoint_every: usize,
-    plan: Option<Arc<FaultPlan>>,
+    instruments: Instruments,
     max_restarts: usize,
 ) -> Result<RecoveryOutcome<E>, SpmdError> {
-    run_with_recovery_traced(cfg, iterations, checkpoint_every, plan, max_restarts, None)
-}
-
-/// [`run_with_recovery`] with an observability [`Recorder`] installed
-/// for the whole protected run.  The recorder sees everything the plain
-/// recovery loop does *plus* the recovery story itself: a
-/// [`CheckpointEvent`] for every snapshot saved and restored (fault
-/// events are emitted by the driver at the failing iteration).  On
-/// restart the recorder is carried from the dead simulation into the
-/// resumed one, so the whole protected run lands in one event stream.
-///
-/// # Errors
-/// Returns the error of the failure that exhausted `max_restarts`, or
-/// of a failed initial distribution (nothing to restart from).
-pub fn run_with_recovery_traced<E: SpmdEngine<RankState>>(
-    cfg: SimConfig,
-    iterations: usize,
-    checkpoint_every: usize,
-    plan: Option<Arc<FaultPlan>>,
-    max_restarts: usize,
-    recorder: Option<Box<dyn Recorder>>,
-) -> Result<RecoveryOutcome<E>, SpmdError> {
-    let instruments = Instruments {
-        fault_plan: plan,
-        recorder,
-        metrics: None,
-    };
     let mut sim = GenericPicSim::<E>::try_new_instrumented(cfg.clone(), instruments)?;
     let mut latest = sim.checkpoint().encode();
     emit_checkpoint(&mut sim, 0, latest.len(), CheckpointAction::Saved);
@@ -117,8 +93,8 @@ pub fn run_with_recovery_traced<E: SpmdEngine<RankState>>(
                 // they will be re-executed
                 records.truncate(ck.iter as usize);
                 let mut fresh = GenericPicSim::<E>::resume_from(cfg.clone(), &ck);
-                // carry the fault plan and the event stream into the
-                // resumed simulation
+                // carry the fault plan, the event stream and the
+                // registry into the resumed simulation
                 *fresh.instruments_mut() = std::mem::take(sim.instruments_mut());
                 sim = fresh;
                 emit_checkpoint(&mut sim, ck.iter, latest.len(), CheckpointAction::Restored);

@@ -7,7 +7,7 @@ use pic_machine::{
     RankLoadEvent, RedistributionEvent, RedistributionTrigger, SharedMetrics, SpmdEngine,
     SpmdError, StatsLog, SuperstepStats, ThreadedMachine, TraceEvent,
 };
-use pic_partition::{sfc_block_layout, PolicyDecision, RedistributionPolicy};
+use pic_partition::{sfc_block_layout, Policy};
 use serde::{Deserialize, Serialize};
 
 use crate::checkpoint::{Checkpoint, RankSnapshot};
@@ -133,7 +133,7 @@ pub struct GenericPicSim<E: SpmdEngine<RankState>> {
     halo: HaloPlan,
     indexer: Box<dyn CellIndexer>,
     solver: MaxwellSolver,
-    policy: Box<dyn RedistributionPolicy>,
+    policy: Policy,
     iter: usize,
     setup_s: f64,
     redistributions: usize,
@@ -244,29 +244,66 @@ impl<E: SpmdEngine<RankState>> GenericPicSim<E> {
         sim.machine.set_fault_epoch(0);
         // initial distribution (also under Eulerian: a one-time spatial
         // assignment so particles start on their owning ranks)
-        let env = PhaseEnv {
-            cfg: &sim.cfg,
-            layout: &sim.layout,
-            halo: &sim.halo,
-            indexer: sim.indexer.as_ref(),
-            solver: &sim.solver,
-        };
-        let cost = phases::redistribute::run(&mut sim.machine, &env, true)?;
-        sim.setup_s = cost;
-        sim.policy.notify_redistributed(0, cost);
-        sim.breakdown.absorb(&sim.machine.stats_mut().drain());
-        sim.emit(TraceEvent::Redistribution(RedistributionEvent {
-            iter: 0,
-            trigger: RedistributionTrigger::Setup,
-            cost_s: cost,
-        }));
-        sim.sample_structure_gauges();
+        sim.redistribute(RedistributionTrigger::Setup)?;
         Ok(sim)
     }
 
-    /// Forward one driver-level event to the executor's recorder, if any.
+    /// Run the redistribution phase and account for it: seed the policy
+    /// with its cost, update the run counters and the phase breakdown,
+    /// emit the [`RedistributionEvent`] and resample the structure
+    /// gauges.  Set-up, policy-fired and forced redistributions all come
+    /// through here.  Returns the modeled cost.
+    fn redistribute(&mut self, trigger: RedistributionTrigger) -> Result<f64, SpmdError> {
+        let setup = trigger == RedistributionTrigger::Setup;
+        let env = PhaseEnv {
+            cfg: &self.cfg,
+            layout: &self.layout,
+            halo: &self.halo,
+            indexer: self.indexer.as_ref(),
+            solver: &self.solver,
+        };
+        let cost = phases::redistribute::run(&mut self.machine, &env, setup)?;
+        self.policy.notify_redistributed(self.iter, cost);
+        if setup {
+            self.setup_s = cost;
+        } else {
+            self.redistributions += 1;
+            self.redistribute_total_s += cost;
+        }
+        self.breakdown.absorb(&self.machine.stats_mut().drain());
+        self.emit(TraceEvent::Redistribution(RedistributionEvent {
+            iter: self.iter as u64,
+            trigger,
+            cost_s: cost,
+        }));
+        self.sample_structure_gauges();
+        Ok(cost)
+    }
+
+    /// Forward one driver-level event to the executor's recorder and
+    /// count it in the metrics registry, if either is installed.  The
+    /// driver counters are derived here, from the events, and nowhere
+    /// else.
     fn emit(&mut self, event: TraceEvent) {
-        if let Some(rec) = &mut self.machine.instruments_mut().recorder {
+        let instruments = self.machine.instruments_mut();
+        if let Some(metrics) = &instruments.metrics {
+            let counters: &[&str] = match &event {
+                TraceEvent::Iteration(_) => &["pic_iterations_total"],
+                TraceEvent::PolicyDecision(d) if d.fired => {
+                    &["pic_policy_decisions_total", "pic_policy_fired_total"]
+                }
+                TraceEvent::PolicyDecision(_) => &["pic_policy_decisions_total"],
+                TraceEvent::Redistribution(r) if r.trigger != RedistributionTrigger::Setup => {
+                    &["pic_redistributions_total"]
+                }
+                TraceEvent::Fault(_) => &["pic_faults_total"],
+                _ => &[],
+            };
+            if !counters.is_empty() {
+                metrics.with(|reg| counters.iter().for_each(|name| reg.inc(name, 1)));
+            }
+        }
+        if let Some(rec) = &mut instruments.recorder {
             rec.record(&event);
         }
     }
@@ -306,8 +343,8 @@ impl<E: SpmdEngine<RankState>> GenericPicSim<E> {
     /// Per-iteration load observation: a [`RankLoadEvent`] for the trace
     /// (per-rank particle counts, the input to the dashboard's
     /// imbalance-over-time chart and Perfetto's load counters) plus the
-    /// cheap `O(p)` gauges and counters for the registry.
-    fn observe_iteration(&mut self, counts: &[usize], redistributed: bool) {
+    /// cheap `O(p)` gauges for the registry.
+    fn observe_iteration(&mut self, counts: &[usize]) {
         let now_s = self.machine.elapsed_s();
         if self.machine.instruments().recorder.is_some() {
             self.emit(TraceEvent::RankLoad(RankLoadEvent {
@@ -330,10 +367,6 @@ impl<E: SpmdEngine<RankState>> GenericPicSim<E> {
             .map(|st| st.scratch.high_water_bytes() as f64)
             .collect();
         metrics.with(|reg| {
-            reg.inc("pic_iterations_total", 1);
-            if redistributed {
-                reg.inc("pic_redistributions_total", 1);
-            }
             reg.set_gauge("pic_imbalance_factor", imbalance);
             for (rank, &c) in counts.iter().enumerate() {
                 reg.set_rank_gauge("pic_rank_particles", rank, c as f64);
@@ -372,7 +405,8 @@ impl<E: SpmdEngine<RankState>> GenericPicSim<E> {
     ///
     /// # Panics
     /// Panics when the checkpoint does not match `cfg` (rank count,
-    /// particle total, or field block dimensions differ).
+    /// particle total, redistribution policy, or field block dimensions
+    /// differ).
     pub fn resume_from(cfg: SimConfig, ck: &Checkpoint) -> Self {
         let mut sim = Self::construct(cfg, false);
         assert_eq!(
@@ -385,6 +419,10 @@ impl<E: SpmdEngine<RankState>> GenericPicSim<E> {
             sim.cfg.particles,
             "checkpoint was taken with a different particle total"
         );
+        assert_eq!(
+            ck.policy.kind, sim.cfg.policy,
+            "checkpoint was taken with a different redistribution policy"
+        );
         for (st, snap) in sim.machine.ranks_mut().iter_mut().zip(&ck.ranks) {
             snap.restore_into(st);
         }
@@ -393,7 +431,7 @@ impl<E: SpmdEngine<RankState>> GenericPicSim<E> {
         sim.redistributions = ck.redistributions as usize;
         sim.redistribute_total_s = ck.redistribute_total_s;
         sim.breakdown = ck.breakdown;
-        sim.policy.restore_state(&ck.policy);
+        sim.policy = ck.policy;
         sim.machine.set_fault_epoch(ck.iter);
         sim
     }
@@ -407,7 +445,7 @@ impl<E: SpmdEngine<RankState>> GenericPicSim<E> {
             redistributions: self.redistributions as u64,
             redistribute_total_s: self.redistribute_total_s,
             breakdown: self.breakdown,
-            policy: self.policy.snapshot_state(),
+            policy: self.policy,
             ranks: self
                 .machine
                 .ranks()
@@ -445,9 +483,6 @@ impl<E: SpmdEngine<RankState>> GenericPicSim<E> {
                     epoch: err.epoch,
                     cause: err.cause.to_string(),
                 }));
-                if let Some(metrics) = self.metrics() {
-                    metrics.with(|reg| reg.inc("pic_faults_total", 1));
-                }
                 Err(err)
             }
         }
@@ -496,19 +531,9 @@ impl<E: SpmdEngine<RankState>> GenericPicSim<E> {
         let mut redistributed = false;
         let mut redistribute_s = 0.0;
         if self.cfg.movement == MovementMethod::Lagrangian {
-            let fire = self.policy.should_redistribute(self.iter, time_s);
             // audit trail: every decision — fired or held — becomes a
-            // trace event, built from the policy's own record when it
-            // keeps one (Stop-At-Rise) and synthesized minimally for
-            // time-blind policies (static, periodic)
-            let decision = self.policy.last_decision().unwrap_or(PolicyDecision {
-                iter: self.iter,
-                observed_s: time_s,
-                baseline_s: f64::NAN,
-                projected_loss_s: f64::NAN,
-                threshold_s: f64::NAN,
-                fired: fire,
-            });
+            // trace event
+            let decision = self.policy.decide(self.iter, time_s);
             let now_s = self.machine.elapsed_s();
             self.emit(TraceEvent::PolicyDecision(PolicyDecisionEvent {
                 iter: self.iter as u64,
@@ -517,41 +542,16 @@ impl<E: SpmdEngine<RankState>> GenericPicSim<E> {
                 baseline_s: decision.baseline_s,
                 projected_loss_s: decision.projected_loss_s,
                 threshold_s: decision.threshold_s,
-                fired: fire,
+                fired: decision.fired,
             }));
-            if let Some(metrics) = self.metrics() {
-                metrics.with(|reg| {
-                    reg.inc("pic_policy_decisions_total", 1);
-                    if fire {
-                        reg.inc("pic_policy_fired_total", 1);
-                    }
-                });
-            }
-            if fire {
-                let env = PhaseEnv {
-                    cfg: &self.cfg,
-                    layout: &self.layout,
-                    halo: &self.halo,
-                    indexer: self.indexer.as_ref(),
-                    solver: &self.solver,
-                };
-                redistribute_s = phases::redistribute::run(&mut self.machine, &env, false)?;
-                self.policy.notify_redistributed(self.iter, redistribute_s);
-                self.redistributions += 1;
-                self.redistribute_total_s += redistribute_s;
+            if decision.fired {
+                redistribute_s = self.redistribute(RedistributionTrigger::Policy)?;
                 redistributed = true;
-                self.breakdown.absorb(&self.machine.stats_mut().drain());
-                self.emit(TraceEvent::Redistribution(RedistributionEvent {
-                    iter: self.iter as u64,
-                    trigger: RedistributionTrigger::Policy,
-                    cost_s: redistribute_s,
-                }));
-                self.sample_structure_gauges();
             }
         }
 
         let counts: Vec<usize> = self.machine.ranks().iter().map(RankState::len).collect();
-        self.observe_iteration(&counts, redistributed);
+        self.observe_iteration(&counts);
         Ok(IterationRecord {
             iter: self.iter,
             time_s,
@@ -716,24 +716,7 @@ impl<E: SpmdEngine<RankState>> GenericPicSim<E> {
     /// # Errors
     /// Returns the [`SpmdError`] when the redistribution fails.
     pub fn try_redistribute_now(&mut self) -> Result<f64, SpmdError> {
-        let env = PhaseEnv {
-            cfg: &self.cfg,
-            layout: &self.layout,
-            halo: &self.halo,
-            indexer: self.indexer.as_ref(),
-            solver: &self.solver,
-        };
-        let cost = phases::redistribute::run(&mut self.machine, &env, false)?;
-        self.policy.notify_redistributed(self.iter, cost);
-        self.redistributions += 1;
-        self.redistribute_total_s += cost;
-        self.breakdown.absorb(&self.machine.stats_mut().drain());
-        self.emit(TraceEvent::Redistribution(RedistributionEvent {
-            iter: self.iter as u64,
-            trigger: RedistributionTrigger::Forced,
-            cost_s: cost,
-        }));
-        Ok(cost)
+        self.redistribute(RedistributionTrigger::Forced)
     }
 
     /// [`GenericPicSim::try_redistribute_now`], panicking on failure.

@@ -58,6 +58,13 @@ fn assert_states_identical(expected: &[RankState], actual: &[RankState]) {
     }
 }
 
+fn with_plan(plan: Arc<FaultPlan>) -> Instruments {
+    Instruments {
+        fault_plan: Some(plan),
+        ..Instruments::default()
+    }
+}
+
 fn recovery_cfg(ranks: usize, particles: usize, redistribute_every: usize) -> SimConfig {
     SimConfig {
         machine: MachineConfig::cm5(ranks),
@@ -80,9 +87,8 @@ fn killed_rank_recovers_from_checkpoint_bit_identical() {
     let clean_ranks = clean.into_machine().into_ranks();
 
     let plan = Arc::new(FaultPlan::new(42).kill(2, 25));
-    let outcome =
-        run_with_recovery::<ThreadedMachine<RankState>>(cfg, 50, 10, Some(Arc::clone(&plan)), 3)
-            .expect("recovery must absorb the injected kill");
+    let outcome = run_with_recovery::<ThreadedMachine<RankState>>(cfg, 50, 10, with_plan(plan), 3)
+        .expect("recovery must absorb the injected kill");
 
     assert_eq!(outcome.restarts, 1, "exactly one restart");
     let failure = &outcome.failures[0];
@@ -123,11 +129,7 @@ fn benign_noise_never_changes_simulation_results() {
 #[test]
 fn kill_during_setup_fails_construction() {
     let cfg = recovery_cfg(4, 512, 10);
-    let plan = Arc::new(FaultPlan::new(3).kill(0, 0));
-    let instruments = Instruments {
-        fault_plan: Some(plan),
-        ..Instruments::default()
-    };
+    let instruments = with_plan(Arc::new(FaultPlan::new(3).kill(0, 0)));
     let err =
         match GenericPicSim::<ThreadedMachine<RankState>>::try_new_instrumented(cfg, instruments) {
             Ok(_) => panic!("a kill at epoch 0 must fail the initial distribution"),
@@ -176,6 +178,19 @@ fn checkpoint_roundtrip_at_arbitrary_boundaries() {
     }
 }
 
+/// A checkpoint carries its policy kind; resuming it under another kind
+/// would silently restart the other kind's decision state from scratch.
+#[test]
+#[should_panic(expected = "checkpoint was taken with a different redistribution policy")]
+fn resume_rejects_a_checkpoint_of_another_policy() {
+    let mut cfg = recovery_cfg(2, 128, 5);
+    let mut sim = ParallelPicSim::new(cfg.clone());
+    sim.step();
+    let ck = sim.checkpoint();
+    cfg.policy = PolicyKind::DynamicSar;
+    ParallelPicSim::resume_from(cfg, &ck);
+}
+
 /// The invariant guards catch state corruption and report it as a typed
 /// error instead of letting the run limp on.
 #[test]
@@ -222,7 +237,8 @@ fn restart_budget_is_respected() {
     // two kills at different epochs, budget of one restart: the second
     // kill surfaces to the caller
     let plan = Arc::new(FaultPlan::new(9).kill(1, 3).kill(3, 6));
-    let err = match run_with_recovery::<ThreadedMachine<RankState>>(cfg, 10, 2, Some(plan), 1) {
+    let err = match run_with_recovery::<ThreadedMachine<RankState>>(cfg, 10, 2, with_plan(plan), 1)
+    {
         Ok(_) => panic!("the second kill must exhaust the restart budget"),
         Err(err) => err,
     };
@@ -238,8 +254,9 @@ fn phase_scoped_kill_recovers() {
     use pic_machine::PhaseKind;
     let cfg = recovery_cfg(4, 512, 10);
     let plan = Arc::new(FaultPlan::new(5).kill_in_phase(1, 4, PhaseKind::Scatter));
-    let outcome = run_with_recovery::<ThreadedMachine<RankState>>(cfg.clone(), 8, 2, Some(plan), 2)
-        .expect("recovers");
+    let outcome =
+        run_with_recovery::<ThreadedMachine<RankState>>(cfg.clone(), 8, 2, with_plan(plan), 2)
+            .expect("recovers");
     assert_eq!(outcome.restarts, 1);
     assert_eq!(outcome.failures[0].phase, Some(PhaseKind::Scatter));
     assert_eq!(outcome.failures[0].rank, Some(1));

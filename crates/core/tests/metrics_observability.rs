@@ -155,6 +155,29 @@ fn rank_load_events_and_gauges_track_particles() {
 }
 
 #[test]
+fn forced_redistribution_resamples_the_structure_gauges() {
+    let cfg = cfg_8rank(PolicyKind::Static);
+    let metrics = SharedMetrics::new(cfg.machine.ranks);
+    let instruments = Instruments {
+        metrics: Some(metrics.clone()),
+        ..Instruments::default()
+    };
+    let mut sim =
+        GenericPicSim::<Machine<pic_core::RankState>>::try_new_instrumented(cfg, instruments)
+            .expect("setup");
+    for _ in 0..6 {
+        sim.step();
+    }
+    sim.redistribute_now();
+    let overlap: Vec<f64> = sim.alignment().iter().map(|a| a.overlap_fraction).collect();
+    let reg = metrics.snapshot();
+    assert_eq!(
+        reg.rank_gauge("pic_rank_overlap_fraction"),
+        Some(overlap.as_slice())
+    );
+}
+
+#[test]
 fn chrome_trace_from_sim_run_includes_counter_events() {
     let (events, _) =
         observed_run::<Machine<pic_core::RankState>>(cfg_8rank(PolicyKind::Periodic(3)), 6);

@@ -7,10 +7,10 @@
 use std::sync::Arc;
 
 use pic_core::state::RankState;
-use pic_core::{run_with_recovery_traced, ParallelPicSim, SimConfig};
+use pic_core::{run_with_recovery, ParallelPicSim, SimConfig};
 use pic_machine::{
     CheckpointAction, FaultPlan, Instruments, MachineConfig, MemoryRecorder, PhaseKind,
-    SharedRecorder, TraceEvent,
+    SharedMetrics, SharedRecorder, TraceEvent,
 };
 use pic_partition::PolicyKind;
 
@@ -25,11 +25,13 @@ fn traced_cfg(ranks: usize, policy: PolicyKind) -> SimConfig {
 #[test]
 fn traced_run_emits_full_event_story() {
     let shared = SharedRecorder::new(MemoryRecorder::new());
+    let metrics = SharedMetrics::new(4);
     let mut sim = ParallelPicSim::try_new_instrumented(
         traced_cfg(4, PolicyKind::Periodic(2)),
         Instruments {
+            fault_plan: None,
             recorder: Some(Box::new(shared.clone())),
-            ..Instruments::default()
+            metrics: Some(metrics.clone()),
         },
     )
     .expect("fault-free construction");
@@ -79,6 +81,14 @@ fn traced_run_emits_full_event_story() {
     assert_eq!(forced.trigger.label(), "forced");
     assert_eq!(forced.iter, 5);
     assert!((forced.cost_s - forced_cost).abs() < 1e-12);
+    // the registry counts every non-setup redistribution, forced included
+    assert_eq!(
+        metrics.snapshot().counter("pic_redistributions_total"),
+        redists
+            .iter()
+            .filter(|r| r.trigger.label() != "setup")
+            .count() as u64
+    );
 
     // every PIC phase shows up as spans (setup work is charged under
     // Redistribute: the initial distribution *is* a redistribution)
@@ -109,13 +119,18 @@ fn traced_run_emits_full_event_story() {
 fn traced_recovery_emits_fault_and_checkpoint_events() {
     let shared = SharedRecorder::new(MemoryRecorder::new());
     let plan = Arc::new(FaultPlan::new(7).kill(1, 4));
-    let outcome = run_with_recovery_traced::<pic_machine::Machine<RankState>>(
+    let metrics = SharedMetrics::new(4);
+    let instruments = Instruments {
+        fault_plan: Some(plan),
+        recorder: Some(Box::new(shared.clone())),
+        metrics: Some(metrics.clone()),
+    };
+    let outcome = run_with_recovery::<pic_machine::Machine<RankState>>(
         traced_cfg(4, PolicyKind::Periodic(3)),
         8,
         2,
-        Some(plan),
+        instruments,
         2,
-        Some(Box::new(shared.clone())),
     )
     .expect("recovery must absorb the injected kill");
     assert_eq!(outcome.restarts, 1);
@@ -132,6 +147,8 @@ fn traced_recovery_emits_fault_and_checkpoint_events() {
     assert_eq!(faults[0].rank, Some(1));
     assert_eq!(faults[0].epoch, Some(4));
     assert!(!faults[0].cause.is_empty());
+    // the registry rides through the restart with the recorder
+    assert_eq!(metrics.snapshot().counter("pic_faults_total"), 1);
 
     let saved: Vec<_> = events
         .iter()

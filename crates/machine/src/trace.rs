@@ -156,9 +156,7 @@ pub struct IterationEvent {
 pub enum RedistributionTrigger {
     /// The initial distribution during setup.
     Setup,
-    /// The installed [`RedistributionPolicy`] fired.
-    ///
-    /// [`RedistributionPolicy`]: https://docs.rs/pic-partition
+    /// The installed redistribution policy fired.
     Policy,
     /// The caller forced it (`redistribute_now`).
     Forced,
@@ -250,7 +248,7 @@ pub struct PolicyDecisionEvent {
     pub baseline_s: f64,
     /// Projected cumulative loss `(t1 - t0) · (i1 - i0)`.
     pub projected_loss_s: f64,
-    /// The policy's threshold (the SAR policy's `cost_estimate()`).
+    /// The policy's threshold (the SAR policy's `redist_cost`).
     pub threshold_s: f64,
     /// Verdict: `true` when the policy asked for a redistribution.
     pub fired: bool,

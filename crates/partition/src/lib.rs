@@ -41,8 +41,7 @@ pub use bucket::{
 };
 pub use key::{assign_keys, assign_keys_into, cell_of, particle_key};
 pub use metrics::{alignment_report, AlignmentReport};
-pub use policy::{DynamicSarPolicy, PeriodicPolicy, StaticPolicy};
-pub use policy::{PolicyDecision, PolicyKind, PolicyState, RedistributionPolicy};
+pub use policy::{Policy, PolicyDecision, PolicyKind};
 pub use radix::{radix_sort_indices, radix_sorted_order_into, RadixScratch};
 pub use sample_sort::{
     classify_by_bounds, classify_by_bounds_into, rank_bounds_from_sorted, regular_sample,

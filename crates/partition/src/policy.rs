@@ -10,29 +10,16 @@
 //!   at iteration `i1` with time `t1` when
 //!   `(t1 - t0) * (i1 - i0) >= T_redistribution` (paper Eq. 1), using the
 //!   previous redistribution's cost as the estimate of the next one.
+//!
+//! All three are one [`Policy`] value: its [`PolicyKind`] plus the
+//! Stop-At-Rise bookkeeping, which the time-blind kinds carry but never
+//! read.  Being plain `Copy` data, the value is also what a checkpoint
+//! stores.
 
 use serde::{Deserialize, Serialize};
 
-/// Serializable snapshot of a policy's mutable decision state, so a
-/// checkpointed simulation resumes with the same redistribution
-/// behaviour it would have had uninterrupted.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum PolicyState {
-    /// The policy keeps no mutable state (static, periodic).
-    Stateless,
-    /// Stop-At-Rise bookkeeping (see [`DynamicSarPolicy`]).
-    DynamicSar {
-        /// Iteration of the last redistribution.
-        i0: usize,
-        /// Post-redistribution baseline iteration time, if observed.
-        t0: Option<f64>,
-        /// Cost estimate for the next redistribution.
-        redist_cost: f64,
-    },
-}
-
-/// An auditable record of one `should_redistribute` evaluation — what
-/// the policy observed, what it compared against, and what it decided.
+/// An auditable record of one [`Policy::decide`] evaluation — what the
+/// policy observed, what it compared against, and what it decided.
 /// Consumed by the simulation driver, which converts it into a
 /// `policy_decision` trace event so every redistribution (and every
 /// deliberate *non*-redistribution) can be replayed from the trace.
@@ -56,33 +43,6 @@ pub struct PolicyDecision {
     pub fired: bool,
 }
 
-/// Decides when the particles should be redistributed.
-pub trait RedistributionPolicy: Send {
-    /// Called after every iteration with the iteration's execution time;
-    /// returns true when a redistribution should run *now*.
-    fn should_redistribute(&mut self, iter: usize, iter_time_s: f64) -> bool;
-
-    /// Called after each redistribution completes, with its cost; also
-    /// called once after the initial distribution (iteration 0).
-    fn notify_redistributed(&mut self, iter: usize, cost_s: f64);
-
-    /// The audit record of the most recent `should_redistribute` call,
-    /// if the policy produces one. The default (stateless policies)
-    /// returns None; the driver then synthesizes a minimal record.
-    fn last_decision(&self) -> Option<PolicyDecision> {
-        None
-    }
-
-    /// Snapshot the mutable decision state for a checkpoint.
-    fn snapshot_state(&self) -> PolicyState {
-        PolicyState::Stateless
-    }
-
-    /// Restore state captured by [`RedistributionPolicy::snapshot_state`].
-    /// A mismatched variant is ignored (the policy keeps its defaults).
-    fn restore_state(&mut self, _state: &PolicyState) {}
-}
-
 /// Runtime-selectable policy configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum PolicyKind {
@@ -95,12 +55,21 @@ pub enum PolicyKind {
 }
 
 impl PolicyKind {
-    /// Instantiate the policy.
-    pub fn build(self) -> Box<dyn RedistributionPolicy> {
-        match self {
-            PolicyKind::Static => Box::new(StaticPolicy),
-            PolicyKind::Periodic(k) => Box::new(PeriodicPolicy::new(k)),
-            PolicyKind::DynamicSar => Box::new(DynamicSarPolicy::new()),
+    /// A fresh policy of this kind; the first
+    /// [`Policy::notify_redistributed`] (from the initial distribution)
+    /// seeds the Stop-At-Rise cost estimate.
+    ///
+    /// # Panics
+    /// Panics on `Periodic(0)`.
+    pub fn build(self) -> Policy {
+        if let PolicyKind::Periodic(k) = self {
+            assert!(k > 0, "period must be nonzero");
+        }
+        Policy {
+            kind: self,
+            i0: 0,
+            t0: None,
+            redist_cost: f64::INFINITY,
         }
     }
 
@@ -114,142 +83,69 @@ impl PolicyKind {
     }
 }
 
-/// Never redistributes.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct StaticPolicy;
-
-impl RedistributionPolicy for StaticPolicy {
-    fn should_redistribute(&mut self, _iter: usize, _t: f64) -> bool {
-        false
-    }
-
-    fn notify_redistributed(&mut self, _iter: usize, _cost_s: f64) {}
-}
-
-/// Redistributes every `k` iterations.
-#[derive(Debug, Clone, Copy)]
-pub struct PeriodicPolicy {
-    k: usize,
-}
-
-impl PeriodicPolicy {
-    /// Period `k` must be nonzero.
-    ///
-    /// # Panics
-    /// Panics if `k == 0`.
-    pub fn new(k: usize) -> Self {
-        assert!(k > 0, "period must be nonzero");
-        Self { k }
-    }
-}
-
-impl RedistributionPolicy for PeriodicPolicy {
-    fn should_redistribute(&mut self, iter: usize, _t: f64) -> bool {
-        iter > 0 && iter.is_multiple_of(self.k)
-    }
-
-    fn notify_redistributed(&mut self, _iter: usize, _cost_s: f64) {}
-}
-
-/// Stop-At-Rise dynamic policy (paper Eq. 1).
-#[derive(Debug, Clone, Copy)]
-pub struct DynamicSarPolicy {
+/// Decides when the particles should be redistributed.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Policy {
+    /// Which rule decides.
+    pub kind: PolicyKind,
     /// Iteration of the last redistribution (`i0`).
-    i0: usize,
+    pub i0: usize,
     /// Execution time of the iteration right after the last
     /// redistribution (`t0`); None until observed.
-    t0: Option<f64>,
-    /// Cost of the previous redistribution (`T_redistribution`).
-    redist_cost: f64,
-    /// Audit record of the most recent decision.
-    last: Option<PolicyDecision>,
+    pub t0: Option<f64>,
+    /// Cost of the previous redistribution (`T_redistribution`), the
+    /// estimate of the next one.
+    pub redist_cost: f64,
 }
 
-impl DynamicSarPolicy {
-    /// A fresh policy; the first `notify_redistributed` (from the initial
-    /// distribution) seeds the cost estimate.
-    pub fn new() -> Self {
-        Self {
-            i0: 0,
-            t0: None,
-            redist_cost: f64::INFINITY,
-            last: None,
+impl Policy {
+    /// Called after every iteration with the iteration's execution time;
+    /// returns the audit record, whose `fired` says whether a
+    /// redistribution should run *now*.
+    pub fn decide(&mut self, iter: usize, iter_time_s: f64) -> PolicyDecision {
+        let fired = match self.kind {
+            PolicyKind::Static => false,
+            PolicyKind::Periodic(k) => iter > 0 && iter.is_multiple_of(k),
+            PolicyKind::DynamicSar => return self.stop_at_rise(iter, iter_time_s),
+        };
+        PolicyDecision {
+            iter,
+            observed_s: iter_time_s,
+            baseline_s: f64::NAN,
+            projected_loss_s: f64::NAN,
+            threshold_s: f64::NAN,
+            fired,
         }
     }
 
-    /// The current redistribution cost estimate.
-    pub fn cost_estimate(&self) -> f64 {
-        self.redist_cost
-    }
-}
-
-impl Default for DynamicSarPolicy {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl RedistributionPolicy for DynamicSarPolicy {
-    fn should_redistribute(&mut self, iter: usize, iter_time_s: f64) -> bool {
-        let t0 = match self.t0 {
-            // first iteration after a redistribution defines t0
-            None => {
-                self.t0 = Some(iter_time_s);
-                self.last = Some(PolicyDecision {
-                    iter,
-                    observed_s: iter_time_s,
-                    baseline_s: iter_time_s,
-                    projected_loss_s: 0.0,
-                    threshold_s: self.redist_cost,
-                    fired: false,
-                });
-                return false;
-            }
-            Some(t0) => t0,
-        };
+    /// Paper Eq. 1: fire once the rise over `t0`, accumulated over the
+    /// iterations since `i0`, reaches the last redistribution's cost.
+    fn stop_at_rise(&mut self, iter: usize, iter_time_s: f64) -> PolicyDecision {
+        // the first iteration after a redistribution defines t0
+        let t0 = *self.t0.get_or_insert(iter_time_s);
         let rise = iter_time_s - t0;
         let projected_loss_s = rise.max(0.0) * (iter - self.i0) as f64;
-        let fired = rise > 0.0 && projected_loss_s >= self.redist_cost;
-        self.last = Some(PolicyDecision {
+        PolicyDecision {
             iter,
             observed_s: iter_time_s,
             baseline_s: t0,
             projected_loss_s,
             threshold_s: self.redist_cost,
-            fired,
-        });
-        fired
+            fired: rise > 0.0 && projected_loss_s >= self.redist_cost,
+        }
     }
 
-    fn last_decision(&self) -> Option<PolicyDecision> {
-        self.last
+    /// [`Policy::decide`]'s verdict alone.
+    pub fn should_redistribute(&mut self, iter: usize, iter_time_s: f64) -> bool {
+        self.decide(iter, iter_time_s).fired
     }
 
-    fn notify_redistributed(&mut self, iter: usize, cost_s: f64) {
+    /// Called after each redistribution completes, with its cost; also
+    /// called once after the initial distribution (iteration 0).
+    pub fn notify_redistributed(&mut self, iter: usize, cost_s: f64) {
         self.i0 = iter;
         self.t0 = None;
         self.redist_cost = cost_s;
-    }
-
-    fn snapshot_state(&self) -> PolicyState {
-        PolicyState::DynamicSar {
-            i0: self.i0,
-            t0: self.t0,
-            redist_cost: self.redist_cost,
-        }
-    }
-
-    fn restore_state(&mut self, state: &PolicyState) {
-        if let PolicyState::DynamicSar {
-            i0,
-            t0,
-            redist_cost,
-        } = *state
-        {
-            self.i0 = i0;
-            self.t0 = t0;
-            self.redist_cost = redist_cost;
-        }
     }
 }
 
@@ -275,8 +171,20 @@ mod tests {
     }
 
     #[test]
+    fn time_blind_decisions_carry_nan_baselines() {
+        for kind in [PolicyKind::Static, PolicyKind::Periodic(2)] {
+            let mut p = kind.build();
+            p.notify_redistributed(0, 3.0);
+            let d = p.decide(2, 1.5);
+            assert_eq!((d.iter, d.observed_s), (2, 1.5));
+            assert!(d.baseline_s.is_nan() && d.projected_loss_s.is_nan() && d.threshold_s.is_nan());
+            assert_eq!(d.fired, kind == PolicyKind::Periodic(2));
+        }
+    }
+
+    #[test]
     fn dynamic_waits_for_rise_to_amortize_cost() {
-        let mut p = DynamicSarPolicy::new();
+        let mut p = PolicyKind::DynamicSar.build();
         p.notify_redistributed(0, 10.0); // redistribution costs 10s
                                          // iteration time grows by 0.1s per iteration from t0 = 1.0
         let mut fired_at = None;
@@ -293,8 +201,23 @@ mod tests {
     }
 
     #[test]
+    fn dynamic_decision_records_the_eq1_terms() {
+        let mut p = PolicyKind::DynamicSar.build();
+        p.notify_redistributed(0, 4.0);
+        let seed = p.decide(1, 1.0);
+        assert_eq!((seed.baseline_s, seed.projected_loss_s), (1.0, 0.0));
+        assert!(!seed.fired);
+        let d = p.decide(3, 3.0);
+        assert_eq!(
+            (d.baseline_s, d.projected_loss_s, d.threshold_s),
+            (1.0, 6.0, 4.0)
+        );
+        assert!(d.fired);
+    }
+
+    #[test]
     fn dynamic_never_fires_when_time_is_flat() {
-        let mut p = DynamicSarPolicy::new();
+        let mut p = PolicyKind::DynamicSar.build();
         p.notify_redistributed(0, 1.0);
         for i in 1..1000 {
             assert!(!p.should_redistribute(i, 2.0), "fired at {i}");
@@ -303,7 +226,7 @@ mod tests {
 
     #[test]
     fn dynamic_resets_after_redistribution() {
-        let mut p = DynamicSarPolicy::new();
+        let mut p = PolicyKind::DynamicSar.build();
         p.notify_redistributed(0, 1.0);
         assert!(!p.should_redistribute(1, 1.0)); // seeds t0
         assert!(p.should_redistribute(2, 3.0)); // rise 2 * span 2 >= 1
@@ -315,7 +238,7 @@ mod tests {
 
     #[test]
     fn dynamic_with_infinite_cost_never_fires_before_seed() {
-        let mut p = DynamicSarPolicy::new();
+        let mut p = PolicyKind::DynamicSar.build();
         assert!(!p.should_redistribute(1, 5.0));
         assert!(!p.should_redistribute(2, 50.0));
     }
@@ -330,6 +253,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "period must be nonzero")]
     fn zero_period_rejected() {
-        PeriodicPolicy::new(0);
+        PolicyKind::Periodic(0).build();
     }
 }

@@ -36,5 +36,5 @@ pub mod prelude {
     pub use pic_index::{CellIndexer, HilbertIndexer, IndexScheme, SnakeIndexer};
     pub use pic_machine::{MachineConfig, Topology};
     pub use pic_particles::{ParticleDistribution, Particles};
-    pub use pic_partition::{PolicyKind, RedistributionPolicy};
+    pub use pic_partition::{Policy, PolicyKind};
 }
