@@ -95,10 +95,10 @@ pub fn run<E: SpmdEngine<RankState>>(
     )?;
 
     // 3. global concatenation of counts
-    machine.allgather(
+    machine.allgatherv(
         PhaseKind::Redistribute,
         8,
-        |_r, st: &RankState| st.len() as u64,
+        |_r, st: &RankState| vec![st.len() as u64],
         |_r, st, all: &[u64]| {
             st.all_counts = all.iter().map(|&c| c as usize).collect();
         },
@@ -160,10 +160,10 @@ pub fn run<E: SpmdEngine<RankState>>(
     )?;
 
     // 5. refresh global bounds and local bucket boundaries
-    machine.allgather(
+    machine.allgatherv(
         PhaseKind::Redistribute,
         8,
-        |_r, st: &RankState| st.last_key(),
+        |_r, st: &RankState| vec![st.last_key()],
         |_r, st, all: &[u64]| {
             st.bounds = rank_bounds_from_sorted(all);
         },

@@ -364,7 +364,9 @@ mod tests {
         let scatter_bytes: u64 = rep
             .machine()
             .stats()
-            .phase(pic_machine::PhaseKind::Scatter)
+            .records()
+            .iter()
+            .filter(|r| r.phase == pic_machine::PhaseKind::Scatter)
             .map(|r| r.max_bytes_sent)
             .sum();
         assert!(

@@ -318,21 +318,31 @@ impl<E: SpmdEngine<RankState>> GenericPicSim<E> {
     /// ([`pic_partition::alignment_report`]) — into the metrics
     /// registry, if one is installed.  These cost `O(mesh)` and
     /// `O(particles)` to compute, so they are sampled only at setup and
-    /// after each redistribution (when they actually change), never per
-    /// iteration; see DESIGN.md §10 for the overhead policy.
+    /// after each redistribution, never per iteration; see DESIGN.md §10
+    /// for the overhead policy.  The curve and range statistics depend
+    /// only on the indexer and the rank count, so they are written once,
+    /// when the registry does not hold them yet; the alignment is
+    /// resampled every time.
     fn sample_structure_gauges(&mut self) {
         let Some(metrics) = self.metrics() else {
             return;
         };
-        let jumps = pic_index::locality::neighbor_jump_stats(self.indexer.as_ref());
-        let parts = self.machine.num_ranks().min(self.indexer.len());
-        let ranges = pic_index::locality::range_bbox_stats(self.indexer.as_ref(), parts);
+        let known = metrics.with(|reg| reg.gauge("pic_range_mean_fill").is_some());
+        let structure = (!known).then(|| {
+            let parts = self.machine.num_ranks().min(self.indexer.len());
+            (
+                pic_index::locality::neighbor_jump_stats(self.indexer.as_ref()),
+                pic_index::locality::range_bbox_stats(self.indexer.as_ref(), parts),
+            )
+        });
         let reports = self.alignment();
         metrics.with(|reg| {
-            reg.set_gauge("pic_curve_jump_mean", jumps.mean);
-            reg.set_gauge("pic_curve_unit_fraction", jumps.unit_fraction);
-            reg.set_gauge("pic_range_mean_aspect", ranges.mean_aspect);
-            reg.set_gauge("pic_range_mean_fill", ranges.mean_fill);
+            if let Some((jumps, ranges)) = structure {
+                reg.set_gauge("pic_curve_jump_mean", jumps.mean);
+                reg.set_gauge("pic_curve_unit_fraction", jumps.unit_fraction);
+                reg.set_gauge("pic_range_mean_aspect", ranges.mean_aspect);
+                reg.set_gauge("pic_range_mean_fill", ranges.mean_fill);
+            }
             for (rank, rep) in reports.iter().enumerate() {
                 reg.set_rank_gauge("pic_rank_overlap_fraction", rank, rep.overlap_fraction);
                 reg.set_rank_gauge("pic_rank_ghost_cells", rank, rep.ghost_cells as f64);

@@ -44,8 +44,6 @@ pub struct RankState {
     pub b_at: Vec<[f64; 3]>,
     /// Per-rank particle counts from the last counts allgather.
     pub all_counts: Vec<usize>,
-    /// Scratch vector reused across collectives.
-    pub scratch_u64: Vec<u64>,
     /// Reusable hot-loop buffers (never snapshotted; see
     /// [`crate::scratch`]).
     pub scratch: ScratchArena,
@@ -69,7 +67,6 @@ impl RankState {
             e_at: Vec::new(),
             b_at: Vec::new(),
             all_counts: vec![0; p],
-            scratch_u64: Vec::new(),
             scratch: ScratchArena::new(),
         }
     }

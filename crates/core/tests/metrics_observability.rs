@@ -177,6 +177,49 @@ fn forced_redistribution_resamples_the_structure_gauges() {
     );
 }
 
+/// The curve and range gauges depend only on the mesh and the rank
+/// count: a registry keeps what set-up wrote (a sentinel planted in it
+/// survives a later redistribution), and a resumed run with a fresh
+/// registry gets the same values at its first redistribution.
+#[test]
+fn structure_gauges_are_written_once_per_registry() {
+    const STRUCTURE: [&str; 4] = [
+        "pic_curve_jump_mean",
+        "pic_curve_unit_fraction",
+        "pic_range_mean_aspect",
+        "pic_range_mean_fill",
+    ];
+    let read = |m: &SharedMetrics| -> Vec<Option<f64>> {
+        let reg = m.snapshot();
+        STRUCTURE.iter().map(|g| reg.gauge(g)).collect()
+    };
+    let metrics = SharedMetrics::new(8);
+    let instruments = Instruments {
+        metrics: Some(metrics.clone()),
+        ..Instruments::default()
+    };
+    let mut sim = GenericPicSim::<Machine<pic_core::RankState>>::try_new_instrumented(
+        cfg_8rank(PolicyKind::Static),
+        instruments,
+    )
+    .expect("setup");
+    let at_setup = read(&metrics);
+    assert!(at_setup.iter().all(Option::is_some), "{at_setup:?}");
+    sim.step();
+    metrics.with(|reg| reg.set_gauge("pic_curve_jump_mean", -1.0));
+    sim.redistribute_now();
+    assert_eq!(metrics.snapshot().gauge("pic_curve_jump_mean"), Some(-1.0));
+
+    let mut resumed = GenericPicSim::<Machine<pic_core::RankState>>::resume_from(
+        cfg_8rank(PolicyKind::Static),
+        &sim.checkpoint(),
+    );
+    let fresh = SharedMetrics::new(8);
+    resumed.instruments_mut().metrics = Some(fresh.clone());
+    resumed.redistribute_now();
+    assert_eq!(read(&fresh), at_setup);
+}
+
 #[test]
 fn chrome_trace_from_sim_run_includes_counter_events() {
     let (events, _) =

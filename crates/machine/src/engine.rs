@@ -19,8 +19,9 @@
 //! paper's two kinds of communication — the all-to-many exchange
 //! ([`SpmdEngine::superstep`], with the communication-free
 //! [`SpmdEngine::local_step`]) and global concatenation
-//! ([`SpmdEngine::allgather`], [`SpmdEngine::allgatherv`]).  Each
-//! executor implements each of them once, in its trait impl.
+//! ([`SpmdEngine::allgatherv`], which a one-value-per-rank gather calls
+//! with one-element vectors).  Each executor implements each of them
+//! once, in its trait impl.
 //!
 //! ## Failure reporting
 //!
@@ -58,9 +59,6 @@ pub trait SpmdEngine<S: Send>: Sized {
     /// Number of virtual ranks.
     fn num_ranks(&self) -> usize;
 
-    /// The machine parameters the engine was built with.
-    fn machine_config(&self) -> &MachineConfig;
-
     /// Immutable view of rank states.
     fn ranks(&self) -> &[S];
 
@@ -86,9 +84,6 @@ pub trait SpmdEngine<S: Send>: Sized {
     /// Set the fault epoch faults are matched against (drivers use their
     /// iteration counter, so plans can say "kill rank 2 at iteration 25").
     fn set_fault_epoch(&mut self, epoch: u64);
-
-    /// The current fault epoch.
-    fn fault_epoch(&self) -> u64;
 
     /// The installed fault schedule, recorder and metrics registry.
     fn instruments(&self) -> &Instruments;
@@ -124,21 +119,10 @@ pub trait SpmdEngine<S: Send>: Sized {
     where
         F: Fn(usize, &mut S, &mut PhaseCtx) + Sync;
 
-    /// Global concatenation: every rank contributes one value, every rank
-    /// receives the full rank-indexed vector.
-    fn allgather<T, F, G>(
-        &mut self,
-        phase: PhaseKind,
-        bytes_per_item: usize,
-        extract: F,
-        apply: G,
-    ) -> Result<(), SpmdError>
-    where
-        T: Clone + Send,
-        F: Fn(usize, &S) -> T + Sync,
-        G: Fn(usize, &mut S, &[T]) + Sync;
-
-    /// Global concatenation of vectors, in rank order.
+    /// Global concatenation of vectors, in rank order: every rank
+    /// contributes a vector, every rank receives the concatenation of
+    /// all of them.  Charged as recursive doubling of the largest
+    /// contribution (`bytes_per_item` per item).
     fn allgatherv<T, F, G>(
         &mut self,
         phase: PhaseKind,

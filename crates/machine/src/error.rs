@@ -20,21 +20,17 @@ use std::time::Duration;
 
 use crate::stats::PhaseKind;
 
-/// Everything known about a receive that gave up waiting.
+/// Everything known about an exchange receive that gave up waiting (the
+/// error's phase and superstep name the operation).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TimeoutDetail {
-    /// What the rank was waiting inside (`"exchange"` or
-    /// `"allgather"`).
-    pub operation: &'static str,
-    /// Messages the operation needed in total (0 when unknown up front,
-    /// e.g. an exchange still waiting for count handshakes).
+    /// Wires the exchange needed in total: one batch from every rank.
     pub expected: usize,
-    /// Messages already received when the deadline passed.
+    /// Wires already received when the deadline passed.
     pub received: usize,
     /// Per-sender in-flight bookkeeping at the moment of the timeout:
-    /// `in_flight[r]` is how many messages from rank `r` were still
-    /// outstanding (`0` for peers that had fully delivered, and for the
-    /// waiting rank itself).
+    /// `in_flight[r]` is how many wires from rank `r` (the waiting rank
+    /// included) were still outstanding.
     pub in_flight: Vec<usize>,
     /// The deadline that expired.
     pub waited: Duration,
@@ -44,8 +40,8 @@ impl fmt::Display for TimeoutDetail {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} received {}/{} messages within {:?}",
-            self.operation, self.received, self.expected, self.waited
+            "received {}/{} messages within {:?}",
+            self.received, self.expected, self.waited
         )?;
         let missing: Vec<String> = self
             .in_flight
@@ -239,7 +235,6 @@ mod tests {
     #[test]
     fn display_carries_full_context() {
         let detail = TimeoutDetail {
-            operation: "exchange",
             expected: 7,
             received: 3,
             in_flight: vec![0, 4, 0],

@@ -78,7 +78,7 @@ pub use machine::{Machine, Outbox, PhaseCtx};
 pub use metrics::{CommMatrix, Histogram, MetricsRegistry, PhaseFamily, SharedMetrics};
 pub use payload::Payload;
 pub use record::Instruments;
-pub use stats::{PhaseKind, PhaseTotals, StatsLog, SuperstepStats};
+pub use stats::{PhaseKind, StatsLog, SuperstepStats};
 pub use threaded_engine::ThreadedMachine;
 pub use trace::{
     CheckpointAction, CheckpointEvent, FaultEvent, IterationEvent, JsonLinesRecorder,

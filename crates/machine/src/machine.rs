@@ -250,10 +250,6 @@ impl<S: Send> SpmdEngine<S> for Machine<S> {
         self.cfg.ranks
     }
 
-    fn machine_config(&self) -> &MachineConfig {
-        &self.cfg
-    }
-
     fn ranks(&self) -> &[S] {
         &self.states
     }
@@ -285,10 +281,6 @@ impl<S: Send> SpmdEngine<S> for Machine<S> {
 
     fn set_fault_epoch(&mut self, epoch: u64) {
         self.fault_epoch = epoch;
-    }
-
-    fn fault_epoch(&self) -> u64 {
-        self.fault_epoch
     }
 
     fn instruments(&self) -> &Instruments {
@@ -387,32 +379,6 @@ impl<S: Send> SpmdEngine<S> for Machine<S> {
             }));
             settle(&m.cfg, &mut m.clocks, rec, start);
             m.acct.commit();
-        })
-    }
-
-    fn allgather<T, F, G>(
-        &mut self,
-        phase: PhaseKind,
-        bytes_per_item: usize,
-        extract: F,
-        apply: G,
-    ) -> Result<(), SpmdError>
-    where
-        T: Clone + Send,
-        F: Fn(usize, &S) -> T + Sync,
-        G: Fn(usize, &mut S, &[T]) + Sync,
-    {
-        self.guarded(phase, |m| {
-            let gathered: Vec<T> = m
-                .states
-                .iter()
-                .enumerate()
-                .map(|(r, s)| extract(r, s))
-                .collect();
-            for (r, s) in m.states.iter_mut().enumerate() {
-                apply(r, s, &gathered);
-            }
-            m.charge_collective(phase, CollectiveShape::Doubling, bytes_per_item);
         })
     }
 
@@ -593,13 +559,13 @@ mod tests {
     #[test]
     fn allgather_distributes_all_values() {
         let mut m = Machine::new(tiny(4), vec![(0u64, Vec::new()); 4]);
-        m.allgather(
+        m.allgatherv(
             PhaseKind::Setup,
             8,
-            |r, _s| r as u64 * 10,
+            |r, _s| vec![r as u64 * 10],
             |_r, s, all: &[u64]| s.1 = all.to_vec(),
         )
-        .expect("allgather");
+        .expect("allgatherv");
         for (_v, all) in m.ranks() {
             assert_eq!(all, &[0, 10, 20, 30]);
         }
@@ -655,8 +621,13 @@ mod tests {
     #[test]
     fn single_rank_collectives_are_free() {
         let mut m = Machine::new(tiny(1), vec![0u64]);
-        m.allgather(PhaseKind::Setup, 8, |_r, s| *s, |_r, _s, _all: &[u64]| {})
-            .expect("allgather");
+        m.allgatherv(
+            PhaseKind::Setup,
+            8,
+            |_r, s| vec![*s],
+            |_r, _s, _all: &[u64]| {},
+        )
+        .expect("allgatherv");
         assert_eq!(m.elapsed_s(), 0.0);
     }
 
@@ -664,8 +635,9 @@ mod tests {
     type Observed = (Vec<(u64, u64)>, Vec<u64>, Vec<[u64; 10]>);
 
     /// A phase program touching every operation: uneven fan-out with
-    /// self-messages, charged ops in both halves, a local step and all
-    /// three collectives.  Returns everything an observer can see.
+    /// self-messages, charged ops in both halves, a local step, a
+    /// one-value and a ragged concatenation and the element-wise
+    /// all-reduce.  Returns everything an observer can see.
     fn mixed_program(m: &mut Machine<(u64, f64)>) -> Observed {
         let p = m.num_ranks();
         for step in 0..3u64 {
@@ -692,13 +664,13 @@ mod tests {
                 s.1 = s.1.sqrt() + 0.1;
             })
             .expect("local step");
-            m.allgather(
+            m.allgatherv(
                 PhaseKind::Setup,
                 8,
-                |_r, s| s.0,
+                |_r, s| vec![s.0],
                 |r, s, all: &[u64]| s.0 ^= all[(r + 1) % all.len()],
             )
-            .expect("allgather");
+            .expect("allgatherv");
             m.allgatherv(
                 PhaseKind::Setup,
                 8,

@@ -70,7 +70,7 @@ pub(crate) struct RankEntry {
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum CollectiveShape {
     /// Recursive doubling: every rank ends up with all `p - 1` other
-    /// shares (allgather, allgatherv).
+    /// shares (`allgatherv`).
     Doubling,
     /// A pipelined tree over the whole array: one share per stage
     /// (the modeled machine's element-wise allreduce).

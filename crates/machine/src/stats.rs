@@ -118,26 +118,6 @@ impl SuperstepStats {
     }
 }
 
-/// Per-phase totals aggregated over a [`StatsLog`] (see
-/// [`StatsLog::aggregate`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PhaseTotals {
-    /// The phase.
-    pub phase: PhaseKind,
-    /// Number of supersteps recorded for it.
-    pub supersteps: u64,
-    /// Summed elapsed seconds over those supersteps.
-    pub elapsed_s: f64,
-    /// Summed max-compute seconds (critical-path computation).
-    pub compute_s: f64,
-    /// Summed max-comm seconds (critical-path communication + idle).
-    pub comm_s: f64,
-    /// Summed off-rank messages across ranks and supersteps.
-    pub total_msgs: u64,
-    /// Summed off-rank bytes across ranks and supersteps.
-    pub total_bytes: u64,
-}
-
 /// Append-only log of superstep statistics.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct StatsLog {
@@ -170,52 +150,6 @@ impl StatsLog {
     pub fn elapsed_s(&self) -> f64 {
         self.records.iter().map(|r| r.elapsed_s).sum()
     }
-
-    /// Records of one phase.
-    pub fn phase(&self, phase: PhaseKind) -> impl Iterator<Item = &SuperstepStats> {
-        self.records.iter().filter(move |r| r.phase == phase)
-    }
-
-    /// Append every record of `other` (in its execution order) to this
-    /// log.  Used to stitch the per-iteration logs the driver drains
-    /// back into one run-level log for aggregation.
-    pub fn merge(&mut self, other: &StatsLog) {
-        self.records.extend_from_slice(&other.records);
-    }
-
-    /// Collapse the log into per-phase totals, ordered by descending
-    /// elapsed time.  Phases with no records are omitted.
-    pub fn aggregate(&self) -> Vec<PhaseTotals> {
-        let mut out = Vec::new();
-        for phase in PhaseKind::ALL {
-            let mut totals = PhaseTotals {
-                phase,
-                supersteps: 0,
-                elapsed_s: 0.0,
-                compute_s: 0.0,
-                comm_s: 0.0,
-                total_msgs: 0,
-                total_bytes: 0,
-            };
-            for r in self.phase(phase) {
-                totals.supersteps += 1;
-                totals.elapsed_s += r.elapsed_s;
-                totals.compute_s += r.max_compute_s;
-                totals.comm_s += r.max_comm_s;
-                totals.total_msgs += r.total_msgs;
-                totals.total_bytes += r.total_bytes;
-            }
-            if totals.supersteps > 0 {
-                out.push(totals);
-            }
-        }
-        out.sort_by(|a, b| {
-            b.elapsed_s
-                .partial_cmp(&a.elapsed_s)
-                .expect("finite elapsed totals")
-        });
-        out
-    }
 }
 
 #[cfg(test)]
@@ -235,73 +169,12 @@ mod tests {
     }
 
     #[test]
-    fn phase_filter_selects_matching_records() {
-        let mut log = StatsLog::new();
-        log.push(SuperstepStats::empty(PhaseKind::Scatter));
-        log.push(SuperstepStats::empty(PhaseKind::Push));
-        log.push(SuperstepStats::empty(PhaseKind::Scatter));
-        assert_eq!(log.phase(PhaseKind::Scatter).count(), 2);
-        assert_eq!(log.phase(PhaseKind::Gather).count(), 0);
-    }
-
-    #[test]
     fn drain_empties_the_log() {
         let mut log = StatsLog::new();
         log.push(SuperstepStats::empty(PhaseKind::Other));
         let drained = log.drain();
         assert_eq!(drained.len(), 1);
         assert!(log.records().is_empty());
-    }
-
-    #[test]
-    fn merge_appends_in_order() {
-        let mut a = StatsLog::new();
-        let mut rec = SuperstepStats::empty(PhaseKind::Scatter);
-        rec.elapsed_s = 1.0;
-        a.push(rec);
-        let mut b = StatsLog::new();
-        let mut rec = SuperstepStats::empty(PhaseKind::Push);
-        rec.elapsed_s = 2.0;
-        b.push(rec);
-        a.merge(&b);
-        assert_eq!(a.records().len(), 2);
-        assert_eq!(a.records()[1].phase, PhaseKind::Push);
-        assert!((a.elapsed_s() - 3.0).abs() < 1e-12);
-        // merging an empty log is a no-op
-        a.merge(&StatsLog::new());
-        assert_eq!(a.records().len(), 2);
-    }
-
-    #[test]
-    fn aggregate_collapses_per_phase_and_sorts_by_elapsed() {
-        let mut log = StatsLog::new();
-        for elapsed in [1.0, 3.0] {
-            let mut r = SuperstepStats::empty(PhaseKind::Scatter);
-            r.elapsed_s = elapsed;
-            r.max_compute_s = elapsed / 2.0;
-            r.max_comm_s = elapsed / 2.0;
-            r.total_msgs = 4;
-            r.total_bytes = 100;
-            log.push(r);
-        }
-        let mut r = SuperstepStats::empty(PhaseKind::Push);
-        r.elapsed_s = 10.0;
-        log.push(r);
-        let agg = log.aggregate();
-        assert_eq!(agg.len(), 2);
-        assert_eq!(agg[0].phase, PhaseKind::Push); // largest elapsed first
-        let scatter = agg[1];
-        assert_eq!(scatter.supersteps, 2);
-        assert!((scatter.elapsed_s - 4.0).abs() < 1e-12);
-        assert!((scatter.compute_s - 2.0).abs() < 1e-12);
-        assert!((scatter.comm_s - 2.0).abs() < 1e-12);
-        assert_eq!(scatter.total_msgs, 8);
-        assert_eq!(scatter.total_bytes, 200);
-    }
-
-    #[test]
-    fn aggregate_of_empty_log_is_empty() {
-        assert!(StatsLog::new().aggregate().is_empty());
     }
 
     #[test]

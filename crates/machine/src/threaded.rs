@@ -6,14 +6,18 @@
 //! the superstep protocol maps one-to-one onto genuine message passing
 //! (the role MPI played for the paper).
 //!
-//! ## Collectives
+//! ## One wire protocol
 //!
-//! [`Mailbox`] implements the paper's two kinds of communication — the
-//! all-to-many [`Mailbox::exchange`] (every rank sends every peer one
-//! batch wire — possibly empty, which doubles as the "nothing from me"
-//! handshake) and the global concatenation ([`Mailbox::allgather`],
-//! [`Mailbox::allgatherv`]).  No barrier is needed: the worker pool's
-//! completion wait already synchronizes all ranks after every operation.
+//! [`Mailbox`] has one communication operation, the all-to-many
+//! [`Mailbox::exchange`]: every rank sends every rank, itself included,
+//! one batch wire — possibly empty, which doubles as the "nothing from
+//! me" handshake.  It carries both of the paper's kinds of
+//! communication: the engine's global concatenation is an exchange in
+//! which every rank sends its contribution to every rank.  Mailboxes are
+//! fresh for every operation and an operation runs at most one exchange,
+//! so every batch a rank receives belongs to its current exchange.  No
+//! barrier is needed: the worker pool's completion wait already
+//! synchronizes all ranks after every operation.
 //!
 //! ## Failure semantics
 //!
@@ -33,9 +37,9 @@
 //!   transiently lost messages recover without aborting the run;
 //! * **receive deadline** — when the cumulative wait exceeds the engine's
 //!   timeout (default [`DEFAULT_RECV_TIMEOUT`]), the rank fails with a
-//!   structured [`TimeoutDetail`] carrying the operation, expected vs
-//!   received message counts and per-rank in-flight counts, instead of
-//!   hanging the process.
+//!   structured [`TimeoutDetail`] carrying expected vs received wire
+//!   counts and per-rank in-flight counts, instead of hanging the
+//!   process.
 //!
 //! ## Fault injection
 //!
@@ -76,22 +80,14 @@ pub(crate) const RETRY_MAX_BACKOFF: Duration = Duration::from_millis(256);
 pub(crate) struct PoisonedBy(pub(crate) usize);
 
 /// What travels on the wire between rank threads.
-///
-/// Collective wires carry the sender's collective sequence number.  In an
-/// SPMD program every rank executes the same collectives in the same
-/// order, so the numbers agree; tagging them keeps a fast rank's *next*
-/// collective from being consumed by a slow rank still inside the
-/// previous one (the stray wire parks in `pending` until its turn).
 pub(crate) enum Wire<M> {
-    /// Everything one rank sends this destination in exchange collective
-    /// `seq`, in send order (possibly empty — the empty batch doubles as
-    /// the "nothing from me" handshake).  One wire per rank pair keeps
-    /// the wakeup count of an exchange at `p` per rank, where a
+    /// Everything one rank sends this destination in the exchange, in
+    /// send order (possibly empty — the empty batch doubles as the
+    /// "nothing from me" handshake).  One wire per rank pair keeps the
+    /// wakeup count of an exchange at `p` per rank, where a
     /// count-then-stream protocol would wake a blocked receiver once per
     /// message — painful when ranks outnumber host cores.
-    Batch(u64, Vec<M>),
-    /// A whole vector contributed to vector collective `seq`.
-    Many(u64, Vec<M>),
+    Batch(Vec<M>),
     /// The sending rank failed; receivers must unwind.
     Poison,
 }
@@ -101,17 +97,11 @@ pub(crate) struct Mailbox<M> {
     rank: usize,
     senders: Vec<Sender<(usize, Wire<M>)>>,
     receiver: Receiver<(usize, Wire<M>)>,
-    /// Messages received while waiting for something else (e.g. a fast
-    /// peer's next-step traffic arriving during this step's collective).
-    pending: VecDeque<(usize, Wire<M>)>,
     /// Per-destination queues of wires withheld by an injected drop
     /// fault.  Everything later addressed to a stalled destination queues
     /// behind the dropped wire so per-destination FIFO survives the
     /// retransmission.
     lost: Vec<VecDeque<Wire<M>>>,
-    /// Collective operations started so far; tags collective wires (see
-    /// [`Wire`]).
-    seq: u64,
     timeout: Duration,
     fault: Option<FaultSession>,
 }
@@ -132,9 +122,7 @@ pub(crate) fn make_mailboxes<M>(p: usize, timeout: Duration) -> Vec<Mailbox<M>> 
             rank,
             senders: senders.clone(),
             receiver,
-            pending: VecDeque::new(),
             lost: (0..p).map(|_| VecDeque::new()).collect(),
-            seq: 0,
             timeout,
             fault: None,
         })
@@ -222,48 +210,33 @@ impl<M: Send> Mailbox<M> {
         let _ = self.senders[to].send((self.rank, wire));
     }
 
-    /// Next wire message satisfying `pred`, buffering others.
+    /// Next batch wire from any rank.  `got` holds the batches this
+    /// exchange has received so far, by sender.
     ///
     /// Waits in exponentially growing slices; each expired slice
     /// retransmits this rank's lost queue (a peer may be blocked on a
-    /// dropped message of ours).  Once the cumulative wait exceeds the
+    /// dropped wire of ours).  Once the cumulative wait exceeds the
     /// engine timeout, aborts the rank with a typed timeout whose
-    /// [`TimeoutDetail`] comes from `detail()` = `(expected, received,
-    /// per-rank in-flight counts)`.
-    fn next_matching<P, D>(
-        &mut self,
-        operation: &'static str,
-        pred: P,
-        detail: D,
-    ) -> (usize, Wire<M>)
-    where
-        P: Fn(&Wire<M>) -> bool,
-        D: Fn() -> (usize, usize, Vec<usize>),
-    {
-        if let Some(pos) = self.pending.iter().position(|(_, w)| pred(w)) {
-            return self.pending.remove(pos).expect("position just found");
-        }
+    /// [`TimeoutDetail`] counts the batches still missing in `got`.
+    fn recv_batch(&mut self, got: &[Option<Vec<M>>]) -> (usize, Vec<M>) {
         let mut waited = Duration::ZERO;
         let mut backoff = RETRY_INITIAL_BACKOFF;
         loop {
             let slice = backoff.min(self.timeout.saturating_sub(waited));
             if slice.is_zero() {
-                let (expected, received, in_flight) = detail();
                 panic_any(RankFailure::Timeout {
                     rank: self.rank,
                     detail: TimeoutDetail {
-                        operation,
-                        expected,
-                        received,
-                        in_flight,
+                        expected: got.len(),
+                        received: got.iter().filter(|g| g.is_some()).count(),
+                        in_flight: got.iter().map(|g| usize::from(g.is_none())).collect(),
                         waited,
                     },
                 });
             }
             match self.receiver.recv_timeout(slice) {
+                Ok((from, Wire::Batch(msgs))) => return (from, msgs),
                 Ok((from, Wire::Poison)) => panic_any(PoisonedBy(from)),
-                Ok((from, wire)) if pred(&wire) => return (from, wire),
-                Ok(other) => self.pending.push_back(other),
                 Err(RecvTimeoutError::Timeout) => {
                     waited += slice;
                     self.flush_lost();
@@ -286,8 +259,6 @@ impl<M: Send> Mailbox<M> {
     /// per-destination order is kept, so results never change).
     pub(crate) fn exchange(&mut self, outgoing: Vec<(usize, M)>) -> Vec<(usize, M)> {
         self.check_kill();
-        self.seq += 1;
-        let seq = self.seq;
         let p = self.num_ranks();
         let mut groups: Vec<Vec<M>> = (0..p).map(|_| Vec::new()).collect();
         for (to, msg) in outgoing {
@@ -306,26 +277,12 @@ impl<M: Send> Mailbox<M> {
         };
         for &to in &order {
             let batch = std::mem::take(&mut groups[to]);
-            self.push_wire(to, Wire::Batch(seq, batch));
+            self.push_wire(to, Wire::Batch(batch));
         }
         // collect until every peer's batch (possibly empty) has arrived
         let mut got: Vec<Option<Vec<M>>> = (0..p).map(|_| None).collect();
         while got.iter().any(Option::is_none) {
-            let (from, wire) = {
-                let got = &got;
-                self.next_matching(
-                    "exchange",
-                    move |w| matches!(w, Wire::Batch(s, _) if *s == seq),
-                    move || {
-                        let received = got.iter().filter(|g| g.is_some()).count();
-                        let in_flight = got.iter().map(|g| usize::from(g.is_none())).collect();
-                        (p, received, in_flight)
-                    },
-                )
-            };
-            let Wire::Batch(_, msgs) = wire else {
-                unreachable!("next_matching returned a non-exchange wire")
-            };
+            let (from, msgs) = self.recv_batch(&got);
             assert!(
                 got[from].is_none(),
                 "rank {from} sent two batches in one exchange"
@@ -341,74 +298,6 @@ impl<M: Send> Mailbox<M> {
                     .map(move |m| (from, m))
             })
             .collect()
-    }
-
-    /// Global concatenation: contribute `value`, receive every rank's
-    /// contribution indexed by rank.
-    pub(crate) fn allgather(&mut self, value: M) -> Vec<M>
-    where
-        M: Clone,
-    {
-        let per_rank = self.allgather_vec(vec![value]);
-        per_rank
-            .into_iter()
-            .map(|mut v| {
-                assert_eq!(v.len(), 1, "allgather contribution must be one value");
-                v.pop().expect("length checked")
-            })
-            .collect()
-    }
-
-    /// Vector allgather keeping contributions separate: rank `r`'s
-    /// contribution is element `r` of the result.
-    fn allgather_vec(&mut self, values: Vec<M>) -> Vec<Vec<M>>
-    where
-        M: Clone,
-    {
-        self.check_kill();
-        self.seq += 1;
-        let seq = self.seq;
-        let p = self.num_ranks();
-        for to in 0..p {
-            if to != self.rank {
-                self.push_wire(to, Wire::Many(seq, values.clone()));
-            }
-        }
-        let mut result: Vec<Option<Vec<M>>> = vec![None; p];
-        result[self.rank] = Some(values);
-        while result.iter().any(Option::is_none) {
-            let (from, wire) = {
-                let result = &result;
-                self.next_matching(
-                    "allgather",
-                    move |w| matches!(w, Wire::Many(s, _) if *s == seq),
-                    move || {
-                        let received = result.iter().filter(|v| v.is_some()).count() - 1;
-                        let in_flight = result.iter().map(|v| usize::from(v.is_none())).collect();
-                        (p - 1, received, in_flight)
-                    },
-                )
-            };
-            let Wire::Many(_, v) = wire else {
-                unreachable!("next_matching returned a non-Many wire")
-            };
-            assert!(
-                result[from].is_none(),
-                "rank {from} contributed twice to one allgather"
-            );
-            result[from] = Some(v);
-        }
-        self.flush_lost();
-        result.into_iter().map(|v| v.expect("all filled")).collect()
-    }
-
-    /// Global concatenation of vectors in rank order (the paper's "global
-    /// concatenation" used by bucket incremental sorting).
-    pub(crate) fn allgatherv(&mut self, values: Vec<M>) -> Vec<M>
-    where
-        M: Clone,
-    {
-        self.allgather_vec(values).into_iter().flatten().collect()
     }
 }
 
@@ -458,7 +347,7 @@ pub(crate) fn resolve_rank_results<R>(
 mod tests {
     use super::*;
     use crate::fault::{FaultNoise, FaultPlan};
-    use crate::{MachineConfig, PhaseKind, SpmdEngine, ThreadedMachine};
+    use crate::{MachineConfig, Outbox, PhaseKind, SpmdEngine, ThreadedMachine};
     use std::sync::Arc;
     use std::time::Instant;
 
@@ -508,15 +397,26 @@ mod tests {
 
     #[test]
     fn collectives_agree_with_direct_computation() {
-        let results = run_clean::<u64, _>(5, |r, mut mb| {
-            let gathered = mb.allgather(r as u64 * 7);
-            let concat = mb.allgatherv(vec![r as u64; r]);
-            (gathered, concat)
-        });
+        // each concatenation is one operation on its own mailboxes
+        let mut m = ThreadedMachine::new(MachineConfig::cm5(5), vec![(vec![], vec![]); 5]);
+        m.allgatherv(
+            PhaseKind::Other,
+            8,
+            |r, _s| vec![r as u64 * 7],
+            |_r, s: &mut (Vec<u64>, Vec<u64>), all| s.0 = all.to_vec(),
+        )
+        .expect("fault-free one-value gather");
+        m.allgatherv(
+            PhaseKind::Other,
+            8,
+            |r, _s| vec![r as u64; r],
+            |_r, s, concat| s.1 = concat.to_vec(),
+        )
+        .expect("fault-free concatenation");
         let expect_concat: Vec<u64> = (0..5u64).flat_map(|r| vec![r; r as usize]).collect();
-        for (gathered, concat) in results {
-            assert_eq!(gathered, vec![0, 7, 14, 21, 28]);
-            assert_eq!(concat, expect_concat);
+        for (gathered, concat) in m.ranks() {
+            assert_eq!(gathered, &vec![0, 7, 14, 21, 28]);
+            assert_eq!(concat, &expect_concat);
         }
     }
 
@@ -562,7 +462,6 @@ mod tests {
         let FailureCause::Timeout(detail) = &err.cause else {
             panic!("expected timeout cause");
         };
-        assert_eq!(detail.operation, "exchange");
         // rank 0's own (empty) batch arrived; rank 1's never will
         assert_eq!(detail.expected, 2);
         assert_eq!(detail.received, 1);
@@ -608,19 +507,35 @@ mod tests {
 
     #[test]
     fn benign_noise_preserves_results() {
-        let program = |r: usize, mut mb: Mailbox<u64>| {
-            let p = mb.num_ranks();
-            let outgoing: Vec<(usize, u64)> = (0..p)
-                .flat_map(|to| (0..3).map(move |k| (to, r as u64 * 1000 + k)))
-                .collect();
-            let inbox = mb.exchange(outgoing);
-            let sum = mb.allgather(inbox.iter().map(|(_, v)| v).sum::<u64>());
-            (inbox, sum)
+        // an exchange, then a gather of every rank's inbox sum: two
+        // operations, each on its own mailboxes
+        let program = |plan: Option<Arc<FaultPlan>>| {
+            let states = vec![(Vec::<(usize, u64)>::new(), Vec::<u64>::new()); 6];
+            let mut m = ThreadedMachine::new(MachineConfig::cm5(6), states)
+                .with_timeout(Duration::from_secs(30));
+            m.instruments_mut().fault_plan = plan;
+            m.superstep(
+                PhaseKind::Other,
+                |r, _s, _ctx, ob: &mut Outbox<Vec<u64>>| {
+                    for to in 0..6 {
+                        for k in 0..3 {
+                            ob.send(to, vec![r as u64 * 1000 + k]);
+                        }
+                    }
+                },
+                |_r, s, _ctx, inbox| s.0 = inbox.into_iter().map(|(f, v)| (f, v[0])).collect(),
+            )?;
+            m.allgatherv(
+                PhaseKind::Other,
+                8,
+                |_r, s| vec![s.0.iter().map(|(_, v)| v).sum::<u64>()],
+                |_r, s, all| s.1 = all.to_vec(),
+            )?;
+            Ok::<_, SpmdError>(m.into_ranks())
         };
-        let clean = run_clean(6, program);
+        let clean = program(None).expect("fault-free run");
         for seed in [1u64, 2, 3] {
-            let plan = Arc::new(FaultPlan::benign(seed));
-            let noisy = run(6, Duration::from_secs(30), Some(plan), program)
+            let noisy = program(Some(Arc::new(FaultPlan::benign(seed))))
                 .expect("benign plan must not fail the run");
             assert_eq!(clean, noisy, "seed {seed} changed results");
         }

@@ -19,7 +19,9 @@
 //!
 //! * the exchange delivers inboxes sorted by sender rank with per-sender
 //!   order preserved — the modeled router's order;
-//! * collectives concatenate contributions in rank order;
+//! * the concatenation ([`SpmdEngine::allgatherv`]) is one such exchange,
+//!   every rank sending its contribution to every rank, so it arrives
+//!   in rank order;
 //! * ranks share no mutable state between synchronization points.
 //!
 //! Failure semantics come from the mailbox layer: a failing rank poisons
@@ -217,10 +219,6 @@ impl<S: Send> SpmdEngine<S> for ThreadedMachine<S> {
         self.cfg.ranks
     }
 
-    fn machine_config(&self) -> &MachineConfig {
-        &self.cfg
-    }
-
     fn ranks(&self) -> &[S] {
         &self.states
     }
@@ -251,10 +249,6 @@ impl<S: Send> SpmdEngine<S> for ThreadedMachine<S> {
 
     fn set_fault_epoch(&mut self, epoch: u64) {
         self.fault_epoch = epoch;
-    }
-
-    fn fault_epoch(&self) -> u64 {
-        self.fault_epoch
     }
 
     fn instruments(&self) -> &Instruments {
@@ -358,28 +352,9 @@ impl<S: Send> SpmdEngine<S> for ThreadedMachine<S> {
         Ok(())
     }
 
-    fn allgather<T, F, G>(
-        &mut self,
-        phase: PhaseKind,
-        bytes_per_item: usize,
-        extract: F,
-        apply: G,
-    ) -> Result<(), SpmdError>
-    where
-        T: Clone + Send,
-        F: Fn(usize, &S) -> T + Sync,
-        G: Fn(usize, &mut S, &[T]) + Sync,
-    {
-        let extract = &extract;
-        let apply = &apply;
-        let (_, wall) = self.run_ranks::<T, (), _>(phase, move |r, s, mut mb| {
-            let all = mb.allgather(extract(r, s));
-            apply(r, s, &all);
-        })?;
-        self.account_collective(phase, bytes_per_item, wall);
-        Ok(())
-    }
-
+    /// One exchange in which every rank sends its contribution to every
+    /// rank, itself included: the inbox comes back sorted by sender, so
+    /// it is the rank-order concatenation.
     fn allgatherv<T, F, G>(
         &mut self,
         phase: PhaseKind,
@@ -392,12 +367,16 @@ impl<S: Send> SpmdEngine<S> for ThreadedMachine<S> {
         F: Fn(usize, &S) -> Vec<T> + Sync,
         G: Fn(usize, &mut S, &[T]) + Sync,
     {
+        let p = self.cfg.ranks;
         let extract = &extract;
         let apply = &apply;
         let (lens, wall) = self.run_ranks::<T, usize, _>(phase, move |r, s, mut mb| {
             let part = extract(r, s);
             let share = part.len();
-            let concat = mb.allgatherv(part);
+            let outgoing = (0..p)
+                .flat_map(|to| part.iter().map(move |v| (to, v.clone())))
+                .collect();
+            let concat: Vec<T> = mb.exchange(outgoing).into_iter().map(|(_, v)| v).collect();
             apply(r, s, &concat);
             share
         })?;
@@ -492,13 +471,13 @@ mod tests {
     #[test]
     fn collectives_match_modeled_machine() {
         fn drive<E: SpmdEngine<(f64, Vec<f64>)>>(m: &mut E) -> Vec<(f64, Vec<f64>)> {
-            m.allgather(
+            m.allgatherv(
                 PhaseKind::Setup,
                 8,
-                |r, _s| r as f64 * 0.1,
+                |r, _s| vec![r as f64 * 0.1],
                 |_r, s, all: &[f64]| s.1 = all.to_vec(),
             )
-            .expect("allgather");
+            .expect("one-value allgatherv");
             m.allgatherv(
                 PhaseKind::Setup,
                 8,
@@ -667,5 +646,47 @@ mod tests {
             }
         }
         assert_eq!(modeled.cause, threaded.cause);
+    }
+
+    #[test]
+    fn panic_in_allgatherv_fails_alike_on_both_executors() {
+        fn program<E: SpmdEngine<u64>>(m: &mut E) -> SpmdError {
+            m.local_step(PhaseKind::Setup, |_r, _s, _ctx| {})
+                .expect("fault-free step");
+            m.allgatherv(
+                PhaseKind::Redistribute,
+                8,
+                |r, s| {
+                    if r == 2 {
+                        panic!("extract exploded on rank {r}");
+                    }
+                    vec![*s]
+                },
+                |_r, _s, _all: &[u64]| {},
+            )
+            .expect_err("rank 2 must fail the concatenation")
+        }
+        let modeled = program(&mut crate::Machine::new(tiny(4), vec![0; 4]));
+        // peers waiting in the exchange must unwind through poison, long
+        // before the receive deadline
+        let start = Instant::now();
+        let threaded = program(
+            &mut ThreadedMachine::new(tiny(4), vec![0; 4]).with_timeout(Duration::from_secs(20)),
+        );
+        assert!(
+            start.elapsed() < Duration::from_secs(10),
+            "failure must propagate promptly, took {:?}",
+            start.elapsed()
+        );
+        for err in [&modeled, &threaded] {
+            assert_eq!(err.phase, Some(PhaseKind::Redistribute));
+            assert_eq!(err.superstep, Some(1));
+            match &err.cause {
+                crate::error::FailureCause::Panic(msg) => {
+                    assert_eq!(msg, "extract exploded on rank 2")
+                }
+                other => panic!("expected Panic cause, got {other:?}"),
+            }
+        }
     }
 }

@@ -129,8 +129,10 @@ pub struct SuperstepEvent {
     pub total_msgs: u64,
     /// Total off-rank bytes across ranks.
     pub total_bytes: u64,
-    /// True when the superstep was a collective (allgather, allgatherv,
-    /// element-wise allreduce) rather than an exchange superstep.
+    /// True when the superstep was a collective (`allgatherv`, or the
+    /// modeled machine's element-wise allreduce) rather than an exchange
+    /// superstep — also on the threaded machine, whose `allgatherv` runs
+    /// over an exchange but is accounted as the collective it is.
     pub collective: bool,
 }
 

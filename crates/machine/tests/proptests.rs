@@ -83,11 +83,11 @@ proptest! {
     fn allgather_cost_scales_with_share(p in 2usize..64, small in 1usize..100) {
         let big = small * 10;
         let mut m1 = Machine::new(cfg(p), vec![0u64; p]);
-        m1.allgather(PhaseKind::Setup, small, |r, _s| r as u64, |_r, _s, _a: &[u64]| {})
-            .expect("fault-free allgather");
+        m1.allgatherv(PhaseKind::Setup, small, |r, _s| vec![r as u64], |_r, _s, _a: &[u64]| {})
+            .expect("fault-free allgatherv");
         let mut m2 = Machine::new(cfg(p), vec![0u64; p]);
-        m2.allgather(PhaseKind::Setup, big, |r, _s| r as u64, |_r, _s, _a: &[u64]| {})
-            .expect("fault-free allgather");
+        m2.allgatherv(PhaseKind::Setup, big, |r, _s| vec![r as u64], |_r, _s, _a: &[u64]| {})
+            .expect("fault-free allgatherv");
         prop_assert!(m2.elapsed_s() > m1.elapsed_s());
         let tau = 2.0;
         let min_cost = (p as f64).log2().floor() * tau;

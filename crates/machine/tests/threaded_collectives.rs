@@ -5,8 +5,11 @@
 //! vector (no real communication), so it is the oracle: any disagreement
 //! means the mailbox protocol reordered, dropped or duplicated data.
 
+use std::sync::Arc;
+
 use pic_machine::{
-    Machine, MachineConfig, Outbox, PhaseKind, SpmdEngine, ThreadedMachine, Topology,
+    FaultPlan, Machine, MachineConfig, Outbox, PhaseKind, SpmdEngine, SuperstepStats,
+    ThreadedMachine, Topology,
 };
 use proptest::prelude::*;
 
@@ -20,11 +23,28 @@ fn cfg(p: usize) -> MachineConfig {
     }
 }
 
+/// The executor-independent part of a stats row: everything but the
+/// communication seconds (modeled τ/μ on one machine, wall time on the
+/// other).
+fn counts(rec: &SuperstepStats) -> (PhaseKind, [u64; 6], u64) {
+    let c = [
+        rec.max_msgs_sent,
+        rec.max_msgs_recv,
+        rec.max_bytes_sent,
+        rec.max_bytes_recv,
+        rec.total_msgs,
+        rec.total_bytes,
+    ];
+    (rec.phase, c, rec.max_compute_s.to_bits())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// allgatherv concatenates every rank's (random-length) vector in
-    /// rank order, identically on both executors.
+    /// rank order, identically on both executors, and logs the same
+    /// stats row — also when the threaded side runs under a benign fault
+    /// plan that reorders, delays and drops its exchange wires.
     #[test]
     fn allgatherv_agrees(
         p in 1usize..9,
@@ -47,10 +67,18 @@ proptest! {
             })
             .collect();
         let mut modeled = Machine::new(cfg(p), states.clone());
-        let mut threaded = ThreadedMachine::new(cfg(p), states);
+        let mut threaded = ThreadedMachine::new(cfg(p), states.clone());
+        let mut noisy = ThreadedMachine::new(cfg(p), states);
+        noisy.instruments_mut().fault_plan = Some(Arc::new(FaultPlan::benign(salt)));
         drive(&mut modeled);
         drive(&mut threaded);
-        prop_assert_eq!(modeled.ranks(), threaded.ranks());
+        drive(&mut noisy);
+        let row = counts(&modeled.stats().records()[0]);
+        for m in [&threaded, &noisy] {
+            prop_assert_eq!(modeled.ranks(), m.ranks());
+            prop_assert_eq!(m.stats().records().len(), 1);
+            prop_assert_eq!(counts(&m.stats().records()[0]), row);
+        }
     }
 
     /// Random all-to-all superstep traffic: inbox ordering and stats

@@ -132,13 +132,13 @@ proptest! {
         let states: Vec<(u64, u64)> = (0..p).map(|r| (salt + r as u64, 0)).collect();
         let mut m = Machine::new(cfg(p), states);
         m.instruments_mut().recorder = Some(Box::new(shared.clone()));
-        m.allgather(
+        m.allgatherv(
             PhaseKind::Setup,
             8,
-            |_r, s: &(u64, u64)| s.0,
+            |_r, s: &(u64, u64)| vec![s.0],
             |_r, s, all: &[u64]| s.1 = all.iter().sum(),
         )
-        .expect("fault-free allgather");
+        .expect("fault-free allgatherv");
 
         let events = shared.with(|rec| rec.take());
         let spans: Vec<_> = events
@@ -187,13 +187,13 @@ fn threaded_recorder_captures_spans_and_collectives() {
         },
     )
     .expect("fault-free superstep");
-    m.allgather(
+    m.allgatherv(
         PhaseKind::FieldSolve,
         8,
-        |_r, s: &u64| *s,
+        |_r, s: &u64| vec![*s],
         |_r, s, all: &[u64]| *s = all.iter().sum(),
     )
-    .expect("fault-free allgather");
+    .expect("fault-free allgatherv");
 
     let events = shared.with(|rec| rec.take());
     let spans: Vec<_> = events
@@ -231,13 +231,13 @@ fn threaded_recorder_captures_spans_and_collectives() {
 #[test]
 fn take_and_reinstall_recorder_round_trips() {
     fn drive<E: SpmdEngine<u64>>(m: &mut E) {
-        m.allgather(
+        m.allgatherv(
             PhaseKind::Other,
             8,
-            |_r, s: &u64| *s,
+            |_r, s: &u64| vec![*s],
             |_r, s, all: &[u64]| *s = all.iter().sum(),
         )
-        .expect("fault-free allgather");
+        .expect("fault-free allgatherv");
     }
 
     let shared = SharedRecorder::new(MemoryRecorder::new());
@@ -259,8 +259,9 @@ fn take_and_reinstall_recorder_round_trips() {
 }
 
 /// One program touching every engine operation: exchange supersteps, a
-/// local step and both collectives, each collective in two phases.  Two
-/// phases mix a superstep with a collective.
+/// local step and four concatenations — two of one value per rank, two
+/// of vectors — each in its own phase.  Two phases mix a superstep with
+/// a collective.
 fn mixed_program<E: SpmdEngine<(u64, Vec<f64>)>>(m: &mut E) {
     let p = m.num_ranks();
     for step in 0..2u64 {
@@ -284,13 +285,13 @@ fn mixed_program<E: SpmdEngine<(u64, Vec<f64>)>>(m: &mut E) {
             s.0 += 1;
         })
         .expect("local_step");
-        m.allgather(
+        m.allgatherv(
             PhaseKind::Setup,
             8,
-            |_r, s| s.0,
+            |_r, s| vec![s.0],
             |_r, s, all: &[u64]| s.1.push(all.len() as f64),
         )
-        .expect("allgather");
+        .expect("one-value allgatherv");
         m.allgatherv(
             PhaseKind::Redistribute,
             12,
@@ -298,13 +299,13 @@ fn mixed_program<E: SpmdEngine<(u64, Vec<f64>)>>(m: &mut E) {
             |_r, s, all: &[u64]| s.1.push(all.len() as f64),
         )
         .expect("allgatherv");
-        m.allgather(
+        m.allgatherv(
             PhaseKind::FieldSolve,
             8,
-            |_r, s| s.0 as f64,
+            |_r, s| vec![s.0 as f64],
             |_r, s, all: &[f64]| s.1.push(all.iter().sum()),
         )
-        .expect("allgather");
+        .expect("one-value allgatherv");
         m.allgatherv(
             PhaseKind::Scatter,
             8,
@@ -353,7 +354,11 @@ fn every_sink_agrees_on_both_executors() {
             // 7 accounted operations per round
             assert_eq!(stats.records().len(), 14, "{name} p={p}");
             for phase in PhaseKind::ALL {
-                let rows: Vec<_> = stats.phase(phase).collect();
+                let rows: Vec<_> = stats
+                    .records()
+                    .iter()
+                    .filter(|r| r.phase == phase)
+                    .collect();
                 let steps: Vec<_> = events
                     .iter()
                     .filter_map(TraceEvent::superstep)
