@@ -66,10 +66,12 @@ pub struct SimConfig {
     pub particle_charge: f64,
     /// RNG seed for the particle loader.
     pub seed: u64,
-    /// Run the per-iteration invariant guards (global particle/charge
-    /// conservation, structural key/particle sync, field finiteness).
-    /// Violations surface as
-    /// `SpmdError` with an `InvariantViolation` cause from
+    /// Run the per-iteration invariant guards: key/particle sync and
+    /// field and current finiteness, checked for every rank in parallel
+    /// on the executor's own workers (the lowest failing rank is
+    /// reported), then global particle and charge conservation on the
+    /// driver.  Violations surface as `SpmdError` with an
+    /// `InvariantViolation` cause from
     /// [`GenericPicSim::try_step`](crate::GenericPicSim::try_step).
     pub check_invariants: bool,
 }

@@ -598,55 +598,25 @@ impl<E: SpmdEngine<RankState>> GenericPicSim<E> {
         (total, charge)
     }
 
-    /// Physics/structure invariants checked after the four phases:
-    /// global particle conservation (exact), key/particle array sync,
-    /// total charge conservation, and field/current finiteness.
+    /// Physics/structure invariants checked after the four phases.  Each
+    /// rank's structural verdict ([`rank_verdict`]) is computed on the
+    /// worker that owns the rank, and the lowest failing rank is
+    /// reported; global particle conservation (exact) and total charge
+    /// conservation are then checked on the driver.
     fn check_invariants(
         &mut self,
         total_before: usize,
         charge_before: f64,
     ) -> Result<(), SpmdError> {
-        let mut total = 0usize;
-        let mut total_charge = 0.0f64;
-        for st in self.machine.ranks() {
-            if st.keys.len() != st.len() {
-                return Err(self.invariant_violation(
-                    Some(st.rank),
-                    format!(
-                        "keys ({}) and particles ({}) desynchronized",
-                        st.keys.len(),
-                        st.len()
-                    ),
-                ));
-            }
-            total += st.len();
-            total_charge += st.particles.charge * st.len() as f64;
-            let fields_finite = [
-                &st.fields.ex,
-                &st.fields.ey,
-                &st.fields.ez,
-                &st.fields.bx,
-                &st.fields.by,
-                &st.fields.bz,
-            ]
-            .iter()
-            .all(|g| g.as_slice().iter().all(|v| v.is_finite()));
-            if !fields_finite {
-                return Err(self.invariant_violation(
-                    Some(st.rank),
-                    "non-finite field value on the local block".to_string(),
-                ));
-            }
-            let currents_finite = [&st.currents.jx, &st.currents.jy, &st.currents.jz]
-                .iter()
-                .all(|g| g.as_slice().iter().all(|v| v.is_finite()));
-            if !currents_finite {
-                return Err(self.invariant_violation(
-                    Some(st.rank),
-                    "non-finite deposited current".to_string(),
-                ));
-            }
+        let verdicts = self.machine.inspect(|_, st| rank_verdict(st));
+        if let Some((rank, msg)) = verdicts
+            .into_iter()
+            .enumerate()
+            .find_map(|(r, v)| v.map(|msg| (r, msg)))
+        {
+            return Err(self.invariant_violation(Some(rank), msg));
         }
+        let (total, total_charge) = self.census();
         if total != total_before {
             return Err(self.invariant_violation(
                 None,
@@ -807,5 +777,173 @@ impl<E: SpmdEngine<RankState>> GenericPicSim<E> {
     /// Drained access to machine statistics (advanced use).
     pub fn stats_mut(&mut self) -> &mut StatsLog {
         self.machine.stats_mut()
+    }
+}
+
+/// One rank's invariant verdict: `None` when its state is sound, else
+/// the first violation in this order: key/particle sync, the six field
+/// planes, the three current planes.
+fn rank_verdict(st: &RankState) -> Option<String> {
+    if st.keys.len() != st.len() {
+        return Some(format!(
+            "keys ({}) and particles ({}) desynchronized",
+            st.keys.len(),
+            st.len()
+        ));
+    }
+    let f = &st.fields;
+    if ![&f.ex, &f.ey, &f.ez, &f.bx, &f.by, &f.bz]
+        .iter()
+        .all(|g| all_finite(g.as_slice()))
+    {
+        return Some("non-finite field value on the local block".to_string());
+    }
+    let j = &st.currents;
+    if ![&j.jx, &j.jy, &j.jz]
+        .iter()
+        .all(|g| all_finite(g.as_slice()))
+    {
+        return Some("non-finite deposited current".to_string());
+    }
+    None
+}
+
+/// Lanes per branch-free block of [`all_finite`].
+const FINITE_LANES: usize = 16;
+
+/// `values.iter().all(|v| v.is_finite())`, branch-free within blocks of
+/// [`FINITE_LANES`] values so that it vectorizes; only block boundaries
+/// short-circuit.
+fn all_finite(values: &[f64]) -> bool {
+    let mut blocks = values.chunks_exact(FINITE_LANES);
+    blocks.all(|b| b.iter().fold(true, |ok, v| ok & v.is_finite()))
+        && blocks.remainder().iter().all(|v| v.is_finite())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pic_field::Rect;
+
+    fn sound_state() -> RankState {
+        let rect = Rect {
+            x0: 0,
+            y0: 0,
+            w: 8,
+            h: 6,
+        };
+        let mut st = RankState::new(0, rect, &SimConfig::small_test());
+        for i in 0..4 {
+            st.particles.push(i as f64, 1.0, 0.0, 0.0, 0.0);
+            st.keys.push(i as u64);
+        }
+        st
+    }
+
+    #[test]
+    fn a_sound_rank_has_no_verdict() {
+        assert_eq!(rank_verdict(&sound_state()), None);
+    }
+
+    #[test]
+    fn desynchronized_keys_are_reported() {
+        let mut st = sound_state();
+        st.keys.pop();
+        assert_eq!(
+            rank_verdict(&st).as_deref(),
+            Some("keys (3) and particles (4) desynchronized")
+        );
+    }
+
+    #[test]
+    fn every_non_finite_field_plane_is_reported() {
+        for plane in 0..6 {
+            let mut st = sound_state();
+            let f = &mut st.fields;
+            let g = [
+                &mut f.ex, &mut f.ey, &mut f.ez, &mut f.bx, &mut f.by, &mut f.bz,
+            ];
+            let g = g.into_iter().nth(plane).expect("six planes");
+            let last = g.as_slice().len() - 1;
+            g.as_mut_slice()[last] = f64::NEG_INFINITY;
+            assert_eq!(
+                rank_verdict(&st).as_deref(),
+                Some("non-finite field value on the local block"),
+                "plane {plane}"
+            );
+        }
+    }
+
+    /// `update_e_padded` folds every current cell into E, so inside an
+    /// iteration a bad current is caught as a bad field first; only a
+    /// direct check reaches this branch.
+    #[test]
+    fn every_non_finite_current_plane_is_reported() {
+        for plane in 0..3 {
+            let mut st = sound_state();
+            let j = &mut st.currents;
+            let g = [&mut j.jx, &mut j.jy, &mut j.jz];
+            let g = g.into_iter().nth(plane).expect("three planes");
+            g.as_mut_slice()[5] = f64::NAN;
+            assert_eq!(
+                rank_verdict(&st).as_deref(),
+                Some("non-finite deposited current"),
+                "plane {plane}"
+            );
+        }
+    }
+
+    #[test]
+    fn the_checks_run_in_order() {
+        let mut st = sound_state();
+        st.currents.jz.as_mut_slice()[0] = f64::NAN;
+        st.fields.bz.as_mut_slice()[0] = f64::NAN;
+        assert_eq!(
+            rank_verdict(&st).as_deref(),
+            Some("non-finite field value on the local block")
+        );
+        st.keys.clear();
+        assert_eq!(
+            rank_verdict(&st).as_deref(),
+            Some("keys (0) and particles (4) desynchronized")
+        );
+    }
+
+    /// The block remainder is where a chunked scan breaks: plant every
+    /// non-finite value at every position of every length across three
+    /// blocks.
+    #[test]
+    fn all_finite_agrees_with_the_scalar_scan() {
+        for len in 0..=40 {
+            let clean: Vec<f64> = (0..len).map(|i| i as f64 - 7.5).collect();
+            assert!(all_finite(&clean), "len {len}");
+            for pos in 0..len {
+                for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                    let mut v = clean.clone();
+                    v[pos] = bad;
+                    assert_eq!(
+                        all_finite(&v),
+                        v.iter().all(|x| x.is_finite()),
+                        "len {len}, {bad} at {pos}"
+                    );
+                    assert!(!all_finite(&v));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn extreme_finite_values_count_as_finite() {
+        let edge = [
+            f64::MAX,
+            -f64::MAX,
+            f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE / 4.0,
+            -0.0,
+        ];
+        for len in 0..=40 {
+            let v: Vec<f64> = edge.iter().copied().cycle().take(len).collect();
+            assert!(all_finite(&v), "len {len}");
+        }
     }
 }

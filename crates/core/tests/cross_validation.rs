@@ -12,7 +12,8 @@
 
 use pic_core::state::RankState;
 use pic_core::{GenericPicSim, ParallelPicSim, SimConfig, ThreadedPicSim};
-use pic_machine::{MachineConfig, SpmdEngine};
+use pic_field::FieldSet;
+use pic_machine::{FailureCause, MachineConfig, SpmdEngine};
 use pic_partition::PolicyKind;
 
 /// Bitwise equality of two f64 slices (NaN-safe, -0.0 ≠ 0.0).
@@ -127,4 +128,78 @@ fn threaded_dynamic_policy_runs_and_conserves() {
     let mut modeled = ParallelPicSim::new(sim.config().clone());
     modeled.run(10);
     assert_eq!(modeled.total_particles(), 512);
+}
+
+/// Write `v` into the centre of `rank`'s padded `plane`.  The block must
+/// leave at least three cells on every side of the centre: one
+/// iteration's B→E stencil and halo exchange then cannot carry the value
+/// into a neighbour's ghost ring before the guards run.
+fn poison(ranks: &mut [RankState], rank: usize, plane: fn(&mut FieldSet) -> &mut [f64], v: f64) {
+    let st = &mut ranks[rank];
+    let (w, h) = (st.rect.w, st.rect.h);
+    assert!(w >= 7 && h >= 7, "rank {rank}'s block {w}x{h} is too small");
+    plane(&mut st.fields)[(h / 2 + 1) * (w + 2) + w / 2 + 1] = v;
+}
+
+/// A hand-made corruption of a fresh simulation's rank states.
+type Corruption = fn(&mut [RankState]);
+
+/// Corrupt a fresh simulation on executor `E`, step once and return the
+/// guard's verdict: the failing rank and the violation message.
+fn guard_verdict<E: SpmdEngine<RankState>>(corrupt: Corruption) -> (Option<usize>, String) {
+    let cfg = SimConfig {
+        nx: 64,
+        ny: 64,
+        ..cross_cfg(5, 1024, 5)
+    };
+    let mut sim: GenericPicSim<E> = GenericPicSim::new(cfg);
+    corrupt(sim.ranks_mut());
+    let err = sim
+        .try_step()
+        .expect_err("the corruption must trip a guard");
+    match err.cause {
+        FailureCause::InvariantViolation(msg) => (err.rank, msg),
+        other => panic!("unexpected cause: {other}"),
+    }
+}
+
+/// Both executors compute each rank's invariant verdict on their own
+/// workers — the modeled machine in contiguous chunks (5 ranks split
+/// unevenly at `PIC_HOST_THREADS=3`), the threaded one a rank per worker
+/// — and must report the same lowest failing rank with the same message.
+#[test]
+fn invariant_guards_agree_across_executors() {
+    let cases: [(Corruption, usize, &str); 3] = [
+        (
+            |ranks| {
+                poison(ranks, 1, |f| f.ex.as_mut_slice(), f64::NAN);
+                poison(ranks, 3, |f| f.bz.as_mut_slice(), f64::INFINITY);
+            },
+            1,
+            "non-finite field value on the local block",
+        ),
+        (
+            |ranks| {
+                assert!(ranks[4].keys.pop().is_some());
+                poison(ranks, 2, |f| f.ey.as_mut_slice(), f64::NAN);
+            },
+            2,
+            "non-finite field value on the local block",
+        ),
+        (
+            |ranks| {
+                assert!(ranks[0].keys.pop().is_some());
+                poison(ranks, 0, |f| f.by.as_mut_slice(), f64::NAN);
+            },
+            0,
+            "desynchronized",
+        ),
+    ];
+    for (corrupt, rank, msg) in cases {
+        let modeled = guard_verdict::<pic_machine::Machine<RankState>>(corrupt);
+        let threaded = guard_verdict::<pic_machine::ThreadedMachine<RankState>>(corrupt);
+        assert_eq!(modeled, threaded);
+        assert_eq!(modeled.0, Some(rank), "{}", modeled.1);
+        assert!(modeled.1.contains(msg), "rank {rank}: {}", modeled.1);
+    }
 }

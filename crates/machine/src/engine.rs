@@ -21,7 +21,9 @@
 //! [`SpmdEngine::local_step`]) and global concatenation
 //! ([`SpmdEngine::allgatherv`], which a one-value-per-rank gather calls
 //! with one-element vectors).  Each executor implements each of them
-//! once, in its trait impl.
+//! once, in its trait impl.  A fourth method, [`SpmdEngine::inspect`],
+//! is not communication: a read-only, unaccounted map that lets the
+//! driver check every rank's state on the worker that owns it.
 //!
 //! ## Failure reporting
 //!
@@ -134,4 +136,17 @@ pub trait SpmdEngine<S: Send>: Sized {
         T: Clone + Send,
         F: Fn(usize, &S) -> Vec<T> + Sync,
         G: Fn(usize, &mut S, &[T]) + Sync;
+
+    /// Read-only map over the ranks, run on the workers that run the
+    /// ranks' supersteps: `f` on every rank, outputs in rank order.  It
+    /// is not an operation of the program: it records no superstep,
+    /// charges no time, emits no event and arms no fault.  A panic in
+    /// `f` is re-raised with its payload.
+    ///
+    /// Takes `&mut self` because rank states need only be `Send`: each
+    /// worker is handed its ranks exclusively.
+    fn inspect<T, F>(&mut self, f: F) -> Vec<T>
+    where
+        T: Send,
+        F: Fn(usize, &S) -> T + Sync;
 }

@@ -411,6 +411,18 @@ impl<S: Send> SpmdEngine<S> for Machine<S> {
             m.charge_collective(phase, CollectiveShape::Doubling, max_share * bytes_per_item);
         })
     }
+
+    fn inspect<T, F>(&mut self, f: F) -> Vec<T>
+    where
+        T: Send,
+        F: Fn(usize, &S) -> T + Sync,
+    {
+        let (p, width) = (self.cfg.ranks, self.width);
+        let pool = self
+            .pool
+            .get_or_insert_with(|| WorkerPool::chunked(p, width));
+        pool.map_chunks(&mut self.states, vec![(); p], &|r, s, ()| f(r, s))
+    }
 }
 
 /// Charge a superstep: convert every rank's op units (held in

@@ -145,28 +145,11 @@ impl StatsLog {
     pub fn drain(&mut self) -> Vec<SuperstepStats> {
         std::mem::take(&mut self.records)
     }
-
-    /// Total modeled elapsed seconds across recorded supersteps.
-    pub fn elapsed_s(&self) -> f64 {
-        self.records.iter().map(|r| r.elapsed_s).sum()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn elapsed_sums_records() {
-        let mut log = StatsLog::new();
-        let mut a = SuperstepStats::empty(PhaseKind::Scatter);
-        a.elapsed_s = 1.5;
-        let mut b = SuperstepStats::empty(PhaseKind::Gather);
-        b.elapsed_s = 0.5;
-        log.push(a);
-        log.push(b);
-        assert!((log.elapsed_s() - 2.0).abs() < 1e-12);
-    }
 
     #[test]
     fn drain_empties_the_log() {

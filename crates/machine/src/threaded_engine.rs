@@ -32,7 +32,7 @@
 //! [`FaultSession`](crate::fault::FaultSession), so this engine honors
 //! benign wire faults *and* kills.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
 use crate::config::MachineConfig;
@@ -383,6 +383,22 @@ impl<S: Send> SpmdEngine<S> for ThreadedMachine<S> {
         let max_share = lens.into_iter().max().unwrap_or(0);
         self.account_collective(phase, max_share * bytes_per_item, wall);
         Ok(())
+    }
+
+    /// Rank `r` is read on worker `r`, the thread that runs its
+    /// supersteps.  No mailboxes are made, so no fault session is armed.
+    fn inspect<T, F>(&mut self, f: F) -> Vec<T>
+    where
+        T: Send,
+        F: Fn(usize, &S) -> T + Sync,
+    {
+        let p = self.cfg.ranks;
+        let pool = self.pool.get_or_insert_with(|| WorkerPool::new(p, "rank"));
+        let items: Vec<&mut S> = self.states.iter_mut().collect();
+        pool.map(items, &|r, s: &mut S| f(r, s))
+            .into_iter()
+            .map(|out| out.unwrap_or_else(|payload| resume_unwind(payload)))
+            .collect()
     }
 }
 
