@@ -1,8 +1,7 @@
 //! Ablation: duplicate-removal table choice inside the full simulation
 //! (paper Section 3.2 / Figure 8).
 //!
-//! The criterion bench `dedup` measures the isolated kernels; this
-//! harness confirms the modeled end-to-end difference: the direct
+//! This harness measures the modeled end-to-end difference: the direct
 //! address table trades O(m) memory for cheaper per-access cost, which
 //! shows up in the scatter phase's compute time but leaves the
 //! communication volume identical (dedup semantics are equal).

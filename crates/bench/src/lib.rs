@@ -1,8 +1,9 @@
 //! # pic-bench — the experiment harness
 //!
-//! One binary per table/figure of the paper's evaluation (Section 6),
-//! plus Criterion kernel benches.  Each binary prints the same
-//! rows/series the paper reports and writes a CSV under `results/`.
+//! One binary per table/figure of the paper's evaluation (Section 6).
+//! Each binary prints the same rows/series the paper reports and writes
+//! a CSV under `results/`.  Wall-clock kernel and per-phase costs are
+//! measured by the repository benchmark (`perfbench/`), not here.
 //!
 //! | binary | paper artifact |
 //! |---|---|
@@ -264,6 +265,23 @@ mod tests {
         let expect = 200.0 * (32_768.0 * 240.0 + 32_768.0 * 90.0) * 1e-6;
         let got = sequential_modeled_time(&cfg, 200);
         assert!((got - expect).abs() < 1e-9, "{got} vs {expect}");
+    }
+
+    /// The closed form must charge exactly what the sequential simulation
+    /// accumulates; a cost constant edited in only one of them would skew
+    /// Table 3's efficiency columns.
+    #[test]
+    fn closed_form_matches_the_sequential_simulation() {
+        let cfg = SimConfig::small_test();
+        let steps = 7;
+        let mut sim = pic_core::SequentialPicSim::new(cfg.clone());
+        sim.run(steps);
+        let simulated = sim.modeled_time_s();
+        let closed = sequential_modeled_time(&cfg, steps);
+        assert!(
+            ((closed - simulated) / simulated).abs() <= 1e-12,
+            "closed form {closed} vs simulated {simulated}"
+        );
     }
 
     #[test]

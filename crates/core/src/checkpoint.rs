@@ -29,7 +29,7 @@ pub const CHECKPOINT_MAGIC: [u8; 8] = *b"PICCKPT\0";
 /// Current encoding version.
 pub const CHECKPOINT_VERSION: u32 = 2;
 
-/// Why a checkpoint could not be decoded.
+/// Why a checkpoint could not be decoded or resumed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CheckpointError {
     /// Fewer bytes than the header/payload/trailer demand.
@@ -47,6 +47,9 @@ pub enum CheckpointError {
     },
     /// Structurally invalid payload.
     Malformed(&'static str),
+    /// The checkpoint was taken under another configuration; names the
+    /// quantity that differs.
+    Mismatch(&'static str),
 }
 
 impl fmt::Display for CheckpointError {
@@ -62,6 +65,9 @@ impl fmt::Display for CheckpointError {
                 "checkpoint checksum mismatch (stored {stored:#018x}, computed {computed:#018x})"
             ),
             CheckpointError::Malformed(what) => write!(f, "malformed checkpoint: {what}"),
+            CheckpointError::Mismatch(what) => {
+                write!(f, "checkpoint was taken with a different {what}")
+            }
         }
     }
 }
@@ -104,16 +110,17 @@ impl RankSnapshot {
     /// checkpointed sorter held (they were last rebuilt from these same
     /// keys).
     ///
-    /// # Panics
-    /// Panics when `st` belongs to a different rank or its field block
-    /// has different dimensions (checkpoint/config mismatch).
-    pub fn restore_into(&self, st: &mut RankState) {
-        assert_eq!(st.rank, self.rank, "checkpoint rank mismatch");
-        assert_eq!(
-            (st.fields.width(), st.fields.height()),
-            (self.fields.width(), self.fields.height()),
-            "checkpoint field block mismatch"
-        );
+    /// # Errors
+    /// [`CheckpointError::Mismatch`] when `st` belongs to a different
+    /// rank or its field block has different dimensions; `st` is left
+    /// untouched.
+    pub fn restore_into(&self, st: &mut RankState) -> Result<(), CheckpointError> {
+        if st.rank != self.rank {
+            return Err(CheckpointError::Mismatch("rank order"));
+        }
+        if (st.fields.width(), st.fields.height()) != (self.fields.width(), self.fields.height()) {
+            return Err(CheckpointError::Mismatch("field block dimensions"));
+        }
         st.particles = self.particles.clone();
         st.keys = self.keys.clone();
         st.bounds = self.bounds.clone();
@@ -122,6 +129,7 @@ impl RankSnapshot {
         if st.keys.windows(2).all(|w| w[0] <= w[1]) {
             st.rebuild_sorter();
         }
+        Ok(())
     }
 }
 

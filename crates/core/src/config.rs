@@ -144,8 +144,7 @@ impl SimConfig {
         assert!(self.buckets_per_rank >= 1, "need at least one bucket");
         assert!(self.dt > 0.0 && self.dx > 0.0 && self.dy > 0.0);
         let p = self.machine.ranks;
-        let (a, b) = pic_field::factor_near_square(p);
-        let (pr, pc) = if self.nx >= self.ny { (a, b) } else { (b, a) };
+        let (pr, pc) = pic_field::block_grid(self.nx, self.ny, p);
         assert!(
             pr <= self.nx && pc <= self.ny,
             "{p} ranks cannot tile a {}x{} mesh",

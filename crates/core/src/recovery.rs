@@ -92,7 +92,8 @@ pub fn run_with_recovery<E: SpmdEngine<RankState>>(
                 // drop the records of iterations past the snapshot;
                 // they will be re-executed
                 records.truncate(ck.iter as usize);
-                let mut fresh = GenericPicSim::<E>::resume_from(cfg.clone(), &ck);
+                let mut fresh = GenericPicSim::<E>::resume_from(cfg.clone(), &ck)
+                    .expect("a run's own checkpoint matches its configuration");
                 // carry the fault plan, the event stream and the
                 // registry into the resumed simulation
                 *fresh.instruments_mut() = std::mem::take(sim.instruments_mut());

@@ -10,7 +10,7 @@ use pic_machine::{
 use pic_partition::{sfc_block_layout, Policy};
 use serde::{Deserialize, Serialize};
 
-use crate::checkpoint::{Checkpoint, RankSnapshot};
+use crate::checkpoint::{Checkpoint, CheckpointError, RankSnapshot};
 use crate::config::{MovementMethod, SimConfig};
 use crate::diagnostics::EnergyReport;
 use crate::phases::{self, PhaseEnv};
@@ -413,28 +413,26 @@ impl<E: SpmdEngine<RankState>> GenericPicSim<E> {
     /// snapshot was taken from (under any measurement-independent
     /// redistribution policy).
     ///
+    /// # Errors
+    /// [`CheckpointError::Mismatch`] when the checkpoint does not match
+    /// `cfg`: the rank count, particle total, redistribution policy, or a
+    /// rank's field block dimensions differ.
+    ///
     /// # Panics
-    /// Panics when the checkpoint does not match `cfg` (rank count,
-    /// particle total, redistribution policy, or field block dimensions
-    /// differ).
-    pub fn resume_from(cfg: SimConfig, ck: &Checkpoint) -> Self {
+    /// Panics on an invalid configuration.
+    pub fn resume_from(cfg: SimConfig, ck: &Checkpoint) -> Result<Self, CheckpointError> {
+        if ck.ranks.len() != cfg.machine.ranks {
+            return Err(CheckpointError::Mismatch("rank count"));
+        }
+        if ck.total_particles() != cfg.particles {
+            return Err(CheckpointError::Mismatch("particle total"));
+        }
+        if ck.policy.kind != cfg.policy {
+            return Err(CheckpointError::Mismatch("redistribution policy"));
+        }
         let mut sim = Self::construct(cfg, false);
-        assert_eq!(
-            ck.ranks.len(),
-            sim.machine.num_ranks(),
-            "checkpoint was taken with a different rank count"
-        );
-        assert_eq!(
-            ck.total_particles(),
-            sim.cfg.particles,
-            "checkpoint was taken with a different particle total"
-        );
-        assert_eq!(
-            ck.policy.kind, sim.cfg.policy,
-            "checkpoint was taken with a different redistribution policy"
-        );
         for (st, snap) in sim.machine.ranks_mut().iter_mut().zip(&ck.ranks) {
-            snap.restore_into(st);
+            snap.restore_into(st)?;
         }
         sim.iter = ck.iter as usize;
         sim.setup_s = ck.setup_s;
@@ -443,7 +441,7 @@ impl<E: SpmdEngine<RankState>> GenericPicSim<E> {
         sim.breakdown = ck.breakdown;
         sim.policy = ck.policy;
         sim.machine.set_fault_epoch(ck.iter);
-        sim
+        Ok(sim)
     }
 
     /// Snapshot the persistent simulation state at the current iteration

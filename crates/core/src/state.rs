@@ -81,25 +81,6 @@ impl RankState {
         self.particles.is_empty()
     }
 
-    /// Extract the particles whose destination (parallel array `dests`)
-    /// differs from this rank, grouped into per-destination batches in
-    /// ascending rank order.  Local order of survivors is preserved.
-    ///
-    /// Convenience wrapper over [`Self::take_outgoing_packed`] (copies
-    /// `dests` into the arena and collects the batches); the hot path
-    /// classifies straight into `scratch.dests` and streams batches to
-    /// the outbox.
-    ///
-    /// # Panics
-    /// Panics if `dests` length mismatches the particle count.
-    pub fn take_outgoing(&mut self, dests: &[usize]) -> Vec<(usize, ParticleBatch)> {
-        self.scratch.dests.clear();
-        self.scratch.dests.extend_from_slice(dests);
-        let mut out = Vec::new();
-        self.take_outgoing_packed(|dest, batch| out.push((dest, batch)));
-        out
-    }
-
     /// Zero-copy outgoing exchange: consume `scratch.dests` (destination
     /// rank per particle), pack every mover ONCE into the arena's shared
     /// flat buffers — keys and interleaved phase space, grouped by
@@ -264,12 +245,22 @@ mod tests {
         st
     }
 
+    /// Set `scratch.dests` as the redistribution phase's classification
+    /// does, then collect what `take_outgoing_packed` sends.
+    fn take_outgoing(st: &mut RankState, dests: &[usize]) -> Vec<(usize, ParticleBatch)> {
+        st.scratch.dests.clear();
+        st.scratch.dests.extend_from_slice(dests);
+        let mut out = Vec::new();
+        st.take_outgoing_packed(|dest, batch| out.push((dest, batch)));
+        out
+    }
+
     #[test]
     fn take_outgoing_partitions_by_destination() {
         let mut st = state_with_particles();
         // dests: particles 0,2 stay (rank 1); 1,3 -> rank 0; 4,5 -> rank 2
         let dests = vec![1, 0, 1, 0, 2, 2];
-        let out = st.take_outgoing(&dests);
+        let out = take_outgoing(&mut st, &dests);
         assert_eq!(st.len(), 2);
         assert_eq!(st.keys, vec![0, 20]);
         assert_eq!(out.len(), 2);
@@ -285,7 +276,7 @@ mod tests {
     fn outgoing_batches_share_one_pack_buffer() {
         let mut st = state_with_particles();
         let dests = vec![1, 0, 1, 0, 2, 2];
-        let out = st.take_outgoing(&dests);
+        let out = take_outgoing(&mut st, &dests);
         // both batches window the same packed allocation
         assert_eq!(out.len(), 2);
         let all_keys: Vec<u64> = out.iter().flat_map(|(_, b)| b.keys().to_vec()).collect();
@@ -298,7 +289,7 @@ mod tests {
         st.particles.push(7.0, 7.0, 0.0, 0.0, 0.0);
         st.keys.push(60);
         st.keys.push(70);
-        let out2 = st.take_outgoing(&[0, 1, 0, 1]);
+        let out2 = take_outgoing(&mut st, &[0, 1, 0, 1]);
         assert_eq!(out2.len(), 1);
         assert_eq!(out2[0].0, 0);
         assert_eq!(out2[0].1.keys(), &[0, 60][..]);
@@ -309,7 +300,7 @@ mod tests {
     #[test]
     fn take_outgoing_with_no_moves_is_empty() {
         let mut st = state_with_particles();
-        let out = st.take_outgoing(&[1; 6]);
+        let out = take_outgoing(&mut st, &[1; 6]);
         assert!(out.is_empty());
         assert_eq!(st.len(), 6);
     }

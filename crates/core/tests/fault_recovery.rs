@@ -10,7 +10,9 @@
 use std::sync::Arc;
 
 use pic_core::state::RankState;
-use pic_core::{run_with_recovery, Checkpoint, GenericPicSim, ParallelPicSim, SimConfig};
+use pic_core::{
+    run_with_recovery, Checkpoint, CheckpointError, GenericPicSim, ParallelPicSim, SimConfig,
+};
 use pic_machine::{
     FailureCause, FaultPlan, Instruments, MachineConfig, SpmdEngine, ThreadedMachine,
 };
@@ -162,7 +164,7 @@ fn checkpoint_roundtrip_at_arbitrary_boundaries() {
         let decoded = Checkpoint::decode(&bytes).expect("decode");
         assert_eq!(decoded.iter, stop_at as u64);
         assert_eq!(decoded.total_particles(), particles);
-        let mut resumed = ParallelPicSim::resume_from(cfg, &decoded);
+        let mut resumed = ParallelPicSim::resume_from(cfg, &decoded).expect("resume");
 
         // the restored state matches the live state bit-for-bit...
         assert_states_identical(original.machine().ranks(), resumed.machine().ranks());
@@ -178,17 +180,53 @@ fn checkpoint_roundtrip_at_arbitrary_boundaries() {
     }
 }
 
-/// A checkpoint carries its policy kind; resuming it under another kind
-/// would silently restart the other kind's decision state from scratch.
+/// Resuming a checkpoint under a configuration it was not taken with
+/// returns a typed error naming what differs.  The policy case matters
+/// most: resumed under another kind, the checkpoint would silently
+/// restart that kind's decision state from scratch.
 #[test]
-#[should_panic(expected = "checkpoint was taken with a different redistribution policy")]
-fn resume_rejects_a_checkpoint_of_another_policy() {
-    let mut cfg = recovery_cfg(2, 128, 5);
+fn resume_rejects_a_checkpoint_of_another_configuration() {
+    let cfg = recovery_cfg(2, 128, 5);
     let mut sim = ParallelPicSim::new(cfg.clone());
     sim.step();
     let ck = sim.checkpoint();
-    cfg.policy = PolicyKind::DynamicSar;
-    ParallelPicSim::resume_from(cfg, &ck);
+    let mismatches = [
+        (
+            SimConfig {
+                machine: MachineConfig::cm5(4),
+                ..cfg.clone()
+            },
+            "rank count",
+        ),
+        (
+            SimConfig {
+                particles: 256,
+                ..cfg.clone()
+            },
+            "particle total",
+        ),
+        (
+            SimConfig {
+                policy: PolicyKind::DynamicSar,
+                ..cfg.clone()
+            },
+            "redistribution policy",
+        ),
+        (
+            SimConfig {
+                nx: 2 * cfg.nx,
+                ..cfg.clone()
+            },
+            "field block dimensions",
+        ),
+    ];
+    for (other, what) in mismatches {
+        match ParallelPicSim::resume_from(other, &ck) {
+            Err(e) => assert_eq!(e, CheckpointError::Mismatch(what)),
+            Ok(_) => panic!("a checkpoint with a different {what} was resumed"),
+        }
+    }
+    assert!(ParallelPicSim::resume_from(cfg, &ck).is_ok());
 }
 
 /// The invariant guards catch state corruption and report it as a typed

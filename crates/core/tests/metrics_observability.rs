@@ -213,7 +213,8 @@ fn structure_gauges_are_written_once_per_registry() {
     let mut resumed = GenericPicSim::<Machine<pic_core::RankState>>::resume_from(
         cfg_8rank(PolicyKind::Static),
         &sim.checkpoint(),
-    );
+    )
+    .expect("resume");
     let fresh = SharedMetrics::new(8);
     resumed.instruments_mut().metrics = Some(fresh.clone());
     resumed.redistribute_now();

@@ -48,8 +48,7 @@ fn arb_config() -> impl Strategy<Value = SimConfig> {
             },
         )
         .prop_filter("ranks must tile mesh", |cfg| {
-            let (a, b) = pic_field::factor_near_square(cfg.machine.ranks);
-            let (pr, pc) = if cfg.nx >= cfg.ny { (a, b) } else { (b, a) };
+            let (pr, pc) = pic_field::block_grid(cfg.nx, cfg.ny, cfg.machine.ranks);
             pr <= cfg.nx && pc <= cfg.ny && cfg.particles >= cfg.machine.ranks
         })
 }
@@ -157,7 +156,7 @@ proptest! {
         let bytes = original.checkpoint().encode();
         let ck = pic_core::Checkpoint::decode(&bytes).expect("decode");
         prop_assert_eq!(ck.iter, stop_at as u64);
-        let mut resumed = ParallelPicSim::resume_from(cfg, &ck);
+        let mut resumed = ParallelPicSim::resume_from(cfg, &ck).expect("resume");
 
         for _ in 0..3 {
             original.step();

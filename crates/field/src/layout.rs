@@ -80,6 +80,18 @@ pub fn factor_near_square(p: usize) -> (usize, usize) {
     best
 }
 
+/// The `(pr, pc)` block grid of `p` ranks on an `nx x ny` mesh: the
+/// near-square factoring of `p`, with the larger factor along the longer
+/// mesh dimension.
+pub fn block_grid(nx: usize, ny: usize, p: usize) -> (usize, usize) {
+    let (a, b) = factor_near_square(p);
+    if nx >= ny {
+        (a, b)
+    } else {
+        (b, a)
+    }
+}
+
 /// BLOCK distribution of an `nx x ny` mesh over `pr x pc` rank blocks.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BlockLayout {
@@ -116,15 +128,10 @@ impl BlockLayout {
         }
     }
 
-    /// 2-D BLOCK over `p` ranks with a near-square block grid.
+    /// 2-D BLOCK over `p` ranks on the [`block_grid`] shape.
     pub fn new_auto(nx: usize, ny: usize, p: usize) -> Self {
-        let (a, b) = factor_near_square(p);
-        // put the larger factor along the longer mesh dimension
-        if nx >= ny {
-            Self::new_2d(nx, ny, a, b)
-        } else {
-            Self::new_2d(nx, ny, b, a)
-        }
+        let (pr, pc) = block_grid(nx, ny, p);
+        Self::new_2d(nx, ny, pr, pc)
     }
 
     /// 1-D BLOCK along x (column strips).
@@ -268,6 +275,13 @@ mod tests {
         assert_eq!(factor_near_square(128), (16, 8));
         assert_eq!(factor_near_square(7), (7, 1));
         assert_eq!(factor_near_square(12), (4, 3));
+    }
+
+    #[test]
+    fn block_grid_puts_the_larger_factor_along_the_longer_side() {
+        assert_eq!(block_grid(128, 64, 32), (8, 4));
+        assert_eq!(block_grid(64, 128, 32), (4, 8));
+        assert_eq!(block_grid(16, 16, 12), (4, 3));
     }
 
     #[test]

@@ -38,6 +38,6 @@ pub mod poisson;
 pub use energy::field_energy;
 pub use grid2::Grid2;
 pub use halo::{CellSlot, HaloMsg, HaloPlan};
-pub use layout::{factor_near_square, BlockLayout, Rect};
+pub use layout::{block_grid, factor_near_square, BlockLayout, Rect};
 pub use maxwell::{CurrentSet, FieldSet, MaxwellSolver};
 pub use poisson::{efield_from_phi, solve_poisson_periodic};

@@ -1,7 +1,7 @@
 //! Property tests for grids, BLOCK layouts and halo plans on arbitrary
 //! mesh/processor geometries.
 
-use pic_field::{factor_near_square, BlockLayout, Grid2, HaloPlan};
+use pic_field::{block_grid, factor_near_square, BlockLayout, Grid2, HaloPlan};
 use proptest::prelude::*;
 
 proptest! {
@@ -118,8 +118,7 @@ proptest! {
         p in 1usize..16,
         seed in any::<u64>(),
     ) {
-        let (a, b) = factor_near_square(p);
-        let (pr, pc) = if nx >= ny { (a, b) } else { (b, a) };
+        let (pr, pc) = block_grid(nx, ny, p);
         prop_assume!(pr <= nx && pc <= ny);
         let l = BlockLayout::new_auto(nx, ny, p);
         let rank = (seed as usize) % l.num_ranks();

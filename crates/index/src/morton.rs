@@ -1,8 +1,8 @@
 //! Morton (Z-order) indexing — an extra locality baseline for ablations.
 //!
 //! Morton order maintains proximity along both dimensions like Hilbert, but
-//! has long diagonal jumps at block boundaries; the locality ablation bench
-//! quantifies how much that costs relative to Hilbert.
+//! has long diagonal jumps at block boundaries; the `indexing_ablation`
+//! example quantifies how much that costs relative to Hilbert.
 //!
 //! Like [`crate::HilbertIndexer`], the raw curve lives on an enclosing
 //! power-of-two square and is compacted to a bijection on the mesh.

@@ -11,9 +11,9 @@
 //!   reports **wall-clock seconds**.
 //!
 //! Cross-validation tests assert that both executors produce bit-identical
-//! rank states for full multi-iteration simulations; the bench binary
-//! `threaded_vs_modeled` quantifies how far the cost model drifts from
-//! real execution.
+//! rank states for full multi-iteration simulations; the dashboard's
+//! `model_error.csv` quantifies how far the cost model drifts from real
+//! execution.
 //!
 //! The trait carries exactly the operations the phase programs use: the
 //! paper's two kinds of communication — the all-to-many exchange

@@ -12,8 +12,8 @@
 //! *performed*.  Where the modeled machine reports τ/μ/δ seconds, this
 //! engine reports wall-clock seconds; the statistics log carries the same
 //! off-rank message/byte counts (they are a property of the program, not
-//! the executor), which is what makes the two logs directly comparable in
-//! the `threaded_vs_modeled` bench.
+//! the executor), which is what makes the two logs directly comparable
+//! (the dashboard's per-phase model-error report sets them side by side).
 //!
 //! Rank results are bit-identical to the modeled machine by construction:
 //!

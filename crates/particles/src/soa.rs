@@ -153,16 +153,7 @@ impl Particles {
     }
 
     /// Reorder the array in place so element `i` of the result is the old
-    /// element `order[i]`.
-    ///
-    /// # Panics
-    /// Panics if `order` is not a permutation of `0..len`.
-    pub fn apply_order(&mut self, order: &[usize]) {
-        let mut visited = Vec::new();
-        self.apply_order_in_place(order, &mut visited);
-    }
-
-    /// [`Self::apply_order`] with a caller-owned `visited` buffer:
+    /// element `order[i]`, using a caller-owned `visited` buffer:
     /// applies the permutation by cycle decomposition, moving all five
     /// attribute arrays along each cycle hop — one permutation
     /// application instead of five independent gathers, and zero heap
@@ -288,7 +279,7 @@ mod tests {
     #[test]
     fn apply_order_permutes_all_attributes() {
         let mut p = sample();
-        p.apply_order(&[4, 3, 2, 1, 0]);
+        p.apply_order_in_place(&[4, 3, 2, 1, 0], &mut Vec::new());
         assert_eq!(p.x, vec![4.0, 3.0, 2.0, 1.0, 0.0]);
         assert_eq!(p.uy, vec![-1.0, -0.75, -0.5, -0.25, -0.0]);
     }
@@ -296,7 +287,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "not a permutation")]
     fn apply_bad_order_panics() {
-        sample().apply_order(&[0, 0, 1, 2, 3]);
+        sample().apply_order_in_place(&[0, 0, 1, 2, 3], &mut Vec::new());
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! array is spatially close to rank `r`'s mesh block — this is the
 //! *alignment* half of the paper's contribution.
 
-use pic_field::{factor_near_square, BlockLayout};
+use pic_field::{block_grid, BlockLayout};
 use pic_index::IndexScheme;
 
 /// Build the BLOCK layout of an `nx x ny` mesh over `p` ranks, with the
@@ -18,10 +18,9 @@ use pic_index::IndexScheme;
 ///
 /// # Panics
 /// Panics if `p` does not tile the mesh (more blocks than cells along a
-/// dimension after near-square factoring).
+/// dimension of the [`block_grid`]).
 pub fn sfc_block_layout(nx: usize, ny: usize, p: usize, scheme: IndexScheme) -> BlockLayout {
-    let (a, b) = factor_near_square(p);
-    let (pr, pc) = if nx >= ny { (a, b) } else { (b, a) };
+    let (pr, pc) = block_grid(nx, ny, p);
     let layout = BlockLayout::new_2d(nx, ny, pr, pc);
     // index the pr x pc block grid along the curve; block (bi, bj) gets
     // rank = its curve position

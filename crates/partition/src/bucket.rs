@@ -7,27 +7,13 @@
 //! classification (binary search over the remembered boundaries) plus
 //! small per-bucket sorts — `O(n log(n/L))` comparisons instead of
 //! `O(n log n)`, and in practice far fewer because buckets stay almost
-//! sorted.  The sorting ablation bench quantifies the win against a full
-//! `sort_unstable` and a from-scratch sample sort.
+//! sorted.  The modeled comparison count of each pass (see
+//! [`BucketIncrementalSorter::sort_incremental_into`]) is what the
+//! redistribution phase charges for the sort.
 
 use serde::{Deserialize, Serialize};
 
-use crate::radix::{radix_sort_indices, radix_sorted_order_into, RadixScratch};
-
-/// Stable sorted-order permutation: `order[i]` is the original index of
-/// the `i`-th smallest key.  Equal keys keep their original relative
-/// order, which keeps redistribution deterministic.
-///
-/// Runs on the radix path (bit-identical to the historical comparison
-/// sort, see [`sorted_order_comparison`]); allocation-sensitive callers
-/// should use [`crate::radix::radix_sorted_order_into`] with a reused
-/// scratch instead.
-pub fn sorted_order(keys: &[u64]) -> Vec<usize> {
-    let mut order = Vec::new();
-    let mut scratch = RadixScratch::default();
-    radix_sorted_order_into(keys, &mut order, &mut scratch);
-    order
-}
+use crate::radix::{radix_sort_indices, RadixScratch};
 
 /// The historical comparison-sort path: materialize `(key, index)`
 /// tuples and `sort_by_key`.  Kept as the reference oracle for the
@@ -38,24 +24,6 @@ pub fn sorted_order_comparison(keys: &[u64]) -> Vec<usize> {
     let mut order: Vec<usize> = (0..keys.len()).collect();
     order.sort_by_key(|&i| (keys[i], i));
     order
-}
-
-/// Result of one incremental sort pass.
-#[derive(Debug, Clone, PartialEq)]
-pub struct IncrementalClassification {
-    /// Permutation: `order[i]` is the original index of the `i`-th element
-    /// of the sorted result.
-    pub order: Vec<usize>,
-    /// Number of keys per bucket after classification.
-    pub bucket_sizes: Vec<usize>,
-    /// Modeled comparison count: `n * ceil(log2 L)` for classification
-    /// plus an adaptive `n_b * log2(max(runs_b, 2))` per bucket sort,
-    /// where `runs_b` is the number of maximal non-decreasing runs in the
-    /// bucket (natural merge sort cost — Rust's stable sort is run-
-    /// adaptive, and the paper's incremental win comes precisely from
-    /// buckets arriving almost sorted).  The redistribution phase charges
-    /// this to the compute clock.
-    pub comparisons: f64,
 }
 
 /// The remembered bucket boundaries of one rank.
@@ -78,11 +46,6 @@ impl BucketIncrementalSorter {
             l,
             bounds: Vec::new(),
         }
-    }
-
-    /// Number of buckets.
-    pub fn num_buckets(&self) -> usize {
-        self.l
     }
 
     /// Current internal boundaries (empty before the first rebuild).
@@ -117,27 +80,19 @@ impl BucketIncrementalSorter {
     /// Correct for *any* input (falls back to one big bucket before the
     /// first rebuild); cheap when the input is close to sorted.
     ///
-    /// Allocating convenience wrapper around
-    /// [`Self::sort_incremental_into`] for tests and benches; the hot
-    /// path reuses caller-owned buffers.
-    pub fn sort_incremental(&self, keys: &[u64]) -> IncrementalClassification {
-        let mut order = Vec::new();
-        let mut bucket_sizes = Vec::new();
-        let mut scratch = RadixScratch::default();
-        let comparisons =
-            self.sort_incremental_into(keys, &mut order, &mut bucket_sizes, &mut scratch);
-        IncrementalClassification {
-            order,
-            bucket_sizes,
-            comparisons,
-        }
-    }
-
-    /// Allocation-free incremental sort into caller-owned buffers:
-    /// `order` receives the stable permutation, `bucket_sizes` the
-    /// per-bucket key counts, and the modeled comparison count is
-    /// returned (see [`IncrementalClassification::comparisons`] for the
-    /// cost model — identical to the historical comparison-sort path).
+    /// Writes into caller-owned buffers: `order` receives the stable
+    /// permutation (`order[i]` is the original index of the `i`-th
+    /// element of the sorted result) and `bucket_sizes` the number of
+    /// keys per bucket after classification.
+    ///
+    /// Returns the modeled comparison count: `n * ceil(log2 L)` for
+    /// classification plus an adaptive `n_b * log2(max(runs_b, 2))` per
+    /// bucket sort, where `runs_b` is the number of maximal
+    /// non-decreasing runs in the bucket (natural merge sort cost —
+    /// Rust's stable sort is run-adaptive, and the paper's incremental
+    /// win comes precisely from buckets arriving almost sorted).  The
+    /// redistribution phase charges this to the compute clock; it is
+    /// identical to the historical comparison-sort path.
     ///
     /// Classification is a stable counting scatter (histogram of bucket
     /// ids, exclusive prefix sum, ordered placement), and each bucket
@@ -201,15 +156,31 @@ fn count_runs(keys: &[u64], idxs: &[usize]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::radix::radix_sorted_order_into;
 
     fn is_sorted_by_order(keys: &[u64], order: &[usize]) -> bool {
         order.windows(2).all(|w| keys[w[0]] <= keys[w[1]])
     }
 
+    fn radix_order(keys: &[u64]) -> Vec<usize> {
+        let mut order = Vec::new();
+        radix_sorted_order_into(keys, &mut order, &mut RadixScratch::default());
+        order
+    }
+
+    /// One incremental pass into fresh buffers: `(order, bucket_sizes,
+    /// comparisons)`.
+    fn sort_fresh(s: &BucketIncrementalSorter, keys: &[u64]) -> (Vec<usize>, Vec<usize>, f64) {
+        let (mut order, mut sizes) = (Vec::new(), Vec::new());
+        let comparisons =
+            s.sort_incremental_into(keys, &mut order, &mut sizes, &mut RadixScratch::default());
+        (order, sizes, comparisons)
+    }
+
     #[test]
     fn sorted_order_is_stable() {
         let keys = vec![3, 1, 3, 0, 1];
-        let order = sorted_order(&keys);
+        let order = radix_order(&keys);
         assert_eq!(order, vec![3, 1, 4, 0, 2]);
     }
 
@@ -217,16 +188,16 @@ mod tests {
     fn incremental_sort_without_rebuild_still_sorts() {
         let s = BucketIncrementalSorter::new(8);
         let keys = vec![9, 2, 7, 2, 0, 5];
-        let r = s.sort_incremental(&keys);
-        assert!(is_sorted_by_order(&keys, &r.order));
-        assert_eq!(r.order.len(), 6);
+        let (order, _, _) = sort_fresh(&s, &keys);
+        assert!(is_sorted_by_order(&keys, &order));
+        assert_eq!(order.len(), 6);
     }
 
     #[test]
     fn rebuild_then_sort_matches_full_sort() {
         let mut s = BucketIncrementalSorter::new(4);
         let mut keys: Vec<u64> = (0..100).map(|i| (i * 37) % 100).collect();
-        let order = sorted_order(&keys);
+        let order = radix_order(&keys);
         let sorted: Vec<u64> = order.iter().map(|&i| keys[i]).collect();
         s.rebuild(&sorted);
         assert_eq!(s.bounds().len(), 3);
@@ -234,10 +205,10 @@ mod tests {
         for k in keys.iter_mut().step_by(10) {
             *k = k.saturating_add(1);
         }
-        let r = s.sort_incremental(&keys);
-        assert!(is_sorted_by_order(&keys, &r.order));
-        let full = sorted_order(&keys);
-        let by_incr: Vec<u64> = r.order.iter().map(|&i| keys[i]).collect();
+        let (incr, _, _) = sort_fresh(&s, &keys);
+        assert!(is_sorted_by_order(&keys, &incr));
+        let full = radix_order(&keys);
+        let by_incr: Vec<u64> = incr.iter().map(|&i| keys[i]).collect();
         let by_full: Vec<u64> = full.iter().map(|&i| keys[i]).collect();
         assert_eq!(by_incr, by_full);
     }
@@ -255,34 +226,32 @@ mod tests {
         let shuffled: Vec<u64> = (0..n).map(|i| (i * 2654435761) % n).collect();
         let mut s = BucketIncrementalSorter::new(64);
         s.rebuild(&(0..n).collect::<Vec<u64>>());
-        let cheap = s.sort_incremental(&nearly);
-        let costly = s.sort_incremental(&shuffled);
+        let (cheap_order, _, cheap) = sort_fresh(&s, &nearly);
+        let (costly_order, _, costly) = sort_fresh(&s, &shuffled);
         assert!(
-            cheap.comparisons < 0.7 * costly.comparisons,
-            "nearly-sorted {} vs shuffled {}",
-            cheap.comparisons,
-            costly.comparisons
+            cheap < 0.7 * costly,
+            "nearly-sorted {cheap} vs shuffled {costly}"
         );
         // beyond the fixed classification cost, the sort itself is the
         // adaptive part — it must collapse almost entirely
         let classify = 4096.0 * 6.0;
         assert!(
-            cheap.comparisons - classify < 0.25 * (costly.comparisons - classify),
+            cheap - classify < 0.25 * (costly - classify),
             "adaptive sort cost did not collapse: {} vs {}",
-            cheap.comparisons - classify,
-            costly.comparisons - classify
+            cheap - classify,
+            costly - classify
         );
-        assert!(is_sorted_by_order(&nearly, &cheap.order));
-        assert!(is_sorted_by_order(&shuffled, &costly.order));
+        assert!(is_sorted_by_order(&nearly, &cheap_order));
+        assert!(is_sorted_by_order(&shuffled, &costly_order));
     }
 
     #[test]
     fn bucket_sizes_sum_to_n() {
         let mut s = BucketIncrementalSorter::new(4);
         s.rebuild(&[0, 1, 2, 3, 4, 5, 6, 7]);
-        let r = s.sort_incremental(&[7, 0, 3, 3, 9]);
-        assert_eq!(r.bucket_sizes.iter().sum::<usize>(), 5);
-        assert_eq!(r.bucket_sizes.len(), 4);
+        let (_, bucket_sizes, _) = sort_fresh(&s, &[7, 0, 3, 3, 9]);
+        assert_eq!(bucket_sizes.iter().sum::<usize>(), 5);
+        assert_eq!(bucket_sizes.len(), 4);
     }
 
     #[test]
@@ -300,8 +269,8 @@ mod tests {
     #[test]
     fn empty_input_yields_empty_result() {
         let s = BucketIncrementalSorter::new(4);
-        let r = s.sort_incremental(&[]);
-        assert!(r.order.is_empty());
+        let (order, _, _) = sort_fresh(&s, &[]);
+        assert!(order.is_empty());
     }
 
     #[test]

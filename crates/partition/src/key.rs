@@ -28,15 +28,9 @@ pub fn particle_key(indexer: &dyn CellIndexer, x: f64, y: f64, dx: f64, dy: f64)
 }
 
 /// Keys for a whole particle array (the per-iteration indexing pass of
-/// `Particle_Redistribution`, paper Figure 12 line 1).
-pub fn assign_keys(p: &Particles, indexer: &dyn CellIndexer, dx: f64, dy: f64) -> Vec<u64> {
-    let mut keys = Vec::new();
-    assign_keys_into(p, indexer, dx, dy, &mut keys);
-    keys
-}
-
-/// [`assign_keys`] into a caller-owned buffer — the per-iteration hot
-/// path reuses one key vector per rank instead of reallocating.
+/// `Particle_Redistribution`, paper Figure 12 line 1), written into a
+/// caller-owned buffer: the hot path reuses one key vector per rank
+/// instead of reallocating.
 pub fn assign_keys_into(
     p: &Particles,
     indexer: &dyn CellIndexer,
@@ -80,7 +74,8 @@ mod tests {
             let mut p = Particles::electrons();
             p.push(0.5, 0.5, 0.0, 0.0, 0.0); // cell (0,0)
             p.push(5.5, 3.5, 0.0, 0.0, 0.0); // cell (5,3)
-            let keys = assign_keys(&p, ix.as_ref(), 1.0, 1.0);
+            let mut keys = Vec::new();
+            assign_keys_into(&p, ix.as_ref(), 1.0, 1.0, &mut keys);
             assert_eq!(keys[0], ix.index(0, 0), "{scheme}");
             assert_eq!(keys[1], ix.index(5, 3), "{scheme}");
         }

@@ -36,14 +36,11 @@ pub mod sample_sort;
 
 pub use balance::{balance_targets, order_maintaining_balance, BalancePlan};
 pub use block::sfc_block_layout;
-pub use bucket::{
-    sorted_order, sorted_order_comparison, BucketIncrementalSorter, IncrementalClassification,
-};
-pub use key::{assign_keys, assign_keys_into, cell_of, particle_key};
+pub use bucket::{sorted_order_comparison, BucketIncrementalSorter};
+pub use key::{assign_keys_into, cell_of, particle_key};
 pub use metrics::{alignment_report, AlignmentReport};
 pub use policy::{Policy, PolicyDecision, PolicyKind};
 pub use radix::{radix_sort_indices, radix_sorted_order_into, RadixScratch};
 pub use sample_sort::{
-    classify_by_bounds, classify_by_bounds_into, rank_bounds_from_sorted, regular_sample,
-    select_splitters,
+    classify_by_bounds_into, rank_bounds_from_sorted, regular_sample, select_splitters,
 };

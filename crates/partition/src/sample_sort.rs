@@ -54,18 +54,9 @@ pub fn rank_bounds_from_sorted(last_keys: &[u64]) -> Vec<u64> {
 }
 
 /// Destination rank of every key under exclusive upper `bounds`
-/// (`bounds[r]` is the first key *not* owned by rank `r`).
-///
-/// # Panics
-/// Panics if `bounds` is empty.
-pub fn classify_by_bounds(keys: &[u64], bounds: &[u64]) -> Vec<usize> {
-    let mut dests = Vec::new();
-    classify_by_bounds_into(keys, bounds, &mut dests);
-    dests
-}
-
-/// [`classify_by_bounds`] into a caller-owned buffer — the hot path
-/// reuses one destination vector per rank.
+/// (`bounds[r]` is the first key *not* owned by rank `r`), written into
+/// a caller-owned buffer: the hot path reuses one destination vector per
+/// rank.
 ///
 /// # Panics
 /// Panics if `bounds` is empty.
@@ -112,14 +103,16 @@ mod tests {
     #[test]
     fn classification_respects_bounds() {
         let bounds = vec![10, 20, u64::MAX];
-        let dests = classify_by_bounds(&[0, 9, 10, 15, 19, 20, 1000], &bounds);
+        let mut dests = Vec::new();
+        classify_by_bounds_into(&[0, 9, 10, 15, 19, 20, 1000], &bounds, &mut dests);
         assert_eq!(dests, vec![0, 0, 1, 1, 1, 2, 2]);
     }
 
     #[test]
     fn classification_covers_u64_max() {
         let bounds = vec![10, u64::MAX];
-        let dests = classify_by_bounds(&[u64::MAX], &bounds);
+        let mut dests = Vec::new();
+        classify_by_bounds_into(&[u64::MAX], &bounds, &mut dests);
         assert_eq!(dests, vec![1]);
     }
 
@@ -152,7 +145,8 @@ mod tests {
         let splitters = select_splitters(&mut sample, 4);
         let mut bounds = splitters.clone();
         bounds.push(u64::MAX);
-        let dests = classify_by_bounds(&keys, &bounds);
+        let mut dests = Vec::new();
+        classify_by_bounds_into(&keys, &bounds, &mut dests);
         for (k, d) in keys.iter().zip(&dests) {
             if *d > 0 {
                 assert!(*k >= bounds[d - 1], "key {k} below rank {d}");

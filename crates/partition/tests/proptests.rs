@@ -3,9 +3,9 @@
 //! just the shapes the paper's workloads produce.
 
 use pic_partition::{
-    balance_targets, classify_by_bounds, order_maintaining_balance, radix_sort_indices,
+    balance_targets, classify_by_bounds_into, order_maintaining_balance, radix_sort_indices,
     radix_sorted_order_into, rank_bounds_from_sorted, regular_sample, select_splitters,
-    sorted_order, sorted_order_comparison, BucketIncrementalSorter, RadixScratch,
+    sorted_order_comparison, BucketIncrementalSorter, RadixScratch,
 };
 use proptest::prelude::*;
 
@@ -14,6 +14,13 @@ use proptest::prelude::*;
 fn oracle_order(keys: &[u64]) -> Vec<usize> {
     let mut order: Vec<usize> = (0..keys.len()).collect();
     order.sort_by_key(|&i| (keys[i], i));
+    order
+}
+
+/// The hot-path radix sort with a fresh scratch.
+fn radix_order(keys: &[u64]) -> Vec<usize> {
+    let mut order = Vec::new();
+    radix_sorted_order_into(keys, &mut order, &mut RadixScratch::default());
     order
 }
 
@@ -43,7 +50,7 @@ proptest! {
             .iter()
             .map(|&k| base.saturating_sub(8192).saturating_add(k))
             .collect();
-        prop_assert_eq!(sorted_order(&shifted), oracle_order(&shifted));
+        prop_assert_eq!(radix_order(&shifted), oracle_order(&shifted));
     }
 
     /// All-equal keys: the output must be the identity permutation
@@ -55,7 +62,7 @@ proptest! {
     ) {
         let keys = vec![key; n];
         let expect: Vec<usize> = (0..n).collect();
-        prop_assert_eq!(sorted_order(&keys), expect);
+        prop_assert_eq!(radix_order(&keys), expect);
     }
 
     /// Already-sorted keys hit the early-exit path and still return the
@@ -65,7 +72,7 @@ proptest! {
         mut keys in prop::collection::vec(any::<u64>(), 0..400),
     ) {
         keys.sort_unstable();
-        prop_assert_eq!(sorted_order(&keys), oracle_order(&keys));
+        prop_assert_eq!(radix_order(&keys), oracle_order(&keys));
     }
 
     /// Sorting an index subset (the per-bucket call shape) is stable and
@@ -92,7 +99,8 @@ proptest! {
         raw_bounds.sort_unstable();
         let last = raw_bounds.len() - 1;
         raw_bounds[last] = u64::MAX;
-        let dests = classify_by_bounds(&keys, &raw_bounds);
+        let mut dests = Vec::new();
+        classify_by_bounds_into(&keys, &raw_bounds, &mut dests);
         for (k, d) in keys.iter().zip(&dests) {
             prop_assert!(*d < raw_bounds.len());
             prop_assert!(*k < raw_bounds[*d] || *d == last);
@@ -191,10 +199,16 @@ proptest! {
         let mut sorted_prior = prior.clone();
         sorted_prior.sort_unstable();
         sorter.rebuild(&sorted_prior);
-        let result = sorter.sort_incremental(&keys);
-        prop_assert_eq!(result.order.len(), keys.len());
+        let (mut order, mut bucket_sizes) = (Vec::new(), Vec::new());
+        sorter.sort_incremental_into(
+            &keys,
+            &mut order,
+            &mut bucket_sizes,
+            &mut RadixScratch::default(),
+        );
+        prop_assert_eq!(order.len(), keys.len());
         // sorted and stable: equal keys in original index order
-        for w in result.order.windows(2) {
+        for w in order.windows(2) {
             let (a, b) = (w[0], w[1]);
             prop_assert!(
                 keys[a] < keys[b] || (keys[a] == keys[b] && a < b),
@@ -202,7 +216,7 @@ proptest! {
             );
         }
         // matches the reference stable sort
-        prop_assert_eq!(result.order, sorted_order(&keys));
+        prop_assert_eq!(order, radix_order(&keys));
     }
 
     /// Rank bounds from last keys are monotone and end at u64::MAX.
