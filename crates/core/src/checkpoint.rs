@@ -199,14 +199,7 @@ impl Checkpoint {
             }
             payload.u64(r.fields.width() as u64);
             payload.u64(r.fields.height() as u64);
-            for grid in [
-                &r.fields.ex,
-                &r.fields.ey,
-                &r.fields.ez,
-                &r.fields.bx,
-                &r.fields.by,
-                &r.fields.bz,
-            ] {
+            for grid in r.fields.e().into_iter().chain(r.fields.b()) {
                 payload.raw_f64(grid.as_slice());
             }
         }
@@ -311,15 +304,10 @@ impl Checkpoint {
                 return Err(CheckpointError::Truncated);
             }
             let mut fields = FieldSet::zeros(w, h);
-            for grid in [
-                &mut fields.ex,
-                &mut fields.ey,
-                &mut fields.ez,
-                &mut fields.bx,
-                &mut fields.by,
-                &mut fields.bz,
-            ] {
-                r.raw_f64_into(grid.as_mut_slice())?;
+            for triple in [FieldSet::e_mut, FieldSet::b_mut] {
+                for grid in triple(&mut fields) {
+                    r.raw_f64_into(grid.as_mut_slice())?;
+                }
             }
             ranks.push(RankSnapshot {
                 rank,

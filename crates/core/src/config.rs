@@ -2,7 +2,7 @@
 
 use pic_index::IndexScheme;
 use pic_machine::MachineConfig;
-use pic_particles::ParticleDistribution;
+use pic_particles::{ParticleDistribution, Particles};
 use pic_partition::PolicyKind;
 use serde::{Deserialize, Serialize};
 
@@ -127,6 +127,28 @@ impl SimConfig {
     /// Total mesh grid points `m`.
     pub fn grid_points(&self) -> usize {
         self.nx * self.ny
+    }
+
+    /// The whole particle population: `particles` loaded from
+    /// `distribution` with the configured seed and thermal spread, each
+    /// carrying charge `-particle_charge`.
+    pub fn load_particles(&self) -> Particles {
+        let mut particles = self.distribution.load(
+            self.particles,
+            self.lx(),
+            self.ly(),
+            self.thermal_u,
+            self.seed,
+        );
+        particles.charge = -self.particle_charge;
+        particles
+    }
+
+    /// Rank `r`'s contiguous chunk of the population `global` from
+    /// [`Self::load_particles`] (as if read from a shared file).
+    pub fn rank_chunk(&self, global: &Particles, r: usize) -> Particles {
+        let (n, p) = (self.particles, self.machine.ranks);
+        global.slice(r * n / p..(r + 1) * n / p)
     }
 
     /// Validate invariants the driver depends on.

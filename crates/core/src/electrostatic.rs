@@ -6,12 +6,14 @@
 //! `E = -grad(phi)` — behind the same particle machinery, both as a
 //! sequential reference and for physics validation: a cold plasma with a
 //! sinusoidal velocity perturbation must ring at the plasma frequency,
-//! exchanging kinetic and field energy.
+//! exchanging kinetic and field energy.  Its gather reads only the two
+//! in-plane E components; the particle step is the shared
+//! [`pic_particles::advance`] with B = 0.
 
 use pic_field::poisson::{efield_from_phi, solve_poisson_periodic};
 use pic_field::Grid2;
-use pic_particles::push::{boris_push, gamma_of, BorisStep};
-use pic_particles::{wrap_periodic, Cic, Particles};
+use pic_particles::push::{advance, BorisStep};
+use pic_particles::{Cic, Particles};
 
 use crate::config::SimConfig;
 use crate::diagnostics::EnergyReport;
@@ -42,10 +44,7 @@ impl ElectrostaticPicSim {
     /// ignored).
     pub fn new(cfg: SimConfig) -> Self {
         cfg.validate();
-        let mut particles =
-            cfg.distribution
-                .load(cfg.particles, cfg.lx(), cfg.ly(), cfg.thermal_u, cfg.seed);
-        particles.charge = -cfg.particle_charge;
+        let particles = cfg.load_particles();
         let cell = cfg.dx * cfg.dy;
         let background =
             -particles.charge * cfg.particles as f64 / (cfg.grid_points() as f64 * cell);
@@ -114,18 +113,8 @@ impl ElectrostaticPicSim {
                 e[0] += cic.w[k] * self.ex[(cx, cy)];
                 e[1] += cic.w[k] * self.ey[(cx, cy)];
             }
-            let u = [
-                self.particles.ux[i],
-                self.particles.uy[i],
-                self.particles.uz[i],
-            ];
-            let u2 = boris_push(u, &BorisStep { e, b: [0.0; 3] }, qm, dt);
-            let gamma = gamma_of(u2);
-            self.particles.ux[i] = u2[0];
-            self.particles.uy[i] = u2[1];
-            self.particles.uz[i] = u2[2];
-            self.particles.x[i] = wrap_periodic(self.particles.x[i] + u2[0] / gamma * dt, lx);
-            self.particles.y[i] = wrap_periodic(self.particles.y[i] + u2[1] / gamma * dt, ly);
+            let fields = BorisStep { e, b: [0.0; 3] };
+            advance(&mut self.particles, i, &fields, qm, dt, lx, ly);
         }
     }
 

@@ -4,14 +4,15 @@
 //! Maxwell's equations on the mesh grids, each grid point needs data from
 //! its four neighboring grid points.  Only the grid points on the
 //! boundaries of the submesh in a processor will access data from the
-//! neighboring processors."  We run two supersteps:
+//! neighboring processors."  One halo superstep routine runs twice, with
+//! [`FieldSet::e`] or [`FieldSet::b`] naming the triple it moves:
 //!
 //! 1. exchange E ghosts, update B on the interior;
 //! 2. exchange B ghosts, update E on the interior (with the scatter
 //!    phase's current densities as source terms).
 
-use pic_field::Grid2;
-use pic_machine::{Outbox, PhaseKind, SpmdEngine, SpmdError};
+use pic_field::{CellSlot, FieldSet, Grid2, HaloPlan, Rect};
+use pic_machine::{Outbox, PhaseCtx, PhaseKind, SpmdEngine, SpmdError};
 
 use crate::costs;
 use crate::messages::HaloData;
@@ -19,11 +20,7 @@ use crate::phases::PhaseEnv;
 use crate::state::RankState;
 
 /// Pack three field components of the plan's cells in order.
-fn pack(
-    grids: [&Grid2<f64>; 3],
-    rect: &pic_field::Rect,
-    cells: &[pic_field::CellSlot],
-) -> Vec<f64> {
+fn pack(grids: [&Grid2<f64>; 3], rect: &Rect, cells: &[CellSlot]) -> Vec<f64> {
     let mut data = Vec::with_capacity(cells.len() * 3);
     for &((sx, sy), _) in cells {
         let (lx, ly) = (sx - rect.x0 + 1, sy - rect.y0 + 1);
@@ -35,7 +32,7 @@ fn pack(
 }
 
 /// Unpack three field components into the plan's padded slots.
-fn unpack(grids: [&mut Grid2<f64>; 3], cells: &[pic_field::CellSlot], data: &[f64]) {
+fn unpack(grids: [&mut Grid2<f64>; 3], cells: &[CellSlot], data: &[f64]) {
     debug_assert_eq!(data.len(), cells.len() * 3);
     let [g0, g1, g2] = grids;
     for (k, &(_, (px, py))) in cells.iter().enumerate() {
@@ -45,110 +42,78 @@ fn unpack(grids: [&mut Grid2<f64>; 3], cells: &[pic_field::CellSlot], data: &[f6
     }
 }
 
-/// Copy self-wrap ghost slots from the rank's own interior.
-fn self_fill(st: &mut RankState, halo: &pic_field::HaloPlan, which: Which) {
-    let copies = halo.self_copies(st.rank);
+/// Copy self-wrap ghost slots of three field components from the rank's
+/// own interior.
+fn self_fill(mut grids: [&mut Grid2<f64>; 3], rect: &Rect, copies: &[CellSlot]) {
     for &((sx, sy), (px, py)) in copies {
-        let (lx, ly) = (sx - st.rect.x0 + 1, sy - st.rect.y0 + 1);
-        match which {
-            Which::E => {
-                let v = (
-                    st.fields.ex[(lx, ly)],
-                    st.fields.ey[(lx, ly)],
-                    st.fields.ez[(lx, ly)],
-                );
-                st.fields.ex[(px, py)] = v.0;
-                st.fields.ey[(px, py)] = v.1;
-                st.fields.ez[(px, py)] = v.2;
-            }
-            Which::B => {
-                let v = (
-                    st.fields.bx[(lx, ly)],
-                    st.fields.by[(lx, ly)],
-                    st.fields.bz[(lx, ly)],
-                );
-                st.fields.bx[(px, py)] = v.0;
-                st.fields.by[(px, py)] = v.1;
-                st.fields.bz[(px, py)] = v.2;
-            }
+        let (lx, ly) = (sx - rect.x0 + 1, sy - rect.y0 + 1);
+        for g in grids.iter_mut() {
+            g[(px, py)] = g[(lx, ly)];
         }
     }
 }
 
-#[derive(Clone, Copy)]
-enum Which {
-    E,
-    B,
+/// One halo superstep: every rank sends the `triple` ghost cells its
+/// neighbours need; on delivery it unpacks them, fills its self-wrap
+/// slots and runs `update` on its padded block.
+fn halo_superstep<E, U>(
+    machine: &mut E,
+    halo: &HaloPlan,
+    triple: fn(&FieldSet) -> [&Grid2<f64>; 3],
+    triple_mut: fn(&mut FieldSet) -> [&mut Grid2<f64>; 3],
+    update: U,
+) -> Result<(), SpmdError>
+where
+    E: SpmdEngine<RankState>,
+    U: Fn(&mut RankState, &mut PhaseCtx) + Sync,
+{
+    machine.superstep(
+        PhaseKind::FieldSolve,
+        move |r, st, ctx, ob: &mut Outbox<HaloData>| {
+            for msg in halo.sends(r) {
+                ctx.charge_ops(msg.cells.len() as f64 * costs::HALO_CELL);
+                let data = pack(triple(&st.fields), &st.rect, &msg.cells);
+                ob.send(msg.to, HaloData(data));
+            }
+        },
+        move |r, st, ctx, inbox| {
+            for (from, HaloData(data)) in inbox {
+                let cells = &halo
+                    .sends(from)
+                    .iter()
+                    .find(|m| m.to == r)
+                    .unwrap_or_else(|| {
+                        panic!("halo message from rank {from} to rank {r} without plan entry")
+                    })
+                    .cells;
+                ctx.charge_ops(cells.len() as f64 * costs::HALO_CELL);
+                unpack(triple_mut(&mut st.fields), cells, &data);
+            }
+            self_fill(triple_mut(&mut st.fields), &st.rect, halo.self_copies(r));
+            update(st, ctx);
+        },
+    )
 }
 
 /// Run the field solve: exchange E → update B, exchange B → update E.
 pub fn run<E: SpmdEngine<RankState>>(machine: &mut E, env: &PhaseEnv) -> Result<(), SpmdError> {
-    let halo = env.halo;
     let solver = *env.solver;
-
-    // superstep 1: E ghosts out, B update on delivery
-    machine.superstep(
-        PhaseKind::FieldSolve,
-        move |r, st, ctx, ob: &mut Outbox<HaloData>| {
-            for msg in halo.sends(r) {
-                ctx.charge_ops(msg.cells.len() as f64 * costs::HALO_CELL);
-                let data = pack(
-                    [&st.fields.ex, &st.fields.ey, &st.fields.ez],
-                    &st.rect,
-                    &msg.cells,
-                );
-                ob.send(msg.to, HaloData(data));
-            }
-        },
-        move |r, st, ctx, inbox| {
-            for (from, HaloData(data)) in inbox {
-                let cells = &halo
-                    .sends(from)
-                    .iter()
-                    .find(|m| m.to == r)
-                    .unwrap_or_else(|| {
-                        panic!("halo message from rank {from} to rank {r} without plan entry")
-                    })
-                    .cells;
-                ctx.charge_ops(cells.len() as f64 * costs::HALO_CELL);
-                let f = &mut st.fields;
-                unpack([&mut f.ex, &mut f.ey, &mut f.ez], cells, &data);
-            }
-            self_fill(st, halo, Which::E);
+    halo_superstep(
+        machine,
+        env.halo,
+        FieldSet::e,
+        FieldSet::e_mut,
+        |st, ctx| {
             solver.update_b_padded(&mut st.fields);
             ctx.charge_ops(st.rect.area() as f64 * costs::FIELD_POINT_B);
         },
     )?;
-
-    // superstep 2: B ghosts out, E update on delivery
-    machine.superstep(
-        PhaseKind::FieldSolve,
-        move |r, st, ctx, ob: &mut Outbox<HaloData>| {
-            for msg in halo.sends(r) {
-                ctx.charge_ops(msg.cells.len() as f64 * costs::HALO_CELL);
-                let data = pack(
-                    [&st.fields.bx, &st.fields.by, &st.fields.bz],
-                    &st.rect,
-                    &msg.cells,
-                );
-                ob.send(msg.to, HaloData(data));
-            }
-        },
-        move |r, st, ctx, inbox| {
-            for (from, HaloData(data)) in inbox {
-                let cells = &halo
-                    .sends(from)
-                    .iter()
-                    .find(|m| m.to == r)
-                    .unwrap_or_else(|| {
-                        panic!("halo message from rank {from} to rank {r} without plan entry")
-                    })
-                    .cells;
-                ctx.charge_ops(cells.len() as f64 * costs::HALO_CELL);
-                let f = &mut st.fields;
-                unpack([&mut f.bx, &mut f.by, &mut f.bz], cells, &data);
-            }
-            self_fill(st, halo, Which::B);
+    halo_superstep(
+        machine,
+        env.halo,
+        FieldSet::b,
+        FieldSet::b_mut,
+        |st, ctx| {
             solver.update_e_padded(&mut st.fields, &st.currents);
             ctx.charge_ops(st.rect.area() as f64 * costs::FIELD_POINT_E);
         },

@@ -1,5 +1,9 @@
 //! Push phase: the relativistic Boris update, plus Eulerian migration.
 //!
+//! Each particle takes one [`advance`] step — the kernel the sequential,
+//! replicated-grid and electrostatic drivers call too — with the E and B
+//! the gather phase interpolated at it.
+//!
 //! Under the direct Lagrangian method "the push phase has no
 //! interprocessor communication cost" (paper Section 4) — it is a pure
 //! local step.  Under the direct Eulerian baseline (paper Table 1, grid
@@ -8,8 +12,7 @@
 //! superstep.
 
 use pic_machine::{Outbox, PhaseKind, SpmdEngine, SpmdError};
-use pic_particles::push::{boris_push, gamma_of, BorisStep};
-use pic_particles::wrap_periodic;
+use pic_particles::push::{advance, BorisStep};
 
 use crate::config::MovementMethod;
 use crate::costs;
@@ -26,18 +29,11 @@ pub fn run<E: SpmdEngine<RankState>>(machine: &mut E, env: &PhaseEnv) -> Result<
         let n = st.particles.len();
         debug_assert_eq!(st.e_at.len(), n, "gather must precede push");
         for i in 0..n {
-            let u = [st.particles.ux[i], st.particles.uy[i], st.particles.uz[i]];
             let fields = BorisStep {
                 e: st.e_at[i],
                 b: st.b_at[i],
             };
-            let u2 = boris_push(u, &fields, qm, dt);
-            let gamma = gamma_of(u2);
-            st.particles.ux[i] = u2[0];
-            st.particles.uy[i] = u2[1];
-            st.particles.uz[i] = u2[2];
-            st.particles.x[i] = wrap_periodic(st.particles.x[i] + u2[0] / gamma * dt, lx);
-            st.particles.y[i] = wrap_periodic(st.particles.y[i] + u2[1] / gamma * dt, ly);
+            advance(&mut st.particles, i, &fields, qm, dt, lx, ly);
         }
         ctx.charge_ops(n as f64 * costs::PUSH_PARTICLE);
     })?;

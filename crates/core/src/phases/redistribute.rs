@@ -124,37 +124,13 @@ pub fn run<E: SpmdEngine<RankState>>(
                 ob.send(dest, batch);
             });
         },
-        |r, st, ctx, inbox| {
+        |_r, st, ctx, inbox| {
             if inbox.is_empty() {
                 return;
             }
-            // merge preserving global order: lower-rank chunks prepend
-            // (their keys precede ours), higher-rank chunks append
-            let mut merged_particles =
-                pic_particles::Particles::new(st.particles.charge, st.particles.mass);
-            let mut merged_keys = Vec::new();
             let total_in: usize = inbox.iter().map(|(_, b)| b.len()).sum();
-            merged_particles.reserve(st.len() + total_in);
             ctx.charge_ops(total_in as f64 * costs::PACK_PARTICLE);
-            let push_batch =
-                |mp: &mut pic_particles::Particles, mk: &mut Vec<u64>, batch: &ParticleBatch| {
-                    mk.extend_from_slice(batch.keys());
-                    for c in batch.interleaved().chunks_exact(5) {
-                        mp.push(c[0], c[1], c[2], c[3], c[4]);
-                    }
-                };
-            for (from, batch) in inbox.iter().filter(|(f, _)| *f < r) {
-                let _ = from;
-                push_batch(&mut merged_particles, &mut merged_keys, batch);
-            }
-            merged_particles.append(&mut st.particles);
-            merged_keys.append(&mut st.keys);
-            for (from, batch) in inbox.iter().filter(|(f, _)| *f > r) {
-                let _ = from;
-                push_batch(&mut merged_particles, &mut merged_keys, batch);
-            }
-            st.particles = merged_particles;
-            st.keys = merged_keys;
+            st.merge_in_order(&inbox);
             debug_assert!(st.keys.windows(2).all(|w| w[0] <= w[1]));
         },
     )?;

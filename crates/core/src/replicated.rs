@@ -16,15 +16,20 @@
 //! the motivating claim can be measured against the paper's distributed
 //! approach: per-iteration communication is `O(m)` regardless of how well
 //! particles are placed, so it cannot scale.
+//!
+//! Each rank runs the sequential reference's full-mesh kernels
+//! (`deposit_full_mesh`, `gather_push_full_mesh`) on its replica; only
+//! the global sum, the strip-split field solve and the concatenation are
+//! this module's own.
 
-use pic_field::{CurrentSet, FieldSet, MaxwellSolver};
+use pic_field::{CurrentSet, FieldSet, Grid2, MaxwellSolver};
 use pic_machine::{Machine, PhaseKind, SpmdEngine};
-use pic_particles::push::{boris_push, gamma_of, BorisStep};
-use pic_particles::{wrap_periodic, Cic, Particles};
+use pic_particles::Particles;
 
 use crate::config::SimConfig;
 use crate::costs;
 use crate::diagnostics::EnergyReport;
+use crate::sequential::{deposit_full_mesh, gather_push_full_mesh};
 
 /// Rank state of the replicated-grid scheme: the *whole* mesh plus a
 /// fixed particle subset.
@@ -54,24 +59,12 @@ impl ReplicatedGridPicSim {
     /// Panics on an invalid configuration.
     pub fn new(cfg: SimConfig) -> Self {
         cfg.validate();
-        let p = cfg.machine.ranks;
-        let global =
-            cfg.distribution
-                .load(cfg.particles, cfg.lx(), cfg.ly(), cfg.thermal_u, cfg.seed);
-        let states: Vec<ReplicatedState> = (0..p)
-            .map(|r| {
-                let mut particles = Particles::new(-cfg.particle_charge, 1.0);
-                let lo = r * cfg.particles / p;
-                let hi = (r + 1) * cfg.particles / p;
-                for i in lo..hi {
-                    let c = global.get(i);
-                    particles.push(c[0], c[1], c[2], c[3], c[4]);
-                }
-                ReplicatedState {
-                    fields: FieldSet::zeros(cfg.nx, cfg.ny),
-                    currents: CurrentSet::zeros(cfg.nx, cfg.ny),
-                    particles,
-                }
+        let global = cfg.load_particles();
+        let states: Vec<ReplicatedState> = (0..cfg.machine.ranks)
+            .map(|r| ReplicatedState {
+                particles: cfg.rank_chunk(&global, r),
+                fields: FieldSet::zeros(cfg.nx, cfg.ny),
+                currents: CurrentSet::zeros(cfg.nx, cfg.ny),
             })
             .collect();
         let machine = Machine::new(cfg.machine, states);
@@ -87,28 +80,15 @@ impl ReplicatedGridPicSim {
     /// Run one iteration of the Lubeck & Faber scheme.
     pub fn step(&mut self) {
         self.iter += 1;
-        let (nx, ny) = (self.cfg.nx, self.cfg.ny);
-        let (dx, dy) = (self.cfg.dx, self.cfg.dy);
+        let cfg = &self.cfg;
+        let (nx, ny) = (cfg.nx, cfg.ny);
         let m = nx * ny;
         let p = self.machine.num_ranks();
 
         // --- scatter: local deposit into the replicated grid ----------------
         self.machine
             .local_step(PhaseKind::Scatter, move |_r, st, ctx| {
-                st.currents.clear();
-                let q = st.particles.charge;
-                for i in 0..st.particles.len() {
-                    let u = [st.particles.ux[i], st.particles.uy[i], st.particles.uz[i]];
-                    let gamma = gamma_of(u);
-                    let v = [u[0] / gamma, u[1] / gamma, u[2] / gamma];
-                    let cic = Cic::new(st.particles.x[i], st.particles.y[i], dx, dy, nx, ny);
-                    for (k, (cx, cy)) in cic.corners(nx, ny).into_iter().enumerate() {
-                        let w = cic.w[k];
-                        st.currents.jx[(cx, cy)] += q * v[0] * w;
-                        st.currents.jy[(cx, cy)] += q * v[1] * w;
-                        st.currents.jz[(cx, cy)] += q * v[2] * w;
-                    }
-                }
+                deposit_full_mesh(&st.particles, &mut st.currents, cfg);
                 ctx.charge_ops(st.particles.len() as f64 * 4.0 * costs::SCATTER_VERTEX);
             })
             .expect("replicated scatter");
@@ -149,7 +129,7 @@ impl ReplicatedGridPicSim {
                 ctx.charge_ops(((y1 - y0) * nx) as f64 * costs::FIELD_POINT_B);
             })
             .expect("replicated B update");
-        self.concat_strips(strip, Which::B);
+        Self::concat_strips(&mut self.machine, nx, strip, FieldSet::b, FieldSet::b_mut);
         self.machine
             .local_step(PhaseKind::FieldSolve, move |r, st, ctx| {
                 let (y0, y1) = strip(r);
@@ -157,36 +137,13 @@ impl ReplicatedGridPicSim {
                 ctx.charge_ops(((y1 - y0) * nx) as f64 * costs::FIELD_POINT_E);
             })
             .expect("replicated E update");
-        self.concat_strips(strip, Which::E);
+        Self::concat_strips(&mut self.machine, nx, strip, FieldSet::e, FieldSet::e_mut);
 
         // --- gather + push: fully local on the replicated mesh --------------
-        let dt = self.cfg.dt;
-        let (lx, ly) = (self.cfg.lx(), self.cfg.ly());
         self.machine
             .local_step(PhaseKind::Push, move |_r, st, ctx| {
-                let qm = st.particles.qm();
+                gather_push_full_mesh(&mut st.particles, &st.fields, cfg);
                 let n = st.particles.len();
-                for i in 0..n {
-                    let cic = Cic::new(st.particles.x[i], st.particles.y[i], dx, dy, nx, ny);
-                    let mut e = [0.0f64; 3];
-                    let mut b = [0.0f64; 3];
-                    for (k, (cx, cy)) in cic.corners(nx, ny).into_iter().enumerate() {
-                        let w = cic.w[k];
-                        let vals = st.fields.at(cx, cy);
-                        for c in 0..3 {
-                            e[c] += w * vals[c];
-                            b[c] += w * vals[3 + c];
-                        }
-                    }
-                    let u = [st.particles.ux[i], st.particles.uy[i], st.particles.uz[i]];
-                    let u2 = boris_push(u, &BorisStep { e, b }, qm, dt);
-                    let gamma = gamma_of(u2);
-                    st.particles.ux[i] = u2[0];
-                    st.particles.uy[i] = u2[1];
-                    st.particles.uz[i] = u2[2];
-                    st.particles.x[i] = wrap_periodic(st.particles.x[i] + u2[0] / gamma * dt, lx);
-                    st.particles.y[i] = wrap_periodic(st.particles.y[i] + u2[1] / gamma * dt, ly);
-                }
                 ctx.charge_ops(n as f64 * (4.0 * costs::GATHER_VERTEX + costs::PUSH_PARTICLE));
             })
             .expect("replicated gather and push");
@@ -195,21 +152,21 @@ impl ReplicatedGridPicSim {
     /// Allgather the just-updated field strips so every rank holds the
     /// full, consistent mesh again (the paper's "global concatenation").
     fn concat_strips(
-        &mut self,
+        machine: &mut Machine<ReplicatedState>,
+        nx: usize,
         strip: impl Fn(usize) -> (usize, usize) + Copy + Sync,
-        which: Which,
+        triple: fn(&FieldSet) -> [&Grid2<f64>; 3],
+        triple_mut: fn(&mut FieldSet) -> [&mut Grid2<f64>; 3],
     ) {
-        let nx = self.cfg.nx;
-        let p = self.machine.num_ranks();
-        self.machine
+        let p = machine.num_ranks();
+        machine
             .allgatherv(
                 PhaseKind::FieldSolve,
                 8,
                 |r, st: &ReplicatedState| {
                     let (y0, y1) = strip(r);
                     let mut v = Vec::with_capacity((y1 - y0) * nx * 3);
-                    let grids = which.grids(&st.fields);
-                    for g in grids {
+                    for g in triple(&st.fields) {
                         for y in y0..y1 {
                             for x in 0..nx {
                                 v.push(g[(x, y)]);
@@ -223,8 +180,7 @@ impl ReplicatedGridPicSim {
                     let mut off = 0;
                     for src in 0..p {
                         let (y0, y1) = strip(src);
-                        let mut grids = which.grids_mut(&mut st.fields);
-                        for g in grids.iter_mut() {
+                        for g in triple_mut(&mut st.fields) {
                             for y in y0..y1 {
                                 for x in 0..nx {
                                     g[(x, y)] = concat[off];
@@ -286,29 +242,6 @@ impl ReplicatedGridPicSim {
             .iter()
             .map(|st| st.particles.len())
             .sum()
-    }
-}
-
-/// Which field triple a strip concat moves.
-#[derive(Clone, Copy)]
-enum Which {
-    E,
-    B,
-}
-
-impl Which {
-    fn grids<'a>(&self, f: &'a FieldSet) -> [&'a pic_field::Grid2<f64>; 3] {
-        match self {
-            Which::E => [&f.ex, &f.ey, &f.ez],
-            Which::B => [&f.bx, &f.by, &f.bz],
-        }
-    }
-
-    fn grids_mut<'a>(&self, f: &'a mut FieldSet) -> [&'a mut pic_field::Grid2<f64>; 3] {
-        match self {
-            Which::E => [&mut f.ex, &mut f.ey, &mut f.ez],
-            Which::B => [&mut f.bx, &mut f.by, &mut f.bz],
-        }
     }
 }
 

@@ -5,10 +5,18 @@
 //! parallel code (same seed must give the same physics up to
 //! floating-point summation order) and provides `T_sequential` for the
 //! Table 3 efficiency computation.
+//!
+//! The full-mesh kernels live here: `deposit_full_mesh` and
+//! `gather_push_full_mesh` run on one whole periodic mesh, so the
+//! replicated-grid baseline calls them on each rank's replica.  The
+//! particle step itself is [`pic_particles::advance`], shared with every
+//! driver.  The distributed phases keep their own deposit and
+//! interpolation (ghost tables, block-local offsets), so comparing them
+//! with this code checks two independent implementations.
 
 use pic_field::{field_energy, CurrentSet, FieldSet, MaxwellSolver};
-use pic_particles::push::{boris_push, gamma_of, BorisStep};
-use pic_particles::{wrap_periodic, Cic, Particles};
+use pic_particles::push::{advance, gamma_of, BorisStep};
+use pic_particles::{Cic, Particles};
 
 use crate::config::SimConfig;
 use crate::costs;
@@ -30,10 +38,7 @@ impl SequentialPicSim {
     /// parameters are ignored except `delta` for the modeled time).
     pub fn new(cfg: SimConfig) -> Self {
         cfg.validate();
-        let mut particles =
-            cfg.distribution
-                .load(cfg.particles, cfg.lx(), cfg.ly(), cfg.thermal_u, cfg.seed);
-        particles.charge = -cfg.particle_charge;
+        let particles = cfg.load_particles();
         Self {
             fields: FieldSet::zeros(cfg.nx, cfg.ny),
             currents: CurrentSet::zeros(cfg.nx, cfg.ny),
@@ -47,64 +52,16 @@ impl SequentialPicSim {
     /// Run one iteration of the four phases.
     pub fn step(&mut self) {
         let (nx, ny) = (self.cfg.nx, self.cfg.ny);
-        let (dx, dy) = (self.cfg.dx, self.cfg.dy);
-        let n = self.particles.len();
-        let q = self.particles.charge;
+        let n = self.particles.len() as f64;
 
-        // scatter
-        self.currents.clear();
-        for i in 0..n {
-            let u = [
-                self.particles.ux[i],
-                self.particles.uy[i],
-                self.particles.uz[i],
-            ];
-            let gamma = gamma_of(u);
-            let v = [u[0] / gamma, u[1] / gamma, u[2] / gamma];
-            let cic = Cic::new(self.particles.x[i], self.particles.y[i], dx, dy, nx, ny);
-            for (k, (cx, cy)) in cic.corners(nx, ny).into_iter().enumerate() {
-                let w = cic.w[k];
-                self.currents.jx[(cx, cy)] += q * v[0] * w;
-                self.currents.jy[(cx, cy)] += q * v[1] * w;
-                self.currents.jz[(cx, cy)] += q * v[2] * w;
-            }
-        }
-        self.ops += n as f64 * 4.0 * costs::SCATTER_VERTEX;
+        deposit_full_mesh(&self.particles, &mut self.currents, &self.cfg);
+        self.ops += n * 4.0 * costs::SCATTER_VERTEX;
 
-        // field solve
         self.solver.step_periodic(&mut self.fields, &self.currents);
         self.ops += (nx * ny) as f64 * (costs::FIELD_POINT_B + costs::FIELD_POINT_E);
 
-        // gather + push
-        let qm = self.particles.qm();
-        let dt = self.cfg.dt;
-        let (lx, ly) = (self.cfg.lx(), self.cfg.ly());
-        for i in 0..n {
-            let cic = Cic::new(self.particles.x[i], self.particles.y[i], dx, dy, nx, ny);
-            let mut e = [0.0f64; 3];
-            let mut b = [0.0f64; 3];
-            for (k, (cx, cy)) in cic.corners(nx, ny).into_iter().enumerate() {
-                let w = cic.w[k];
-                let vals = self.fields.at(cx, cy);
-                for c in 0..3 {
-                    e[c] += w * vals[c];
-                    b[c] += w * vals[3 + c];
-                }
-            }
-            let u = [
-                self.particles.ux[i],
-                self.particles.uy[i],
-                self.particles.uz[i],
-            ];
-            let u2 = boris_push(u, &BorisStep { e, b }, qm, dt);
-            let gamma = gamma_of(u2);
-            self.particles.ux[i] = u2[0];
-            self.particles.uy[i] = u2[1];
-            self.particles.uz[i] = u2[2];
-            self.particles.x[i] = wrap_periodic(self.particles.x[i] + u2[0] / gamma * dt, lx);
-            self.particles.y[i] = wrap_periodic(self.particles.y[i] + u2[1] / gamma * dt, ly);
-        }
-        self.ops += n as f64 * (4.0 * costs::GATHER_VERTEX + costs::PUSH_PARTICLE);
+        gather_push_full_mesh(&mut self.particles, &self.fields, &self.cfg);
+        self.ops += n * (4.0 * costs::GATHER_VERTEX + costs::PUSH_PARTICLE);
     }
 
     /// Run `iterations` steps.
@@ -136,6 +93,51 @@ impl SequentialPicSim {
             kinetic: self.particles.kinetic_energy(),
             field: field_energy(&self.fields, self.cfg.dx, self.cfg.dy),
         }
+    }
+}
+
+/// Scatter phase on a whole periodic mesh: clear `currents`, then deposit
+/// every particle's current `q v` onto the four vertices of its cell with
+/// its CIC weights.
+pub(crate) fn deposit_full_mesh(p: &Particles, currents: &mut CurrentSet, cfg: &SimConfig) {
+    let (nx, ny) = (cfg.nx, cfg.ny);
+    let (dx, dy) = (cfg.dx, cfg.dy);
+    let q = p.charge;
+    currents.clear();
+    for i in 0..p.len() {
+        let u = [p.ux[i], p.uy[i], p.uz[i]];
+        let gamma = gamma_of(u);
+        let v = [u[0] / gamma, u[1] / gamma, u[2] / gamma];
+        let cic = Cic::new(p.x[i], p.y[i], dx, dy, nx, ny);
+        for (k, (cx, cy)) in cic.corners(nx, ny).into_iter().enumerate() {
+            let w = cic.w[k];
+            currents.jx[(cx, cy)] += q * v[0] * w;
+            currents.jy[(cx, cy)] += q * v[1] * w;
+            currents.jz[(cx, cy)] += q * v[2] * w;
+        }
+    }
+}
+
+/// Gather and push phases on a whole periodic mesh: interpolate E and B
+/// at every particle in corner order, then [`advance`] it by `cfg.dt`.
+pub(crate) fn gather_push_full_mesh(p: &mut Particles, fields: &FieldSet, cfg: &SimConfig) {
+    let (nx, ny) = (cfg.nx, cfg.ny);
+    let (dx, dy) = (cfg.dx, cfg.dy);
+    let (qm, dt) = (p.qm(), cfg.dt);
+    let (lx, ly) = (cfg.lx(), cfg.ly());
+    for i in 0..p.len() {
+        let cic = Cic::new(p.x[i], p.y[i], dx, dy, nx, ny);
+        let mut e = [0.0f64; 3];
+        let mut b = [0.0f64; 3];
+        for (k, (cx, cy)) in cic.corners(nx, ny).into_iter().enumerate() {
+            let w = cic.w[k];
+            let vals = fields.at(cx, cy);
+            for c in 0..3 {
+                e[c] += w * vals[c];
+                b[c] += w * vals[3 + c];
+            }
+        }
+        advance(p, i, &BorisStep { e, b }, qm, dt, lx, ly);
     }
 }
 

@@ -162,30 +162,16 @@ impl<E: SpmdEngine<RankState>> GenericPicSim<E> {
         let solver = MaxwellSolver::new(cfg.dt, cfg.dx, cfg.dy);
         let policy = cfg.policy.build();
 
-        // load the global particle population deterministically, then
-        // hand contiguous chunks to ranks (as if read from a shared file)
-        let states: Vec<RankState> = if load_particles {
-            let global =
-                cfg.distribution
-                    .load(cfg.particles, cfg.lx(), cfg.ly(), cfg.thermal_u, cfg.seed);
-            (0..p)
-                .map(|r| {
-                    let mut st = RankState::new(r, layout.local_rect(r), &cfg);
-                    let lo = r * cfg.particles / p;
-                    let hi = (r + 1) * cfg.particles / p;
-                    st.particles.reserve(hi - lo);
-                    for i in lo..hi {
-                        let c = global.get(i);
-                        st.particles.push(c[0], c[1], c[2], c[3], c[4]);
-                    }
-                    st
-                })
-                .collect()
-        } else {
-            (0..p)
-                .map(|r| RankState::new(r, layout.local_rect(r), &cfg))
-                .collect()
-        };
+        let global = load_particles.then(|| cfg.load_particles());
+        let states: Vec<RankState> = (0..p)
+            .map(|r| {
+                let mut st = RankState::new(r, layout.local_rect(r), &cfg);
+                if let Some(global) = &global {
+                    st.particles = cfg.rank_chunk(global, r);
+                }
+                st
+            })
+            .collect();
 
         let machine = E::build(cfg.machine, states);
         Self {

@@ -184,6 +184,29 @@ impl RankState {
         }
     }
 
+    /// Merge an order-maintaining balance step's `inbox` (sorted by
+    /// sender) without breaking the global key order: lower ranks'
+    /// batches go in front of the local particles, higher ranks' after.
+    /// Appending in inbox order gives own, lower, higher; rotating the
+    /// own-plus-lower prefix right by the lower count puts lower first.
+    /// Allocation-free once the arrays' capacity is warm.
+    pub fn merge_in_order(&mut self, inbox: &[(usize, ParticleBatch)]) {
+        let own = self.len();
+        let mut lower = 0;
+        for (from, batch) in inbox {
+            if *from < self.rank {
+                lower += batch.len();
+            }
+            self.append_batch(batch);
+        }
+        let prefix = own + lower;
+        self.keys[..prefix].rotate_right(lower);
+        let p = &mut self.particles;
+        for v in [&mut p.x, &mut p.y, &mut p.ux, &mut p.uy, &mut p.uz] {
+            v[..prefix].rotate_right(lower);
+        }
+    }
+
     /// Sort the local particles by key using the incremental sorter;
     /// returns the modeled comparison count.
     ///
@@ -318,6 +341,24 @@ mod tests {
         // particle attributes moved with their keys
         let idx = st.keys.iter().position(|&k| k == 15).unwrap();
         assert_eq!(st.particles.x[idx], 1.5);
+    }
+
+    #[test]
+    fn merge_in_order_puts_lower_batches_first() {
+        // rank 1 holds six particles; rank 0's batch lands in front of
+        // them, rank 2's behind
+        let mut st = state_with_particles();
+        let mut low = ParticleBatch::default();
+        low.push(1, [-2.0, 0.0, 0.0, 0.0, 0.0]);
+        low.push(2, [-1.0, 0.0, 0.0, 0.0, 0.0]);
+        let mut high = ParticleBatch::default();
+        high.push(60, [6.0, 0.0, 0.0, 0.0, 0.0]);
+        st.merge_in_order(&[(0, low), (2, high)]);
+        assert_eq!(st.keys, vec![1, 2, 0, 10, 20, 30, 40, 50, 60]);
+        assert_eq!(
+            st.particles.x,
+            vec![-2.0, -1.0, 0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+        );
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //!
 //! The performance contract (DESIGN.md §9): once a rank's scratch arena
 //! is warm, the per-iteration particle kernels — key refresh, bound
-//! classification, pack/exchange, incremental radix sort and the
-//! cycle-decomposition permutation — and the Maxwell field update
+//! classification, pack/exchange, incremental radix sort, the
+//! cycle-decomposition permutation and the order-maintaining balance
+//! merge — and the Maxwell field update
 //! (`update_b_padded` + `update_e_padded`, in place on the rank's padded
 //! block) perform **zero** heap allocations.  Everything lives in buffers
 //! owned by [`pic_core::ScratchArena`] and the rank's own arrays, whose
@@ -66,8 +67,12 @@ fn count_allocs(f: impl FnOnce()) -> u64 {
 
 /// One steady-state kernel cycle: refresh keys, classify against global
 /// bounds, pack movers into the arena's shared buffers, "receive" them
-/// back, then incrementally sort.  Mirrors the redistribute phase's use
-/// of the arena exactly, with the exchange looped back locally.
+/// back, incrementally sort, then run the order-maintaining balance:
+/// the lowest and highest quarters of the sorted particles leave for the
+/// neighbouring ranks and come straight back as their batches, which the
+/// merge appends and rotates into place.  Mirrors the redistribute
+/// phase's use of the arena exactly, with the exchanges looped back
+/// locally.
 fn kernel_cycle(
     st: &mut RankState,
     indexer: &dyn CellIndexer,
@@ -91,6 +96,16 @@ fn kernel_cycle(
     stash.clear(); // drop the views so the arena can reclaim the pack buffers
 
     st.sort_local();
+
+    let (n, r) = (st.len(), st.rank);
+    st.scratch.dests.clear();
+    st.scratch.dests.resize(n, r);
+    st.scratch.dests[..n / 4].fill(r - 1);
+    st.scratch.dests[n - n / 4..].fill(r + 1);
+    st.take_outgoing_packed(|dest, batch| stash.push((dest, batch)));
+    st.merge_in_order(stash);
+    stash.clear();
+
     st.rebuild_sorter();
 }
 
@@ -111,8 +126,10 @@ fn steady_state_kernels_do_not_allocate() {
     };
     let indexer = HilbertIndexer::new(cfg.nx, cfg.ny);
     let (dx, dy) = (cfg.dx, cfg.dy);
-    let mut st = RankState::new(0, rect, &cfg);
-    st.all_counts = vec![0, 0];
+    // the middle of three ranks, so the balance merge sees a lower and a
+    // higher neighbour
+    let mut st = RankState::new(1, rect, &cfg);
+    st.all_counts = vec![0, 0, 0];
     let n = 2048usize;
     for i in 0..n {
         // deterministic scatter over the whole mesh, no RNG needed
@@ -122,7 +139,7 @@ fn steady_state_kernels_do_not_allocate() {
         st.keys.push(0);
     }
     // bounds splitting the key domain so a healthy fraction of the
-    // particles "move" (to rank 1) and loop back every cycle
+    // particles "move" (to rank 0) and loop back every cycle
     let mid = indexer.index(cfg.nx / 2, cfg.ny / 2);
     let bounds = vec![mid, u64::MAX];
     let mut stash: Vec<(usize, ParticleBatch)> = Vec::new();

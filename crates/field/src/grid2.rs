@@ -108,14 +108,6 @@ impl<T> Grid2<T> {
     pub fn row_mut(&mut self, y: usize) -> &mut [T] {
         &mut self.data[y * self.width..(y + 1) * self.width]
     }
-
-    /// Iterate `(x, y, &value)` in row-major order.
-    pub fn iter_coords(&self) -> impl Iterator<Item = (usize, usize, &T)> {
-        self.data
-            .iter()
-            .enumerate()
-            .map(move |(i, v)| (i % self.width, i / self.width, v))
-    }
 }
 
 impl<T> Index<(usize, usize)> for Grid2<T> {
@@ -163,13 +155,6 @@ mod tests {
         g[(3, 2)] = 9.0;
         assert_eq!(*g.get_periodic(-1, 2), 9.0);
         assert_eq!(*g.get_periodic(-1, -6), 9.0);
-    }
-
-    #[test]
-    fn iter_coords_covers_grid_in_order() {
-        let g = Grid2::<u8>::zeros(2, 2);
-        let coords: Vec<(usize, usize)> = g.iter_coords().map(|(x, y, _)| (x, y)).collect();
-        assert_eq!(coords, vec![(0, 0), (1, 0), (0, 1), (1, 1)]);
     }
 
     #[test]

@@ -24,6 +24,11 @@
 //! * [`MaxwellSolver::update_b_padded`] / [`MaxwellSolver::update_e_padded`]
 //!   — a rank-local block with a one-cell ghost ring filled by halo
 //!   exchange before each half (the parallel code).
+//!
+//! Each half needs the other half's triple from the neighbours:
+//! [`FieldSet::e`] and [`FieldSet::b`] (and their `_mut` forms) name that
+//! triple, so the parallel code's one halo superstep and the replicated
+//! baseline's strip concatenation move E or B with the same code.
 
 use serde::{Deserialize, Serialize};
 
@@ -67,6 +72,30 @@ impl FieldSet {
     /// Grid height.
     pub fn height(&self) -> usize {
         self.ex.height()
+    }
+
+    /// The electric triple `[Ex, Ey, Ez]`.
+    #[inline]
+    pub fn e(&self) -> [&Grid2<f64>; 3] {
+        [&self.ex, &self.ey, &self.ez]
+    }
+
+    /// The electric triple `[Ex, Ey, Ez]`, mutably.
+    #[inline]
+    pub fn e_mut(&mut self) -> [&mut Grid2<f64>; 3] {
+        [&mut self.ex, &mut self.ey, &mut self.ez]
+    }
+
+    /// The magnetic triple `[Bx, By, Bz]`.
+    #[inline]
+    pub fn b(&self) -> [&Grid2<f64>; 3] {
+        [&self.bx, &self.by, &self.bz]
+    }
+
+    /// The magnetic triple `[Bx, By, Bz]`, mutably.
+    #[inline]
+    pub fn b_mut(&mut self) -> [&mut Grid2<f64>; 3] {
+        [&mut self.bx, &mut self.by, &mut self.bz]
     }
 
     /// The six components at `(x, y)` as `[Ex, Ey, Ez, Bx, By, Bz]`.

@@ -4,8 +4,10 @@
 //! structure-of-arrays storage ([`Particles`]), the loading distributions
 //! the evaluation uses (uniform and the irregular centre-concentrated
 //! case, [`ParticleDistribution`]), cloud-in-cell interpolation weights
-//! ([`shape::Cic`], paper Figure 3), and the relativistic Boris pusher
-//! ([`push`]) that closes the scatter → solve → gather → **push** loop.
+//! ([`shape::Cic`], paper Figure 3, over the one cell rule
+//! [`shape::cell_of`] that particle keys use too), and the relativistic
+//! Boris pusher ([`push`]) whose [`push::advance`] is the one particle
+//! step that closes the scatter → solve → gather → **push** loop.
 //!
 //! ```
 //! use pic_particles::{ParticleDistribution, Particles};
@@ -24,7 +26,7 @@ pub mod soa;
 pub mod wrap;
 
 pub use init::ParticleDistribution;
-pub use push::{boris_push, BorisStep};
-pub use shape::Cic;
+pub use push::{advance, boris_push, BorisStep};
+pub use shape::{cell_of, Cic};
 pub use soa::Particles;
 pub use wrap::wrap_periodic;

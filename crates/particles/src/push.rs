@@ -5,6 +5,14 @@
 //! relativistic electromagnetic PIC is the Boris scheme: a half electric
 //! kick, a magnetic rotation, and a second half kick, followed by the
 //! position update with the relativistic velocity `u / gamma`.
+//!
+//! [`advance`] is the whole per-particle step — kick, rotation, drift and
+//! periodic wrap — and every driver calls it: the distributed push phase,
+//! the sequential reference, the replicated-grid baseline and the
+//! electrostatic variant.
+
+use crate::soa::Particles;
+use crate::wrap::wrap_periodic;
 
 /// Fields acting on one particle for one time step.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -57,6 +65,28 @@ pub fn boris_push(u: [f64; 3], fields: &BorisStep, qm: f64, dt: f64) -> [f64; 3]
         up[1] + half * fields.e[1],
         up[2] + half * fields.e[2],
     ]
+}
+
+/// Advance particle `i` of `p` by one time step under `fields`: the
+/// Boris momentum update, then the drift `x += u / gamma * dt` with the
+/// new momentum, wrapped back into the periodic domain `[0, lx) x [0, ly)`.
+#[inline]
+pub fn advance(
+    p: &mut Particles,
+    i: usize,
+    fields: &BorisStep,
+    qm: f64,
+    dt: f64,
+    lx: f64,
+    ly: f64,
+) {
+    let u = boris_push([p.ux[i], p.uy[i], p.uz[i]], fields, qm, dt);
+    let gamma = gamma_of(u);
+    p.ux[i] = u[0];
+    p.uy[i] = u[1];
+    p.uz[i] = u[2];
+    p.x[i] = wrap_periodic(p.x[i] + u[0] / gamma * dt, lx);
+    p.y[i] = wrap_periodic(p.y[i] + u[1] / gamma * dt, ly);
 }
 
 /// Lorentz factor of a normalized momentum.
@@ -143,6 +173,70 @@ mod tests {
         let v = u[0].abs() / gamma_of(u);
         assert!(v < 1.0, "superluminal v = {v}");
         assert!(v > 0.999, "relativistic limit not reached: {v}");
+    }
+
+    #[test]
+    fn free_particle_drifts_across_both_periodic_boundaries() {
+        // no fields: u is kept, the position moves by u / gamma * dt and
+        // wraps in x (past the upper edge) and in y (past the lower edge)
+        let (lx, ly, dt) = (8.0, 4.0, 0.5);
+        let u = [1.2, -0.9, 0.3];
+        let mut p = Particles::electrons();
+        p.push(7.9, 0.1, u[0], u[1], u[2]);
+        advance(&mut p, 0, &BorisStep::default(), -1.0, dt, lx, ly);
+        let gamma = gamma_of(u);
+        let x = 7.9 + u[0] / gamma * dt - lx;
+        let y = 0.1 + u[1] / gamma * dt + ly;
+        assert!((p.x[0] - x).abs() < 1e-12, "x = {} vs {x}", p.x[0]);
+        assert!((p.y[0] - y).abs() < 1e-12, "y = {} vs {y}", p.y[0]);
+        assert!((0.0..lx).contains(&p.x[0]) && (0.0..ly).contains(&p.y[0]));
+        assert_eq!([p.ux[0], p.uy[0], p.uz[0]], u);
+    }
+
+    #[test]
+    fn advance_matches_push_drift_wrap_bitwise() {
+        // the open-coded sequence every driver ran before `advance`
+        fn reference(p: &mut Particles, i: usize, f: &BorisStep, qm: f64, dt: f64, l: [f64; 2]) {
+            let u = [p.ux[i], p.uy[i], p.uz[i]];
+            let u2 = boris_push(u, f, qm, dt);
+            let gamma = gamma_of(u2);
+            p.ux[i] = u2[0];
+            p.uy[i] = u2[1];
+            p.uz[i] = u2[2];
+            p.x[i] = wrap_periodic(p.x[i] + u2[0] / gamma * dt, l[0]);
+            p.y[i] = wrap_periodic(p.y[i] + u2[1] / gamma * dt, l[1]);
+        }
+        // a 64-bit LCG mapped to [-1, 1)
+        let mut s = 1996u64;
+        let mut next = move || {
+            s = s
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (s >> 11) as f64 / (1u64 << 52) as f64 - 1.0
+        };
+        let (lx, ly) = (16.0, 8.0);
+        for case in 0..400 {
+            let mut p = Particles::new(-1.0, 1.0 + case as f64 * 0.01);
+            p.push(
+                (next() + 1.0) * 0.5 * lx,
+                (next() + 1.0) * 0.5 * ly,
+                3.0 * next(),
+                3.0 * next(),
+                3.0 * next(),
+            );
+            let f = BorisStep {
+                e: [next(), next(), next()],
+                b: [2.0 * next(), 2.0 * next(), 2.0 * next()],
+            };
+            let dt = 0.5 * (next() + 1.0);
+            let qm = p.qm();
+            let mut want = p.clone();
+            reference(&mut want, 0, &f, qm, dt, [lx, ly]);
+            advance(&mut p, 0, &f, qm, dt, lx, ly);
+            for (got, want) in p.get(0).iter().zip(want.get(0)) {
+                assert_eq!(got.to_bits(), want.to_bits(), "case {case}");
+            }
+        }
     }
 
     #[test]

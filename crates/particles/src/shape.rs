@@ -4,7 +4,20 @@
 //! scatters its contributions to the current mesh grid points at the
 //! vertices of the cell in which it lies", and the gather phase uses the
 //! same four weights in reverse.  [`Cic`] computes the cell and the four
-//! vertex weights once per particle per phase.
+//! vertex weights once per particle per phase.  The cell comes from
+//! [`cell_of`], the same rule that gives a particle its curve key, so a
+//! particle's key cell and its deposit cell cannot disagree.
+
+/// The cell containing position `(x, y)` on a mesh of `nx x ny` cells of
+/// size `dx x dy`.  Positions must be wrapped into the domain; the clamp
+/// guards the `x / dx == nx` edge case from floating-point roundoff.
+#[inline]
+pub fn cell_of(x: f64, y: f64, dx: f64, dy: f64, nx: usize, ny: usize) -> (usize, usize) {
+    debug_assert!(x >= 0.0 && y >= 0.0, "position must be wrapped first");
+    let cx = ((x / dx) as usize).min(nx - 1);
+    let cy = ((y / dy) as usize).min(ny - 1);
+    (cx, cy)
+}
 
 /// The cell containing a particle and its four vertex weights.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -32,13 +45,9 @@ impl Cic {
             (0.0..nx as f64 * dx).contains(&x) && (0.0..ny as f64 * dy).contains(&y),
             "position ({x},{y}) outside domain"
         );
-        let fx = x / dx;
-        let fy = y / dy;
-        // clamp guards the fx == nx edge case from floating-point roundoff
-        let ix = (fx as usize).min(nx - 1);
-        let iy = (fy as usize).min(ny - 1);
-        let ax = fx - ix as f64;
-        let ay = fy - iy as f64;
+        let (ix, iy) = cell_of(x, y, dx, dy, nx, ny);
+        let ax = x / dx - ix as f64;
+        let ay = y / dy - iy as f64;
         Self {
             ix,
             iy,

@@ -101,55 +101,20 @@ impl Particles {
         [self.x[i], self.y[i], self.ux[i], self.uy[i], self.uz[i]]
     }
 
-    /// Append all particles of `other` (must be the same species).
+    /// A copy of the particles in `range`, of the same species.
     ///
     /// # Panics
-    /// Panics if species parameters differ.
-    pub fn append(&mut self, other: &mut Particles) {
-        assert_eq!(self.charge, other.charge, "species charge mismatch");
-        assert_eq!(self.mass, other.mass, "species mass mismatch");
-        self.x.append(&mut other.x);
-        self.y.append(&mut other.y);
-        self.ux.append(&mut other.ux);
-        self.uy.append(&mut other.uy);
-        self.uz.append(&mut other.uz);
-    }
-
-    /// Remove the particles at `indices` (strictly increasing) and return
-    /// them as a new array, preserving the order of survivors and of the
-    /// extracted particles.
-    ///
-    /// # Panics
-    /// Panics if `indices` is not strictly increasing or out of range.
-    pub fn extract(&mut self, indices: &[usize]) -> Particles {
-        let mut out = Particles::new(self.charge, self.mass);
-        if indices.is_empty() {
-            return out;
+    /// Panics if `range` is out of bounds.
+    pub fn slice(&self, range: std::ops::Range<usize>) -> Particles {
+        Particles {
+            x: self.x[range.clone()].to_vec(),
+            y: self.y[range.clone()].to_vec(),
+            ux: self.ux[range.clone()].to_vec(),
+            uy: self.uy[range.clone()].to_vec(),
+            uz: self.uz[range].to_vec(),
+            charge: self.charge,
+            mass: self.mass,
         }
-        for w in indices.windows(2) {
-            assert!(w[0] < w[1], "indices must be strictly increasing");
-        }
-        assert!(*indices.last().unwrap() < self.len(), "index out of range");
-        out.reserve(indices.len());
-        let mut take = vec![false; self.len()];
-        for &i in indices {
-            take[i] = true;
-            out.push(self.x[i], self.y[i], self.ux[i], self.uy[i], self.uz[i]);
-        }
-        let keep = |v: &mut Vec<f64>| {
-            let mut k = 0;
-            v.retain(|_| {
-                let t = !take[k];
-                k += 1;
-                t
-            });
-        };
-        keep(&mut self.x);
-        keep(&mut self.y);
-        keep(&mut self.ux);
-        keep(&mut self.uy);
-        keep(&mut self.uz);
-        out
     }
 
     /// Reorder the array in place so element `i` of the result is the old
@@ -236,44 +201,14 @@ mod tests {
     }
 
     #[test]
-    fn extract_preserves_both_orders() {
-        let mut p = sample();
-        let out = p.extract(&[1, 3]);
-        assert_eq!(out.len(), 2);
-        assert_eq!(out.x, vec![1.0, 3.0]);
-        assert_eq!(p.x, vec![0.0, 2.0, 4.0]);
-        assert_eq!(p.y, vec![0.0, 20.0, 40.0]);
-    }
-
-    #[test]
-    fn extract_empty_is_noop() {
-        let mut p = sample();
-        let out = p.extract(&[]);
-        assert!(out.is_empty());
-        assert_eq!(p.len(), 5);
-    }
-
-    #[test]
-    #[should_panic(expected = "strictly increasing")]
-    fn extract_unsorted_panics() {
-        sample().extract(&[3, 1]);
-    }
-
-    #[test]
-    fn append_moves_particles() {
-        let mut a = sample();
-        let mut b = sample();
-        a.append(&mut b);
-        assert_eq!(a.len(), 10);
-        assert!(b.is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "species charge mismatch")]
-    fn append_wrong_species_panics() {
-        let mut a = Particles::electrons();
-        let mut b = Particles::new(1.0, 1836.0);
-        a.append(&mut b);
+    fn slice_copies_a_range_of_the_species() {
+        let p = sample();
+        let s = p.slice(1..3);
+        assert_eq!(s.len(), 2);
+        assert_eq!(s.get(0), p.get(1));
+        assert_eq!(s.get(1), p.get(2));
+        assert_eq!((s.charge, s.mass), (p.charge, p.mass));
+        assert!(p.slice(5..5).is_empty());
     }
 
     #[test]

@@ -10,15 +10,9 @@
 use pic_index::CellIndexer;
 use pic_particles::Particles;
 
-/// The cell containing position `(x, y)` on a mesh of `nx x ny` cells of
-/// size `dx x dy`.  Positions must be wrapped into the domain.
-#[inline]
-pub fn cell_of(x: f64, y: f64, dx: f64, dy: f64, nx: usize, ny: usize) -> (usize, usize) {
-    debug_assert!(x >= 0.0 && y >= 0.0, "position must be wrapped first");
-    let cx = ((x / dx) as usize).min(nx - 1);
-    let cy = ((y / dy) as usize).min(ny - 1);
-    (cx, cy)
-}
+/// The cell rule lives next to [`pic_particles::Cic`], which deposits and
+/// gathers through the same cell a particle's key names.
+pub use pic_particles::cell_of;
 
 /// Curve index of the particle at `(x, y)`.
 #[inline]
