@@ -31,6 +31,7 @@
 //! Usage: `hot_path_baseline [--iters N | --quick] [--before FILE | --check FILE]`
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -347,6 +348,7 @@ fn main() {
     std::fs::write(out_path, render_json(&pairs)).expect("write BENCH_hot_path.json");
     eprintln!("wrote {out_path}");
     write_csv(
+        Path::new("results"),
         "hot_path_baseline.csv",
         "metric,value",
         &pairs

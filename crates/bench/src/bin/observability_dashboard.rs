@@ -20,6 +20,8 @@
 //!
 //! Usage: `observability_dashboard [--iters N | --quick]`
 
+use std::path::Path;
+
 use pic_bench::{render_dashboard, write_csv};
 use pic_core::{model_error_report, ModelErrorReport, SimConfig};
 use pic_index::IndexScheme;
@@ -106,11 +108,13 @@ fn main() {
     );
     let reg = metrics.snapshot();
     write_csv(
+        Path::new("results"),
         "sar_audit.csv",
         "iter,time_s,observed_s,baseline_s,projected_loss_s,threshold_s,fired",
         &sar_audit_rows(&events),
     );
     write_csv(
+        Path::new("results"),
         "comm_matrix.csv",
         pic_machine::CommMatrix::CSV_HEADER,
         &reg.comm().csv_rows(),
@@ -133,6 +137,7 @@ fn main() {
     let report = model_validation(iters);
     println!("\n{}", report.render());
     write_csv(
+        Path::new("results"),
         "model_error.csv",
         ModelErrorReport::CSV_HEADER,
         &report.csv_rows(),

@@ -23,6 +23,7 @@
 //! overhead reaches 5%, which is how CI's `perf-smoke` job gates the
 //! observability layer's cost.
 
+use std::path::Path;
 use std::time::Instant;
 
 use pic_bench::{iters_from_args, write_csv};
@@ -136,6 +137,7 @@ fn main() {
     );
     println!("{:<22} {:>10}", "events captured", events.len());
     write_csv(
+        Path::new("results"),
         "observability_overhead.csv",
         "ranks,iters,repeats,off_s,trace_s,trace_metrics_s,trace_overhead_pct,metrics_overhead_pct",
         &[format!(
@@ -155,6 +157,7 @@ fn main() {
     let report = MetricsReport::from_events(&events);
     println!("\n{}", report.render());
     write_csv(
+        Path::new("results"),
         "observability_phase_metrics.csv",
         MetricsReport::CSV_HEADER,
         &report.csv_rows(),

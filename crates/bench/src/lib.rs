@@ -1,11 +1,24 @@
 //! # pic-bench — the experiment harness
 //!
-//! One binary per table/figure of the paper's evaluation (Section 6).
-//! Each binary prints the same rows/series the paper reports and writes
-//! a CSV under `results/`.  Wall-clock kernel and per-phase costs are
-//! measured by the repository benchmark (`perfbench/`), not here.
+//! The `reproduce` binary regenerates every table and figure of the
+//! paper's evaluation (Section 6) in modeled time:
 //!
-//! | binary | paper artifact |
+//! ```text
+//! reproduce [--quick] [FILTER…]
+//! ```
+//!
+//! With no filter it runs every artifact; a filter selects the artifacts
+//! whose names contain it, and a filter that matches none exits with
+//! code 2 and lists the names.  Each artifact prints its rows/series and
+//! writes `<name>.csv` under `results/`, or under `results/quick/` with
+//! `--quick` (a tenth of the iterations, at least 20), so a quick run
+//! never overwrites a full-scale CSV.  Each (configuration, iteration
+//! count) is simulated once per invocation: the Table 2 grid feeds
+//! Tables 2–3 and Figures 21–22, Figure 16's 128×64 / 32k runs feed
+//! Figures 17–19, and Table 1's static Lagrangian run is
+//! `ablation_dedup`'s hash row.
+//!
+//! | artifact | paper artifact |
 //! |---|---|
 //! | `table1_strategies` | Table 1 — partitioning strategy analysis |
 //! | `fig16_static_vs_periodic` | Figure 16 — total time, static vs periodic |
@@ -20,11 +33,13 @@
 //! | `baseline_replicated` | Section 3 — Lubeck & Faber replicated mesh vs distributed |
 //! | `ablation_machine` | Section 6.3 remark — machine-constant sensitivity |
 //! | `ablation_dedup` | Section 3.2 / Figure 8 — hash vs direct dedup table |
-//! | `observability_overhead` | tracing/metrics cost gate + Chrome trace export |
-//! | `observability_dashboard` | comm matrix, SAR audit log, model error, HTML dashboard |
 //!
-//! All binaries accept `--iters N` to override the iteration count and
-//! `--quick` for a fast smoke configuration; defaults match the paper.
+//! Three more binaries write under `results/` and accept `--iters N` or
+//! `--quick`: `observability_overhead` (tracing/metrics cost gate +
+//! Chrome trace export), `observability_dashboard` (comm matrix, SAR
+//! audit log, model error, HTML dashboard) and `hot_path_baseline` (the
+//! CI-gated hot-path baseline).  Wall-clock kernel and per-phase costs
+//! are measured by the repository benchmark (`perfbench/`), not here.
 
 #![warn(missing_docs)]
 
@@ -82,18 +97,22 @@ pub fn iters_from_args(full: usize) -> usize {
         }
     }
     if args.iter().any(|a| a == "--quick") {
-        return (full / 10).max(20);
+        return quick_iters(full);
     }
     full
 }
 
-/// Write a CSV file under `results/`, creating the directory as needed.
+/// The `--quick` iteration count: a tenth of `full`, at least 20.
+pub fn quick_iters(full: usize) -> usize {
+    (full / 10).max(20)
+}
+
+/// Write the CSV file `dir/name`, creating `dir` as needed.
 ///
 /// # Panics
 /// Panics if the file cannot be written (harness binaries want loud
 /// failures).
-pub fn write_csv(name: &str, header: &str, rows: &[String]) {
-    let dir = Path::new("results");
+pub fn write_csv(dir: &Path, name: &str, header: &str, rows: &[String]) {
     fs::create_dir_all(dir).expect("create results dir");
     let path = dir.join(name);
     let mut f = fs::File::create(&path).expect("create csv");
@@ -173,78 +192,6 @@ pub fn sequential_modeled_time(cfg: &SimConfig, iters: usize) -> f64 {
         + m * (pic_core::costs::FIELD_POINT_B + pic_core::costs::FIELD_POINT_E);
     iters as f64 * per_iter * cfg.machine.delta
 }
-
-/// Shared harness for Figures 21 (uniform) and 22 (irregular): overhead
-/// (execution − computation) of 200 iterations across the Table 2 grid,
-/// Hilbert vs snakelike.
-pub fn run_overhead(dist: ParticleDistribution, csv_name: &str, figure: &str) {
-    use pic_core::ParallelPicSim;
-
-    let iters = iters_from_args(200);
-    println!(
-        "{figure}: overhead = execution - computation, {} distribution, {iters} iterations (modeled s)\n",
-        dist.label()
-    );
-    println!(
-        "{:<10} {:>8} {:<9} {:>10} {:>10} {:>10} {:>12}",
-        "mesh", "partcls", "indexing", "p=32", "p=64", "p=128", "redist@128"
-    );
-    let mut rows = Vec::new();
-    for (nx, ny, n) in TABLE2_SIZES {
-        for scheme in [IndexScheme::Hilbert, IndexScheme::Snake] {
-            let mut overheads = Vec::new();
-            let mut redist_last = 0.0;
-            for p in TABLE2_PROCS {
-                let cfg = paper_cfg(nx, ny, n, p, dist, scheme, PolicyKind::DynamicSar);
-                let mut sim = ParallelPicSim::new(cfg);
-                let report = sim.run(iters);
-                overheads.push(report.overhead_s);
-                redist_last = report.redistribute_total_s;
-            }
-            println!(
-                "{:<10} {:>8} {:<9} {:>10.2} {:>10.2} {:>10.2} {:>12.2}",
-                format!("{nx}x{ny}"),
-                n,
-                scheme.label(),
-                overheads[0],
-                overheads[1],
-                overheads[2],
-                redist_last
-            );
-            rows.push(format!(
-                "{}x{},{},{},{:.3},{:.3},{:.3},{:.3}",
-                nx,
-                ny,
-                n,
-                scheme.label(),
-                overheads[0],
-                overheads[1],
-                overheads[2],
-                redist_last
-            ));
-        }
-    }
-    write_csv(
-        csv_name,
-        "mesh,particles,indexing,ovh_p32,ovh_p64,ovh_p128,redist_p128",
-        &rows,
-    );
-    println!(
-        "\n(expect hilbert <= snake rows; redistribution well under 20% of overhead at p=128)"
-    );
-}
-
-/// The Table 2 / Table 3 / Figures 21-22 configuration grid:
-/// `(mesh, particles)` pairs crossed with processor counts.
-pub const TABLE2_SIZES: [(usize, usize, usize); 4] = [
-    (256, 128, 32_768),
-    (256, 128, 65_536),
-    (512, 256, 65_536),
-    (512, 256, 131_072),
-];
-
-/// Processor counts of the paper's scaling study.
-pub const TABLE2_PROCS: [usize; 3] = [32, 64, 128];
 
 #[cfg(test)]
 mod tests {

@@ -12,8 +12,10 @@
 
 use pic_field::poisson::{efield_from_phi, solve_poisson_periodic};
 use pic_field::Grid2;
+use pic_machine::MachineConfig;
 use pic_particles::push::{advance, BorisStep};
-use pic_particles::{Cic, Particles};
+use pic_particles::{Cic, ParticleDistribution, Particles};
+use pic_partition::PolicyKind;
 
 use crate::config::SimConfig;
 use crate::diagnostics::EnergyReport;
@@ -61,14 +63,59 @@ impl ElectrostaticPicSim {
         }
     }
 
+    /// The Langmuir-oscillation configuration: a cold plasma of
+    /// `nx × ny` unit cells on one rank, 16 particles per cell, charge
+    /// 0.05 and `dt` = 0.25 (about 126 steps per plasma period).  Pair
+    /// it with [`ElectrostaticPicSim::quiet_start`].
+    pub fn langmuir_config(nx: usize, ny: usize) -> SimConfig {
+        SimConfig {
+            nx,
+            ny,
+            particles: nx * ny * 16,
+            distribution: ParticleDistribution::Uniform,
+            machine: MachineConfig::cm5(1),
+            policy: PolicyKind::Static,
+            thermal_u: 0.0,
+            particle_charge: 0.05,
+            dt: 0.25,
+            ..SimConfig::paper_default()
+        }
+    }
+
+    /// Replace the random load with a quiet start: 4 × 4 particles per
+    /// cell on a regular lattice, so the deposited density is exactly
+    /// uniform, moving with the x velocity `v0 · sin(2π x / lx)` — one
+    /// Langmuir mode (`v0 = 0` leaves the plasma at rest).
+    ///
+    /// # Panics
+    /// Panics unless the configuration loads 16 particles per cell, the
+    /// count the background charge and [`Self::plasma_frequency`] assume.
+    pub fn quiet_start(&mut self, v0: f64) {
+        let (nx_p, ny_p) = (4 * self.cfg.nx, 4 * self.cfg.ny);
+        assert_eq!(
+            nx_p * ny_p,
+            self.cfg.particles,
+            "quiet start needs 16 particles per cell"
+        );
+        let (lx, ly) = (self.cfg.lx(), self.cfg.ly());
+        let p = &mut self.particles;
+        p.x.clear();
+        p.y.clear();
+        p.ux.clear();
+        p.uy.clear();
+        p.uz.clear();
+        for j in 0..ny_p {
+            for i in 0..nx_p {
+                let x = (i as f64 + 0.5) * lx / nx_p as f64;
+                let y = (j as f64 + 0.5) * ly / ny_p as f64;
+                p.push(x, y, v0 * (std::f64::consts::TAU * x / lx).sin(), 0.0, 0.0);
+            }
+        }
+    }
+
     /// The particle array.
     pub fn particles(&self) -> &Particles {
         &self.particles
-    }
-
-    /// Mutable particle access (tests perturb velocities).
-    pub fn particles_mut(&mut self) -> &mut Particles {
-        &mut self.particles
     }
 
     /// Plasma frequency of the loaded population in normalized units:
@@ -142,57 +189,47 @@ impl ElectrostaticPicSim {
     }
 }
 
+/// The period of a Langmuir oscillation from its kinetic energy series
+/// (`kinetic[i]` after step `i + 1` of length `dt`).  The energy goes as
+/// `cos²(ω_p t)`, so its minima fall every half period; each minimum is
+/// located between samples by the parabola through it and its two
+/// neighbours, and the period is twice their mean spacing.  `None` when
+/// the series holds fewer than two minima.
+pub fn period_from_kinetic_minima(kinetic: &[f64], dt: f64) -> Option<f64> {
+    let minima: Vec<f64> = (1..kinetic.len().saturating_sub(1))
+        .filter(|&i| kinetic[i] < kinetic[i - 1] && kinetic[i] <= kinetic[i + 1])
+        .map(|i| {
+            let (a, b, c) = (kinetic[i - 1], kinetic[i], kinetic[i + 1]);
+            let curvature = a - 2.0 * b + c;
+            let shift = if curvature > 0.0 {
+                0.5 * (a - c) / curvature
+            } else {
+                0.0
+            };
+            (i as f64 + 1.0 + shift) * dt
+        })
+        .collect();
+    match minima.as_slice() {
+        [first, .., last] => Some(2.0 * (last - first) / (minima.len() - 1) as f64),
+        _ => None,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pic_machine::MachineConfig;
-    use pic_particles::ParticleDistribution;
-    use pic_partition::PolicyKind;
 
     fn es_cfg() -> SimConfig {
         SimConfig {
-            nx: 32,
-            ny: 8,
-            particles: 32 * 8 * 16, // 16 per cell for a quiet start
-            distribution: ParticleDistribution::Uniform,
-            machine: MachineConfig::cm5(1),
-            policy: PolicyKind::Static,
-            thermal_u: 0.0,
-            particle_charge: 0.05,
-            dt: 0.25,
             seed: 11,
-            ..SimConfig::paper_default()
-        }
-    }
-
-    /// Replace the random load with a quiet start: particles on a regular
-    /// lattice, so the deposited density is exactly uniform and the only
-    /// dynamics are the ones we inject.
-    fn quiet_start(sim: &mut ElectrostaticPicSim, nx_p: usize, ny_p: usize) {
-        let (lx, ly) = (32.0, 8.0);
-        let p = sim.particles_mut();
-        p.x.clear();
-        p.y.clear();
-        p.ux.clear();
-        p.uy.clear();
-        p.uz.clear();
-        for j in 0..ny_p {
-            for i in 0..nx_p {
-                p.push(
-                    (i as f64 + 0.5) * lx / nx_p as f64,
-                    (j as f64 + 0.5) * ly / ny_p as f64,
-                    0.0,
-                    0.0,
-                    0.0,
-                );
-            }
+            ..ElectrostaticPicSim::langmuir_config(32, 8)
         }
     }
 
     #[test]
     fn neutral_cold_plasma_is_quiescent() {
         let mut sim = ElectrostaticPicSim::new(es_cfg());
-        quiet_start(&mut sim, 128, 32); // 4096 particles, 16 per cell
+        sim.quiet_start(0.0);
         sim.run(5);
         let e = sim.energy();
         // lattice load + background: fields stay at roundoff level
@@ -214,13 +251,7 @@ mod tests {
         // lattice electrons a sinusoidal x velocity; kinetic energy
         // K ~ cos^2(omega_p t) first vanishes at a quarter period
         let mut sim = ElectrostaticPicSim::new(es_cfg());
-        quiet_start(&mut sim, 128, 32);
-        let lx = 32.0;
-        let v0 = 0.02;
-        for i in 0..sim.particles().len() {
-            let x = sim.particles().x[i];
-            sim.particles_mut().ux[i] = v0 * (std::f64::consts::TAU * x / lx).sin();
-        }
+        sim.quiet_start(0.02);
         let omega_p = sim.plasma_frequency();
         let dt = 0.25;
         // search inside the first 60% of one plasma period so the global

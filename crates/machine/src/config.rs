@@ -2,39 +2,6 @@
 
 use serde::{Deserialize, Serialize};
 
-/// Interconnect topology.
-///
-/// The paper's two-level model charges a *fixed* cost per off-processor
-/// access independent of distance ("these assumptions closely model the
-/// behavior of the CM-5").  Topology therefore only affects the cost
-/// formulas of the *collectives* (tree depth), not point-to-point messages.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum Topology {
-    /// Distance-independent network (CM-5 fat tree under the paper model).
-    FullyConnected,
-    /// 2-D mesh: collectives pay `2 * (sqrt(p) - 1)` stages instead of
-    /// `log2 p`.  Included because the paper claims the algorithms "should
-    /// be efficiently implementable on meshes and hypercubes".
-    Mesh2d,
-    /// Hypercube: collectives pay `log2 p` stages (same as fully connected
-    /// under the two-level model).
-    Hypercube,
-}
-
-impl Topology {
-    /// Number of communication stages a tree/dimension-ordered collective
-    /// pays on `p` ranks.
-    pub fn collective_stages(self, p: usize) -> u32 {
-        match self {
-            Topology::FullyConnected | Topology::Hypercube => log2_ceil(p),
-            Topology::Mesh2d => {
-                let side = (p as f64).sqrt().ceil() as u32;
-                2 * side.saturating_sub(1).max(1)
-            }
-        }
-    }
-}
-
 /// Ceil of log2, with `log2_ceil(1) == 1` so a singleton collective still
 /// pays one stage of startup.
 pub(crate) fn log2_ceil(p: usize) -> u32 {
@@ -59,8 +26,6 @@ pub struct MachineConfig {
     pub mu: f64,
     /// Per-unit local computation time δ (seconds per op unit).
     pub delta: f64,
-    /// Interconnect topology (affects collectives only).
-    pub topology: Topology,
 }
 
 impl MachineConfig {
@@ -76,7 +41,6 @@ impl MachineConfig {
             tau: 86e-6,
             mu: 1e-7,
             delta: 1e-6,
-            topology: Topology::FullyConnected,
         }
     }
 
@@ -91,7 +55,6 @@ impl MachineConfig {
             tau: 2e-6,
             mu: 1e-10,
             delta: 1e-9,
-            topology: Topology::FullyConnected,
         }
     }
 
@@ -107,12 +70,21 @@ impl MachineConfig {
         ops * self.delta
     }
 
+    /// Number of communication stages a tree collective pays on the
+    /// `p` ranks: `⌈log2 p⌉`.  The paper's two-level model charges a
+    /// fixed cost per off-processor access independent of distance
+    /// ("these assumptions closely model the behavior of the CM-5"), so
+    /// the network shape never enters point-to-point costs.
+    #[inline]
+    pub(crate) fn collective_stages(&self) -> u32 {
+        log2_ceil(self.ranks)
+    }
+
     /// Cost one rank pays for a collective that moves `bytes_per_stage`
-    /// bytes per stage over the topology's stage count.
+    /// bytes per stage over `⌈log2 p⌉` stages.
     #[inline]
     pub fn collective_cost(&self, bytes_per_stage: usize) -> f64 {
-        let stages = self.topology.collective_stages(self.ranks) as f64;
-        stages * self.message_cost(bytes_per_stage)
+        self.collective_stages() as f64 * self.message_cost(bytes_per_stage)
     }
 }
 
@@ -138,21 +110,6 @@ mod tests {
         let c100 = cfg.message_cost(100);
         assert!((c0 - cfg.tau).abs() < 1e-15);
         assert!((c100 - (cfg.tau + 100.0 * cfg.mu)).abs() < 1e-15);
-    }
-
-    #[test]
-    fn mesh_pays_more_stages_than_hypercube() {
-        assert!(Topology::Mesh2d.collective_stages(64) > Topology::Hypercube.collective_stages(64));
-    }
-
-    #[test]
-    fn hypercube_matches_fully_connected() {
-        for p in [1, 2, 16, 128] {
-            assert_eq!(
-                Topology::Hypercube.collective_stages(p),
-                Topology::FullyConnected.collective_stages(p)
-            );
-        }
     }
 
     #[test]

@@ -70,7 +70,7 @@ pub mod threaded_engine;
 pub mod trace;
 
 pub use clock::Clock;
-pub use config::{MachineConfig, Topology};
+pub use config::MachineConfig;
 pub use engine::SpmdEngine;
 pub use error::{FailureCause, SpmdError, TimeoutDetail};
 pub use fault::{FaultKind, FaultNoise, FaultPlan, FaultSession, FaultSpec, SendFault};

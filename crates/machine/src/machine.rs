@@ -19,8 +19,7 @@
 //! concatenation (line 1 of `Bucket_incremental_sorting`, to gather all
 //! ranks' bucket boundaries); under the two-level model a
 //! recursive-doubling implementation costs each rank
-//! `stages * tau + (p - 1) * share_bytes * mu`, with `stages` depending
-//! on the topology.
+//! `stages * tau + (p - 1) * share_bytes * mu`, with `stages = ⌈log2 p⌉`.
 //!
 //! Ranks run on a persistent pool of `min(ranks, PIC_HOST_THREADS)` host
 //! workers, the calling thread among them, each owning a fixed contiguous
@@ -224,7 +223,7 @@ impl<S: Send> Machine<S> {
     fn charge_collective(&mut self, phase: PhaseKind, shape: CollectiveShape, share_bytes: usize) {
         let cfg = self.cfg;
         let p = cfg.ranks;
-        let stages = cfg.topology.collective_stages(p) as f64;
+        let stages = cfg.collective_stages() as f64;
         let comm = match shape {
             _ if p == 1 => 0.0,
             CollectiveShape::Doubling => stages * cfg.tau + ((p - 1) * share_bytes) as f64 * cfg.mu,
@@ -455,7 +454,6 @@ mod tests {
             tau: 1.0,
             mu: 0.1,
             delta: 0.01,
-            topology: crate::Topology::FullyConnected,
         }
     }
 

@@ -119,7 +119,7 @@ impl SuperstepRecord {
         elapsed_s: f64,
     ) {
         let p = cfg.ranks;
-        let stages = u64::from(cfg.topology.collective_stages(p));
+        let stages = u64::from(cfg.collective_stages());
         let bytes = match shape {
             CollectiveShape::Doubling => (p - 1) as u64,
             CollectiveShape::Pipelined => stages,

@@ -405,7 +405,7 @@ impl<S: Send> SpmdEngine<S> for ThreadedMachine<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{FaultPlan, Topology};
+    use crate::FaultPlan;
     use std::sync::Arc;
     use std::thread;
 
@@ -415,7 +415,6 @@ mod tests {
             tau: 1.0,
             mu: 0.1,
             delta: 0.01,
-            topology: Topology::FullyConnected,
         }
     }
 

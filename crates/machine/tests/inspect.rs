@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use pic_machine::{
     FaultPlan, Machine, MachineConfig, MemoryRecorder, PhaseKind, SharedRecorder, SpmdEngine,
-    ThreadedMachine, Topology,
+    ThreadedMachine,
 };
 
 const RANKS: usize = 5;
@@ -21,7 +21,6 @@ fn cfg() -> MachineConfig {
         tau: 1.0,
         mu: 0.01,
         delta: 0.001,
-        topology: Topology::FullyConnected,
     }
 }
 

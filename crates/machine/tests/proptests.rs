@@ -3,7 +3,7 @@
 //! host pool width never changes results is a unit test of the crate:
 //! the width is not a public knob.)
 
-use pic_machine::{Machine, MachineConfig, Outbox, PhaseKind, SpmdEngine, Topology};
+use pic_machine::{Machine, MachineConfig, Outbox, PhaseKind, SpmdEngine};
 use proptest::prelude::*;
 
 fn cfg(p: usize) -> MachineConfig {
@@ -12,7 +12,6 @@ fn cfg(p: usize) -> MachineConfig {
         tau: 2.0,
         mu: 0.25,
         delta: 0.125,
-        topology: Topology::FullyConnected,
     }
 }
 

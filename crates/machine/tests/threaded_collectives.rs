@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 use pic_machine::{
     FaultPlan, Machine, MachineConfig, Outbox, PhaseKind, SpmdEngine, SuperstepStats,
-    ThreadedMachine, Topology,
+    ThreadedMachine,
 };
 use proptest::prelude::*;
 
@@ -19,7 +19,6 @@ fn cfg(p: usize) -> MachineConfig {
         tau: 1.0,
         mu: 0.01,
         delta: 0.001,
-        topology: Topology::FullyConnected,
     }
 }
 

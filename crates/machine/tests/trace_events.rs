@@ -11,7 +11,7 @@
 
 use pic_machine::{
     Machine, MachineConfig, MemoryRecorder, Outbox, PhaseKind, SharedMetrics, SharedRecorder,
-    SpmdEngine, StatsLog, ThreadedMachine, Topology, TraceEvent,
+    SpmdEngine, StatsLog, ThreadedMachine, TraceEvent,
 };
 use proptest::prelude::*;
 
@@ -21,7 +21,6 @@ fn cfg(p: usize) -> MachineConfig {
         tau: 1.0,
         mu: 0.01,
         delta: 0.001,
-        topology: Topology::FullyConnected,
     }
 }
 

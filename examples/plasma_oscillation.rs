@@ -1,59 +1,29 @@
 //! Langmuir (plasma) oscillation under the electrostatic PIC variant —
 //! a quantitative physics validation of the whole deposit/solve/push
 //! chain: a cold electron plasma displaced sinusoidally must ring at the
-//! plasma frequency `omega_p = sqrt(n0 q^2 / m)`.
+//! plasma frequency `omega_p = sqrt(n0 q^2 / m)`.  The test
+//! `langmuir_period_matches_plasma_frequency` asserts the same setup
+//! within 2%.
 //!
 //! ```text
 //! cargo run --release --example plasma_oscillation
 //! ```
 
-use pic1996::prelude::*;
+use pic_core::electrostatic::period_from_kinetic_minima;
 use pic_core::ElectrostaticPicSim;
-use pic_particles::ParticleDistribution;
-use pic_partition::PolicyKind;
 
 fn main() {
-    let cfg = SimConfig {
-        nx: 64,
-        ny: 8,
-        particles: 64 * 8 * 16,
-        distribution: ParticleDistribution::Uniform,
-        machine: MachineConfig::cm5(1),
-        policy: PolicyKind::Static,
-        thermal_u: 0.0,
-        particle_charge: 0.05,
-        dt: 0.25,
-        seed: 3,
-        ..SimConfig::paper_default()
-    };
+    let cfg = ElectrostaticPicSim::langmuir_config(64, 8);
+    let dt = cfg.dt;
     let mut sim = ElectrostaticPicSim::new(cfg);
-
     // quiet start: lattice positions, sinusoidal velocity perturbation
-    let (lx, ly) = (64.0, 8.0);
-    let (nxp, nyp) = (256, 32);
-    {
-        let p = sim.particles_mut();
-        p.x.clear();
-        p.y.clear();
-        p.ux.clear();
-        p.uy.clear();
-        p.uz.clear();
-        for j in 0..nyp {
-            for i in 0..nxp {
-                let x = (i as f64 + 0.5) * lx / nxp as f64;
-                let y = (j as f64 + 0.5) * ly / nyp as f64;
-                let ux = 0.02 * (std::f64::consts::TAU * x / lx).sin();
-                p.push(x, y, ux, 0.0, 0.0);
-            }
-        }
-    }
+    sim.quiet_start(0.02);
 
     let omega_p = sim.plasma_frequency();
     let period = std::f64::consts::TAU / omega_p;
     println!("plasma frequency omega_p = {omega_p:.4}  (period {period:.1} time units)");
     println!("\n{:>8} {:>14} {:>14}", "t", "kinetic", "field");
 
-    let dt = 0.25;
     let steps = (2.0 * period / dt) as usize;
     let mut kinetic = Vec::with_capacity(steps);
     for s in 0..steps {
@@ -70,21 +40,12 @@ fn main() {
         }
     }
 
-    // measure the oscillation period from kinetic-energy minima
-    // (K ~ cos^2 -> minima at every half period of the field oscillation)
-    let mut minima = Vec::new();
-    for i in 1..kinetic.len() - 1 {
-        if kinetic[i] < kinetic[i - 1] && kinetic[i] <= kinetic[i + 1] {
-            minima.push((i + 1) as f64 * dt);
-        }
-    }
-    if minima.len() >= 2 {
-        let measured_period = 2.0 * (minima[1] - minima[0]);
-        println!(
-            "\nmeasured period {measured_period:.2} vs theory {period:.2} ({:+.1}% error)",
-            100.0 * (measured_period / period - 1.0)
-        );
-    } else {
-        println!("\nno oscillation detected — check the perturbation amplitude");
+    // K ~ cos^2(omega_p t): kinetic-energy minima every half period
+    match period_from_kinetic_minima(&kinetic, dt) {
+        Some(measured) => println!(
+            "\nmeasured period {measured:.2} vs theory {period:.2} ({:+.2}% error)",
+            100.0 * (measured / period - 1.0)
+        ),
+        None => println!("\nno oscillation detected — check the perturbation amplitude"),
     }
 }

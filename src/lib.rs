@@ -34,7 +34,7 @@ pub mod prelude {
     pub use pic_core::{ParallelPicSim, PhaseBreakdown, SequentialPicSim, SimConfig, SimReport};
     pub use pic_field::{BlockLayout, Grid2};
     pub use pic_index::{CellIndexer, HilbertIndexer, IndexScheme, SnakeIndexer};
-    pub use pic_machine::{MachineConfig, Topology};
+    pub use pic_machine::MachineConfig;
     pub use pic_particles::{ParticleDistribution, Particles};
     pub use pic_partition::{Policy, PolicyKind};
 }
