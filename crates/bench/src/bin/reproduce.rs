@@ -11,7 +11,9 @@
 //! `=== name ===` header and its console table, and writes
 //! `<name>.csv`: under `results/` at the paper's scale, under
 //! `results/quick/` with `--quick` (a tenth of the iterations, at least
-//! 20), so a quick run never overwrites a full-scale CSV.
+//! 20), so a quick run never overwrites a full-scale CSV.  Figure 20
+//! runs its full 200 iterations under `--quick` too: at 20, five of its
+//! nine periods never fire.
 //!
 //! Each distinct (configuration, iteration count) is simulated once per
 //! invocation ([`Runs`]); every artifact that reads it takes its rows
@@ -46,6 +48,9 @@ struct Artifact {
     name: &'static str,
     /// The paper's iteration count.
     full_iters: usize,
+    /// Run `full_iters` under `--quick` too, where a tenth would leave
+    /// the artifact's behaviour untested.
+    full_under_quick: bool,
     /// CSV header line.
     header: &'static str,
     /// Prints the console table for `iters` iterations and returns the
@@ -57,78 +62,91 @@ const ARTIFACTS: [Artifact; 13] = [
     Artifact {
         name: "table1_strategies",
         full_iters: 100,
+        full_under_quick: false,
         header: "configuration,min_particles,max_particles,imbalance,total_s",
         rows: table1,
     },
     Artifact {
         name: "fig16_static_vs_periodic",
         full_iters: 2000,
+        full_under_quick: false,
         header: "policy,t_128x64_32k,t_256x128_64k,t_256x128_128k",
         rows: fig16,
     },
     Artifact {
         name: "fig17_iteration_time",
         full_iters: 2000,
+        full_under_quick: false,
         header: "iter,static,periodic100,periodic25,periodic5",
         rows: fig17,
     },
     Artifact {
         name: "fig18_scatter_data",
         full_iters: 2000,
+        full_under_quick: false,
         header: "iter,static_sent,static_recv,periodic25_sent,periodic25_recv",
         rows: fig18,
     },
     Artifact {
         name: "fig19_scatter_messages",
         full_iters: 2000,
+        full_under_quick: false,
         header: "iter,static_sent,static_recv,periodic25_sent,periodic25_recv",
         rows: fig19,
     },
     Artifact {
         name: "fig20_dynamic_policy",
         full_iters: 200,
+        full_under_quick: true,
         header: "policy,total_s,redistribute_s,redistributions",
         rows: fig20,
     },
     Artifact {
         name: "table2_time",
         full_iters: 200,
+        full_under_quick: false,
         header: "distribution,mesh,particles,indexing,t_p32,t_p64,t_p128",
         rows: table2,
     },
     Artifact {
         name: "table3_efficiency",
         full_iters: 200,
+        full_under_quick: false,
         header: "distribution,mesh,particles,eff_p32,eff_p64,eff_p128",
         rows: table3,
     },
     Artifact {
         name: "fig21_overhead_uniform",
         full_iters: 200,
+        full_under_quick: false,
         header: "mesh,particles,indexing,ovh_p32,ovh_p64,ovh_p128,redist_p128",
         rows: |runs, iters| overhead(runs, iters, Uniform),
     },
     Artifact {
         name: "fig22_overhead_irregular",
         full_iters: 200,
+        full_under_quick: false,
         header: "mesh,particles,indexing,ovh_p32,ovh_p64,ovh_p128,redist_p128",
         rows: |runs, iters| overhead(runs, iters, IrregularCenter),
     },
     Artifact {
         name: "baseline_replicated",
         full_iters: 50,
+        full_under_quick: false,
         header: "p,replicated_total_s,distributed_total_s,replicated_comm_pct,distributed_comm_pct",
         rows: baseline_replicated,
     },
     Artifact {
         name: "ablation_machine",
         full_iters: 100,
+        full_under_quick: false,
         header: "machine,particles_per_proc,total_s,efficiency",
         rows: ablation_machine,
     },
     Artifact {
         name: "ablation_dedup",
         full_iters: 100,
+        full_under_quick: false,
         header: "table,scatter_s,total_s,scatter_bytes_sum",
         rows: ablation_dedup,
     },
@@ -162,7 +180,7 @@ fn main() {
         .iter()
         .filter(|a| filters.is_empty() || filters.iter().any(|f| matches(a.name, f)))
     {
-        let iters = if quick {
+        let iters = if quick && !a.full_under_quick {
             quick_iters(a.full_iters)
         } else {
             a.full_iters

@@ -369,17 +369,9 @@ mod tests {
             load(2, vec![15, 15]),
             decision(2, 2.0, 1.0, true),
         ];
-        let modeled = vec![TraceEvent::Superstep(pic_machine::SuperstepEvent {
-            phase: PhaseKind::Scatter,
-            superstep: 0,
-            epoch: 0,
-            start_s: 0.0,
+        let modeled = vec![TraceEvent::Superstep(pic_machine::SuperstepStats {
             elapsed_s: 1.0,
-            max_compute_s: 0.0,
-            max_comm_s: 0.0,
-            total_msgs: 0,
-            total_bytes: 0,
-            collective: false,
+            ..pic_machine::SuperstepStats::empty(PhaseKind::Scatter)
         })];
         let measured = modeled.clone();
         let report = pic_core::model_error_report(&modeled, &measured);

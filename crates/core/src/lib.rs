@@ -61,12 +61,11 @@ pub use config::{DedupKind, MovementMethod, SimConfig};
 pub use diagnostics::EnergyReport;
 pub use electrostatic::ElectrostaticPicSim;
 pub use ghost::{DirectTableAccumulator, GhostAccumulator, HashTableAccumulator};
+pub use pic_machine::IterationRecord;
 pub use recovery::{run_with_recovery, RecoveryOutcome};
 pub use replicated::ReplicatedGridPicSim;
 pub use scratch::ScratchArena;
 pub use sequential::SequentialPicSim;
-pub use sim::{
-    GenericPicSim, IterationRecord, ParallelPicSim, PhaseBreakdown, SimReport, ThreadedPicSim,
-};
+pub use sim::{GenericPicSim, ParallelPicSim, PhaseBreakdown, SimReport, ThreadedPicSim};
 pub use state::RankState;
 pub use validation::{model_error_report, ModelErrorReport, ModelErrorRow};

@@ -17,12 +17,13 @@
 //! rather than cloning live state.
 
 use pic_machine::{
-    CheckpointAction, CheckpointEvent, Instruments, SpmdEngine, SpmdError, TraceEvent,
+    CheckpointAction, CheckpointEvent, Instruments, IterationRecord, SpmdEngine, SpmdError,
+    TraceEvent,
 };
 
 use crate::checkpoint::Checkpoint;
 use crate::config::SimConfig;
-use crate::sim::{GenericPicSim, IterationRecord};
+use crate::sim::GenericPicSim;
 use crate::state::RankState;
 
 /// What [`run_with_recovery`] produced.

@@ -3,9 +3,9 @@
 use pic_field::{HaloPlan, MaxwellSolver};
 use pic_index::CellIndexer;
 use pic_machine::{
-    FailureCause, FaultEvent, Instruments, IterationEvent, Machine, PhaseKind, PolicyDecisionEvent,
-    RankLoadEvent, RedistributionEvent, RedistributionTrigger, SharedMetrics, SpmdEngine,
-    SpmdError, StatsLog, SuperstepStats, ThreadedMachine, TraceEvent,
+    FailureCause, FaultEvent, Instruments, IterationRecord, Machine, PhaseKind,
+    PolicyDecisionEvent, RankLoadEvent, RedistributionEvent, RedistributionTrigger, SharedMetrics,
+    SpmdEngine, SpmdError, StatsLog, SuperstepStats, ThreadedMachine, TraceEvent,
 };
 use pic_partition::{sfc_block_layout, Policy};
 use serde::{Deserialize, Serialize};
@@ -59,38 +59,8 @@ impl PhaseBreakdown {
     }
 }
 
-/// One iteration's measurements — the rows behind Figures 17, 18 and 19.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct IterationRecord {
-    /// Iteration number (1-based).
-    pub iter: usize,
-    /// Modeled execution time of the four phases (excludes any
-    /// redistribution this iteration triggered).
-    pub time_s: f64,
-    /// Modeled computation component (max over ranks, summed per phase).
-    pub compute_s: f64,
-    /// Modeled communication + idle component.
-    pub comm_s: f64,
-    /// Maximum bytes any rank sent in the scatter phase (Figure 18).
-    pub scatter_max_bytes_sent: u64,
-    /// Maximum bytes any rank received in the scatter phase.
-    pub scatter_max_bytes_recv: u64,
-    /// Maximum messages any rank sent in the scatter phase (Figure 19).
-    pub scatter_max_msgs_sent: u64,
-    /// Maximum messages any rank received in the scatter phase.
-    pub scatter_max_msgs_recv: u64,
-    /// Whether a redistribution ran after this iteration.
-    pub redistributed: bool,
-    /// Modeled cost of that redistribution (0 when none ran).
-    pub redistribute_s: f64,
-    /// Largest per-rank particle count at the end of the iteration.
-    pub max_particles: usize,
-    /// Smallest per-rank particle count.
-    pub min_particles: usize,
-}
-
 /// Summary of a full run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SimReport {
     /// Per-iteration records.
     pub iterations: Vec<IterationRecord>,
@@ -139,12 +109,19 @@ pub struct GenericPicSim<E: SpmdEngine<RankState>> {
     redistributions: usize,
     redistribute_total_s: f64,
     breakdown: PhaseBreakdown,
-    // snapshots of the cumulative counters at the end of the previous
-    // `run()` call, so each report covers exactly one call
-    consumed_s: f64,
-    breakdown_consumed: PhaseBreakdown,
-    redistributions_consumed: usize,
-    redistribute_s_consumed: f64,
+    /// The cumulative counters when the previous `run()` call ended (or
+    /// the simulation was resumed), so each report covers exactly one
+    /// call.
+    reported: Totals,
+}
+
+/// A snapshot of a simulation's cumulative counters.
+#[derive(Clone, Copy, Default)]
+struct Totals {
+    elapsed_s: f64,
+    redistributions: usize,
+    redistribute_s: f64,
+    breakdown: PhaseBreakdown,
 }
 
 impl<E: SpmdEngine<RankState>> GenericPicSim<E> {
@@ -187,10 +164,7 @@ impl<E: SpmdEngine<RankState>> GenericPicSim<E> {
             redistributions: 0,
             redistribute_total_s: 0.0,
             breakdown: PhaseBreakdown::default(),
-            consumed_s: 0.0,
-            breakdown_consumed: PhaseBreakdown::default(),
-            redistributions_consumed: 0,
-            redistribute_s_consumed: 0.0,
+            reported: Totals::default(),
         }
     }
 
@@ -427,6 +401,9 @@ impl<E: SpmdEngine<RankState>> GenericPicSim<E> {
         sim.breakdown = ck.breakdown;
         sim.policy = ck.policy;
         sim.machine.set_fault_epoch(ck.iter);
+        // the work before the checkpoint was reported by the run it was
+        // taken from
+        sim.reported = sim.totals();
         Ok(sim)
     }
 
@@ -459,14 +436,7 @@ impl<E: SpmdEngine<RankState>> GenericPicSim<E> {
     pub fn try_step(&mut self) -> Result<IterationRecord, SpmdError> {
         match self.try_step_inner() {
             Ok(rec) => {
-                self.emit(TraceEvent::Iteration(IterationEvent {
-                    iter: rec.iter as u64,
-                    time_s: rec.time_s,
-                    compute_s: rec.compute_s,
-                    comm_s: rec.comm_s,
-                    max_particles: rec.max_particles as u64,
-                    min_particles: rec.min_particles as u64,
-                }));
+                self.emit(TraceEvent::Iteration(rec));
                 Ok(rec)
             }
             Err(err) => {
@@ -628,41 +598,45 @@ impl<E: SpmdEngine<RankState>> GenericPicSim<E> {
 
     /// Run `iterations` steps and summarize **this call**: totals,
     /// breakdown and redistribution counts cover only the iterations run
-    /// here (plus, on the first call, the initial distribution), so
-    /// repeated `run()` calls each return a self-consistent report.
+    /// here (plus, on the first call after set-up, the initial
+    /// distribution), so repeated `run()` calls each return a
+    /// self-consistent report, and a resumed simulation's first call
+    /// reports what the next call of the run it was taken from would.
     ///
     /// # Errors
     /// Returns the first failing iteration's [`SpmdError`]; iterations
     /// completed before it are lost from the report (resume from a
     /// checkpoint to recover them).
     pub fn try_run(&mut self, iterations: usize) -> Result<SimReport, SpmdError> {
-        let elapsed_before = self.consumed_s;
-        let breakdown_before = self.breakdown_consumed;
-        let redists_before = self.redistributions_consumed;
-        let redist_s_before = self.redistribute_s_consumed;
-
         let mut records = Vec::with_capacity(iterations);
         for _ in 0..iterations {
             records.push(self.try_step()?);
         }
 
+        let (before, now) = (self.reported, self.totals());
+        self.reported = now;
         let compute_s: f64 = records.iter().map(|r| r.compute_s).sum();
-        let end = self.machine.elapsed_s();
-        let total_s = end - elapsed_before;
-        self.consumed_s = end;
-        self.breakdown_consumed = self.breakdown;
-        self.redistributions_consumed = self.redistributions;
-        self.redistribute_s_consumed = self.redistribute_total_s;
+        let total_s = now.elapsed_s - before.elapsed_s;
         Ok(SimReport {
             total_s,
             compute_s,
             overhead_s: total_s - compute_s,
-            redistributions: self.redistributions - redists_before,
-            redistribute_total_s: self.redistribute_total_s - redist_s_before,
+            redistributions: now.redistributions - before.redistributions,
+            redistribute_total_s: now.redistribute_s - before.redistribute_s,
             setup_s: self.setup_s,
-            breakdown: self.breakdown.since(&breakdown_before),
+            breakdown: now.breakdown.since(&before.breakdown),
             iterations: records,
         })
+    }
+
+    /// The cumulative counters now.
+    fn totals(&self) -> Totals {
+        Totals {
+            elapsed_s: self.machine.elapsed_s(),
+            redistributions: self.redistributions,
+            redistribute_s: self.redistribute_total_s,
+            breakdown: self.breakdown,
+        }
     }
 
     /// [`GenericPicSim::try_run`], panicking on failure (the historical

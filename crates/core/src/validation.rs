@@ -7,7 +7,7 @@
 //! executors that ship here: the modeled [`pic_machine::Machine`]
 //! (analytic τ/μ/δ seconds) and the real-threads
 //! [`pic_machine::ThreadedMachine`] (wall seconds).  Both emit one
-//! [`SuperstepEvent`] per superstep/collective, in the same order for
+//! [`SuperstepStats`] row per superstep/collective, in the same order for
 //! measurement-independent redistribution policies, so the two traces
 //! pair step-for-step.
 //!
@@ -20,7 +20,7 @@
 //! phase weights right, which is what the redistribution policy and the
 //! cost analysis in [`crate::costs`] rely on.
 
-use pic_machine::{PhaseKind, SuperstepEvent, TraceEvent};
+use pic_machine::{PhaseKind, SuperstepStats, TraceEvent};
 
 /// Per-phase aggregate of the paired supersteps.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -60,7 +60,7 @@ pub struct ModelErrorReport {
     pub unpaired_steps: u64,
 }
 
-fn supersteps(events: &[TraceEvent]) -> Vec<&SuperstepEvent> {
+fn supersteps(events: &[TraceEvent]) -> Vec<&SuperstepStats> {
     events.iter().filter_map(TraceEvent::superstep).collect()
 }
 
@@ -78,7 +78,7 @@ pub fn model_error_report(modeled: &[TraceEvent], measured: &[TraceEvent]) -> Mo
     // least-squares scale over all phase-consistent pairs
     let mut num = 0.0f64;
     let mut den = 0.0f64;
-    let mut pairs: Vec<(&SuperstepEvent, &SuperstepEvent)> = Vec::with_capacity(paired);
+    let mut pairs: Vec<(&SuperstepStats, &SuperstepStats)> = Vec::with_capacity(paired);
     for (m, w) in model_steps.iter().zip(&measure_steps) {
         if m.phase != w.phase {
             unpaired += 1;
@@ -198,17 +198,9 @@ mod tests {
     use super::*;
 
     fn step(phase: PhaseKind, elapsed_s: f64) -> TraceEvent {
-        TraceEvent::Superstep(SuperstepEvent {
-            phase,
-            superstep: 0,
-            epoch: 0,
-            start_s: 0.0,
+        TraceEvent::Superstep(SuperstepStats {
             elapsed_s,
-            max_compute_s: 0.0,
-            max_comm_s: 0.0,
-            total_msgs: 0,
-            total_bytes: 0,
-            collective: false,
+            ..SuperstepStats::empty(phase)
         })
     }
 

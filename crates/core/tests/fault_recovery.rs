@@ -11,7 +11,8 @@ use std::sync::Arc;
 
 use pic_core::state::RankState;
 use pic_core::{
-    run_with_recovery, Checkpoint, CheckpointError, GenericPicSim, ParallelPicSim, SimConfig,
+    run_with_recovery, Checkpoint, CheckpointError, GenericPicSim, IterationRecord, ParallelPicSim,
+    PhaseBreakdown, SimConfig, SimReport,
 };
 use pic_machine::{
     FailureCause, FaultPlan, Instruments, MachineConfig, SpmdEngine, ThreadedMachine,
@@ -177,6 +178,78 @@ fn checkpoint_roundtrip_at_arbitrary_boundaries() {
         }
         assert_states_identical(original.machine().ranks(), resumed.machine().ranks());
         assert_eq!(original.iterations_done(), resumed.iterations_done());
+    }
+}
+
+/// A resumed simulation's first `run(k)` reports what the original's
+/// next `run(k)` does: the work before the checkpoint (redistributions,
+/// their cost, the phase breakdown) was reported by the original run and
+/// is not counted again.  Every count matches exactly; every seconds
+/// figure to 1e-9 relative, because an operation's modeled duration is
+/// a difference of clock readings, which the resumed engine starts
+/// again from zero.
+#[test]
+fn resumed_run_reports_like_the_original() {
+    let cfg = SimConfig {
+        policy: PolicyKind::Periodic(3),
+        ..SimConfig::small_test()
+    };
+    let mut original = ParallelPicSim::new(cfg.clone());
+    original.run(7);
+    let mut resumed = ParallelPicSim::resume_from(cfg, &original.checkpoint()).expect("resume");
+    let (want, got) = (original.run(5), resumed.run(5));
+    assert_eq!(
+        got.redistributions, 2,
+        "Periodic(3) fires after iterations 9 and 12"
+    );
+
+    let counts = |r: &SimReport| SimReport {
+        iterations: r
+            .iterations
+            .iter()
+            .map(|i| IterationRecord {
+                time_s: 0.0,
+                compute_s: 0.0,
+                comm_s: 0.0,
+                redistribute_s: 0.0,
+                ..*i
+            })
+            .collect(),
+        total_s: 0.0,
+        compute_s: 0.0,
+        overhead_s: 0.0,
+        redistribute_total_s: 0.0,
+        setup_s: 0.0,
+        breakdown: PhaseBreakdown::default(),
+        ..r.clone()
+    };
+    assert_eq!(counts(&got), counts(&want));
+    let seconds = |r: &SimReport| {
+        let b = r.breakdown;
+        let mut s = vec![
+            r.total_s,
+            r.compute_s,
+            r.overhead_s,
+            r.redistribute_total_s,
+            r.setup_s,
+        ];
+        s.extend([
+            b.scatter_s,
+            b.field_solve_s,
+            b.gather_s,
+            b.push_s,
+            b.redistribute_s,
+        ]);
+        for i in &r.iterations {
+            s.extend([i.time_s, i.compute_s, i.comm_s, i.redistribute_s]);
+        }
+        s
+    };
+    for (k, (g, w)) in seconds(&got).into_iter().zip(seconds(&want)).enumerate() {
+        assert!(
+            (g - w).abs() <= 1e-9 * w.abs(),
+            "seconds figure {k}: {g} vs {w}"
+        );
     }
 }
 

@@ -35,24 +35,25 @@ fn traced_run_emits_full_event_story() {
         },
     )
     .expect("fault-free construction");
-    for _ in 0..5 {
-        sim.try_step().expect("fault-free iteration");
-    }
+    let records: Vec<_> = (0..5)
+        .map(|_| sim.try_step().expect("fault-free iteration"))
+        .collect();
     let forced_cost = sim.try_redistribute_now().expect("fault-free forced");
     let events = shared.with(|rec| rec.take());
 
     // one iteration event per step, numbered 1..=5, with the paper's
-    // split into compute and comm components
+    // split into compute and comm components: the record `try_step`
+    // returned, itself
     let iters: Vec<_> = events
         .iter()
         .filter_map(|e| match e {
-            TraceEvent::Iteration(i) => Some(i),
+            TraceEvent::Iteration(i) => Some(*i),
             _ => None,
         })
         .collect();
-    assert_eq!(iters.len(), 5);
+    assert_eq!(iters, records);
     for (k, it) in iters.iter().enumerate() {
-        assert_eq!(it.iter, k as u64 + 1);
+        assert_eq!(it.iter, k + 1);
         assert!(it.time_s > 0.0);
         assert!((it.compute_s + it.comm_s - it.time_s).abs() <= 1e-9 * it.time_s.max(1.0));
         assert!(it.max_particles >= it.min_particles);
@@ -177,7 +178,7 @@ fn traced_recovery_emits_fault_and_checkpoint_events() {
     // the stream keeps flowing after the restart: the re-executed
     // iteration 3 is recorded twice in event order, and the killed
     // iteration 4 succeeds on re-execution (injected kills are one-shot)
-    let iter_ids: Vec<u64> = events
+    let iter_ids: Vec<usize> = events
         .iter()
         .filter_map(|e| match e {
             TraceEvent::Iteration(i) => Some(i.iter),

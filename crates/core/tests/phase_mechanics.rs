@@ -5,7 +5,7 @@
 
 use pic_core::phases::{self, PhaseEnv};
 use pic_core::{GenericPicSim, ParallelPicSim, RankState, SimConfig};
-use pic_machine::{MachineConfig, SpmdEngine};
+use pic_machine::{MachineConfig, MemoryRecorder, SharedRecorder, SpmdEngine, TraceEvent};
 use pic_particles::{Cic, ParticleDistribution};
 use pic_partition::PolicyKind;
 
@@ -487,12 +487,15 @@ struct RankOutcome {
     b_at: Vec<[u64; 3]>,
 }
 
-/// Every rank's outcome, plus the engine's elapsed and compute seconds.
+/// Every rank's outcome, plus the engine's elapsed seconds and the
+/// kernels' trace: every operation's per-rank spans and its row.
 fn outcome<E: SpmdEngine<RankState>>(
     case: &Case,
     kernels: Kernels,
-) -> (Vec<RankOutcome>, [u64; 2]) {
+) -> (Vec<RankOutcome>, (u64, Vec<TraceEvent>)) {
     let mut m: E = prepared(case, None);
+    let trace = SharedRecorder::new(MemoryRecorder::new());
+    m.instruments_mut().recorder = Some(Box::new(trace.clone()));
     run_kernels(&mut m, &case.cfg, kernels, true);
     let bits = |g: &pic_field::Grid2<f64>| g.as_slice().iter().map(|x| x.to_bits()).collect();
     let bits3 = |v: &[[f64; 3]]| v.iter().map(|a| a.map(f64::to_bits)).collect();
@@ -510,7 +513,8 @@ fn outcome<E: SpmdEngine<RankState>>(
             b_at: bits3(&st.b_at),
         })
         .collect();
-    (ranks, [m.elapsed_s().to_bits(), m.compute_s().to_bits()])
+    let events = trace.with(|t| t.take());
+    (ranks, (m.elapsed_s().to_bits(), events))
 }
 
 /// One rank's message to another: `(sender, receiver, [(vertex,
@@ -574,8 +578,9 @@ fn assert_kernels_match_reference<E: SpmdEngine<RankState>>(modeled: bool) {
             assert_same(&g.b_at, &w.b_at, &what("b_at"));
         }
         if modeled {
-            // identical op charges give identical modeled time
-            assert_eq!(got_s, want_s, "{}: modeled elapsed/compute", case.name);
+            // identical op charges give identical modeled time, rank by
+            // rank and operation by operation
+            assert_eq!(got_s, want_s, "{}: modeled elapsed and trace", case.name);
         }
         let sent = outgoing::<E>(&case, Kernels::Production);
         let want_sent = outgoing::<E>(&case, Kernels::Reference);

@@ -30,7 +30,10 @@
 //! Every communication operation returns `Result<(), SpmdError>` so a
 //! rank failure — panic, receive timeout, injected kill, poisoned
 //! mailbox — surfaces as a typed value carrying the failing rank, the
-//! phase, the engine's superstep index, and the driver's fault epoch.
+//! phase, the engine's operation index, and the driver's fault epoch.
+//! The index counts committed operations: the statistics row, the spans
+//! and the error of one operation carry the same number, and a failed
+//! operation's is the one the next committed row gets.
 //! Fault schedules are installed as the `fault_plan` of
 //! [`SpmdEngine::instruments_mut`] and scoped in time by
 //! [`SpmdEngine::set_fault_epoch`] (the PIC driver sets
@@ -71,11 +74,12 @@ pub trait SpmdEngine<S: Send>: Sized {
     fn into_ranks(self) -> Vec<S>;
 
     /// Elapsed seconds so far: modeled time on the BSP machine,
-    /// accumulated wall-clock time on the threaded one.
+    /// accumulated wall-clock time on the threaded one.  It splits into
+    /// computation and communication per operation: see the
+    /// `max_compute_s` and `max_comm_s` of the [`StatsLog`] rows (the
+    /// modeled machine also sums it per rank, in
+    /// [`Machine::compute_s`](crate::Machine::compute_s)).
     fn elapsed_s(&self) -> f64;
-
-    /// Computation component of [`Self::elapsed_s`] (max over ranks).
-    fn compute_s(&self) -> f64;
 
     /// Superstep statistics log.
     fn stats(&self) -> &StatsLog;
@@ -93,8 +97,8 @@ pub trait SpmdEngine<S: Send>: Sized {
     /// Mutable access to the installed [`Instruments`]: install, replace
     /// or take any of them between operations.  Every subsequent
     /// superstep and collective emits per-rank
-    /// [`SpanEvent`](crate::trace::SpanEvent)s and one
-    /// [`SuperstepEvent`](crate::trace::SuperstepEvent) to the recorder —
+    /// [`SpanEvent`](crate::trace::SpanEvent)s and then its
+    /// [`StatsLog`] row, as a superstep event, to the recorder —
     /// modeled seconds on the BSP machine, wall-clock seconds on the
     /// threaded one (see [`crate::trace`]) — and feeds the registry's
     /// phase family and communication matrix (see [`crate::metrics`]).

@@ -107,7 +107,9 @@ pub struct SpmdError {
     pub rank: Option<usize>,
     /// Phase the failing operation belonged to (engine-level context).
     pub phase: Option<PhaseKind>,
-    /// Engine superstep counter at the failing operation.
+    /// Engine operation index of the failing operation: the index the
+    /// engine's next statistics row gets, since a failed operation
+    /// commits none.
     pub superstep: Option<u64>,
     /// Fault epoch (the driver's iteration counter) if one was set.
     pub epoch: Option<u64>,

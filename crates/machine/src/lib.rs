@@ -81,8 +81,7 @@ pub use record::Instruments;
 pub use stats::{PhaseKind, StatsLog, SuperstepStats};
 pub use threaded_engine::ThreadedMachine;
 pub use trace::{
-    CheckpointAction, CheckpointEvent, FaultEvent, IterationEvent, JsonLinesRecorder,
+    CheckpointAction, CheckpointEvent, FaultEvent, IterationRecord, JsonLinesRecorder,
     MemoryRecorder, MetricsReport, MultiRecorder, PhaseMetrics, PolicyDecisionEvent, RankLoadEvent,
-    Recorder, RedistributionEvent, RedistributionTrigger, SharedRecorder, SpanEvent,
-    SuperstepEvent, TraceEvent,
+    Recorder, RedistributionEvent, RedistributionTrigger, SharedRecorder, SpanEvent, TraceEvent,
 };

@@ -109,14 +109,10 @@ pub struct Machine<S> {
     cfg: MachineConfig,
     states: Vec<S>,
     clocks: Vec<Clock>,
-    /// Statistics log, installed instruments and the operation record.
-    /// The modeled machine has no real wires: of an installed fault
-    /// plan, only the kill faults apply.
+    /// Statistics log, installed instruments, operation index, fault
+    /// epoch and the operation record.  The modeled machine has no real
+    /// wires: of an installed fault plan, only the kill faults apply.
     acct: Accounting,
-    /// Driver-set fault epoch (the PIC driver uses the iteration number).
-    fault_epoch: u64,
-    /// Operations issued so far (superstep index in error context).
-    supersteps: u64,
     /// Most host workers to run ranks on.
     width: usize,
     /// One worker per chunk of ranks, started on first use.
@@ -150,8 +146,6 @@ impl<S: Send> Machine<S> {
             states,
             clocks,
             acct: Accounting::new(false),
-            fault_epoch: 0,
-            supersteps: 0,
             width,
             pool: None,
         }
@@ -160,6 +154,12 @@ impl<S: Send> Machine<S> {
     /// Per-rank clocks (all equal after every operation).
     pub fn clocks(&self) -> &[Clock] {
         &self.clocks
+    }
+
+    /// Computation component of [`SpmdEngine::elapsed_s`]: the largest
+    /// rank's modeled compute seconds.
+    pub fn compute_s(&self) -> f64 {
+        self.clocks.iter().map(|c| c.compute_s).fold(0.0, f64::max)
     }
 
     /// Element-wise all-reduce of a per-rank array (the replicated
@@ -201,13 +201,11 @@ impl<S: Send> Machine<S> {
         })
     }
 
-    /// Run one operation: bump the superstep counter, fail first if a
-    /// kill fault strikes any rank now, and turn a panic inside `op` into
-    /// a typed error carrying the phase, superstep index and fault epoch.
+    /// Run one operation: fail first if a kill fault strikes any rank
+    /// now, and turn a panic inside `op` into a typed error carrying the
+    /// phase, operation index and fault epoch.
     fn guarded(&mut self, phase: PhaseKind, op: impl FnOnce(&mut Self)) -> Result<(), SpmdError> {
-        let step = self.supersteps;
-        self.supersteps += 1;
-        let epoch = self.fault_epoch;
+        let (step, epoch) = (self.acct.superstep, self.acct.epoch);
         if let Some(plan) = &self.acct.instruments.fault_plan {
             if let Some(r) = (0..self.cfg.ranks).find(|&r| plan.consume_kill(r, epoch, phase)) {
                 let cause = FailureCause::Killed { epoch };
@@ -234,7 +232,7 @@ impl<S: Send> Machine<S> {
             c.advance_comm(comm);
         }
         self.acct
-            .begin(phase, self.fault_epoch, start)
+            .begin(phase, start)
             .set_collective(&cfg, shape, share_bytes, comm);
         self.acct.commit();
     }
@@ -266,10 +264,6 @@ impl<S: Send> SpmdEngine<S> for Machine<S> {
         self.clocks.iter().map(Clock::total_s).fold(0.0, f64::max)
     }
 
-    fn compute_s(&self) -> f64 {
-        self.clocks.iter().map(|c| c.compute_s).fold(0.0, f64::max)
-    }
-
     fn stats(&self) -> &StatsLog {
         &self.acct.stats
     }
@@ -279,7 +273,7 @@ impl<S: Send> SpmdEngine<S> for Machine<S> {
     }
 
     fn set_fault_epoch(&mut self, epoch: u64) {
-        self.fault_epoch = epoch;
+        self.acct.epoch = epoch;
     }
 
     fn instruments(&self) -> &Instruments {
@@ -320,7 +314,7 @@ impl<S: Send> SpmdEngine<S> for Machine<S> {
             // every transfer, so it logs the sender and the receiver side.
             let log_pairs = m.acct.instruments.metrics.is_some();
             let start = m.clocks.first().map_or(0.0, Clock::total_s);
-            let rec = m.acct.begin(phase, m.fault_epoch, start);
+            let rec = m.acct.begin(phase, start);
             rec.ranks.resize(p, RankEntry::default());
             let mut inboxes: Vec<Vec<(usize, M)>> = (0..p).map(|_| Vec::new()).collect();
             for (from, (msgs, ops)) in outputs.into_iter().enumerate() {
@@ -371,7 +365,7 @@ impl<S: Send> SpmdEngine<S> for Machine<S> {
                 ctx.ops
             });
             let start = m.clocks.first().map_or(0.0, Clock::total_s);
-            let rec = m.acct.begin(phase, m.fault_epoch, start);
+            let rec = m.acct.begin(phase, start);
             rec.ranks.extend(ops.into_iter().map(|ops| RankEntry {
                 compute_s: ops,
                 ..RankEntry::default()

@@ -1,20 +1,22 @@
 //! One accounting record per operation, and the sinks it feeds.
 //!
 //! Every superstep and collective an engine runs is described by exactly
-//! one [`SuperstepRecord`]: its phase, epoch, start and duration, one
+//! one [`SuperstepRecord`]: its phase, start and duration, one
 //! [`RankEntry`] per rank, and — only while a metrics registry is
 //! installed — the rank-pair tallies behind the communication matrix.
 //! The engine hands the finished record to [`Accounting::commit`], the
 //! single fan-out that derives everything observers see from it:
 //!
-//! * the [`SuperstepStats`] row appended to the [`StatsLog`];
+//! * one [`SuperstepStats`] row, appended to the [`StatsLog`] and sent,
+//!   the same value, to the recorder as its `Superstep` event;
+//! * the per-rank `Span` events for the recorder (see [`crate::trace`]);
 //! * the phase family and communication-matrix update of the metrics
-//!   registry;
-//! * the per-rank `Span` events and the `Superstep` event for the
-//!   recorder (see [`crate::trace`]).
+//!   registry.
 //!
-//! What can be installed on an engine — a fault schedule, a recorder, a
-//! metrics registry — is one plain [`Instruments`] bundle.
+//! [`Accounting`] also owns the operation index and the fault epoch, so
+//! rows, spans and errors number operations alike.  What can be
+//! installed on an engine — a fault schedule, a recorder, a metrics
+//! registry — is one plain [`Instruments`] bundle.
 
 use std::sync::Arc;
 
@@ -82,8 +84,6 @@ pub(crate) enum CollectiveShape {
 pub(crate) struct SuperstepRecord {
     /// Phase the operation implements.
     pub phase: PhaseKind,
-    /// Driver fault epoch during the operation.
-    pub epoch: u64,
     /// Engine elapsed seconds when the operation began.
     pub start_s: f64,
     /// Operation duration, barrier to barrier.
@@ -172,15 +172,19 @@ impl SuperstepRecord {
 }
 
 /// An engine's accounting state: the statistics log, the installed
-/// instruments, and the record of the operation in progress (reused, so
-/// building it allocates nothing in steady state).
+/// instruments, the operation index and fault epoch, and the record of
+/// the operation in progress (reused, so building it allocates nothing
+/// in steady state).
 pub(crate) struct Accounting {
     pub stats: StatsLog,
     pub instruments: Instruments,
+    /// Index of the operation in progress: the number of operations
+    /// committed so far.  A failed operation commits nothing, so its
+    /// error carries the index the next committed row gets.
+    pub superstep: u64,
+    /// Driver-set fault epoch (the PIC driver uses the iteration number).
+    pub epoch: u64,
     record: SuperstepRecord,
-    /// Records emitted to the recorder so far: the next trace superstep
-    /// index.
-    traced: u64,
 }
 
 impl Accounting {
@@ -190,9 +194,10 @@ impl Accounting {
         Self {
             stats: StatsLog::new(),
             instruments: Instruments::default(),
+            superstep: 0,
+            epoch: 0,
             record: SuperstepRecord {
                 phase: PhaseKind::Other,
-                epoch: 0,
                 start_s: 0.0,
                 elapsed_s: 0.0,
                 collective_share: None,
@@ -201,15 +206,13 @@ impl Accounting {
                 sent_pairs: Vec::new(),
                 recv_pairs: Vec::new(),
             },
-            traced: 0,
         }
     }
 
     /// Start the record of a new operation and hand it out to be filled.
-    pub fn begin(&mut self, phase: PhaseKind, epoch: u64, start_s: f64) -> &mut SuperstepRecord {
+    pub fn begin(&mut self, phase: PhaseKind, start_s: f64) -> &mut SuperstepRecord {
         let rec = &mut self.record;
         rec.phase = phase;
-        rec.epoch = epoch;
         rec.start_s = start_s;
         rec.elapsed_s = 0.0;
         rec.collective_share = None;
@@ -219,17 +222,19 @@ impl Accounting {
         rec
     }
 
-    /// Fan the finished record out to every sink: the statistics log
-    /// always, the registry and the recorder when installed.
+    /// Build the finished record's row and fan it out to every sink: the
+    /// statistics log always, the registry and the recorder when
+    /// installed.  Advances the operation index.
     pub fn commit(&mut self) {
         let rec = &self.record;
-        self.stats.push(SuperstepStats::from_record(rec));
+        let row = SuperstepStats::from_record(rec, self.superstep, self.epoch);
+        self.superstep += 1;
+        self.stats.push(row);
         if let Some(metrics) = &self.instruments.metrics {
             metrics.with(|reg| reg.observe(rec));
         }
         if let Some(recorder) = &mut self.instruments.recorder {
-            trace::record_superstep(recorder.as_mut(), rec, self.traced);
-            self.traced += 1;
+            trace::record_superstep(recorder.as_mut(), rec, row);
         }
     }
 }

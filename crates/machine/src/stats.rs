@@ -3,7 +3,8 @@
 //! These records are the raw material for every reproduced figure:
 //! Figure 17 plots per-iteration modeled time, Figures 18/19 the maximum
 //! scatter-phase data volume and message count over ranks, Figures 21/22
-//! the communication-plus-idle overhead.
+//! the communication-plus-idle overhead.  The same row is the trace's
+//! superstep event ([`TraceEvent::Superstep`](crate::TraceEvent::Superstep)).
 
 use serde::{Deserialize, Serialize};
 
@@ -59,11 +60,20 @@ impl PhaseKind {
     }
 }
 
-/// Aggregated statistics of one superstep.
+/// Aggregated statistics of one superstep or collective: the
+/// [`StatsLog`] row and, unchanged, the trace's superstep event.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SuperstepStats {
     /// Phase this superstep implements.
     pub phase: PhaseKind,
+    /// Engine-wide operation index: the number of operations the engine
+    /// committed before this one.  Spans and errors carry the same index.
+    pub superstep: u64,
+    /// Driver fault epoch during the operation (the PIC driver stamps
+    /// its iteration number).
+    pub epoch: u64,
+    /// Engine elapsed seconds when the operation began.
+    pub start_s: f64,
     /// Maximum off-rank messages sent by any rank.
     pub max_msgs_sent: u64,
     /// Maximum off-rank messages received by any rank.
@@ -82,6 +92,11 @@ pub struct SuperstepStats {
     pub max_comm_s: f64,
     /// Superstep duration: maximum over ranks of compute + comm.
     pub elapsed_s: f64,
+    /// True when the operation was a collective (`allgatherv`, or the
+    /// modeled machine's element-wise allreduce) rather than an exchange
+    /// superstep, also on the threaded machine, whose `allgatherv` runs
+    /// over an exchange but is accounted as the collective it is.
+    pub collective: bool,
 }
 
 impl SuperstepStats {
@@ -89,6 +104,9 @@ impl SuperstepStats {
     pub fn empty(phase: PhaseKind) -> Self {
         Self {
             phase,
+            superstep: 0,
+            epoch: 0,
+            start_s: 0.0,
             max_msgs_sent: 0,
             max_msgs_recv: 0,
             max_bytes_sent: 0,
@@ -98,13 +116,18 @@ impl SuperstepStats {
             max_compute_s: 0.0,
             max_comm_s: 0.0,
             elapsed_s: 0.0,
+            collective: false,
         }
     }
 
-    /// The row an engine logs for one operation's record.
-    pub(crate) fn from_record(rec: &SuperstepRecord) -> Self {
+    /// The row an engine logs for one operation's record, the
+    /// `superstep`-th it commits, run in fault epoch `epoch`.
+    pub(crate) fn from_record(rec: &SuperstepRecord, superstep: u64, epoch: u64) -> Self {
         Self {
             phase: rec.phase,
+            superstep,
+            epoch,
+            start_s: rec.start_s,
             max_msgs_sent: rec.max_of(|e| e.msgs_sent),
             max_msgs_recv: rec.max_of(|e| e.msgs_recv),
             max_bytes_sent: rec.max_of(|e| e.bytes_sent),
@@ -114,6 +137,7 @@ impl SuperstepStats {
             max_compute_s: rec.max_compute_s(),
             max_comm_s: rec.max_comm_s(),
             elapsed_s: rec.elapsed_s,
+            collective: rec.collective_share.is_some(),
         }
     }
 }

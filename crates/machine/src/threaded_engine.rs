@@ -76,11 +76,7 @@ pub struct ThreadedMachine<S> {
     acct: Accounting,
     /// Accumulated wall-clock seconds across operations.
     elapsed_wall_s: f64,
-    /// Accumulated per-superstep maximum rank compute wall seconds.
-    compute_wall_s: f64,
     timeout: Duration,
-    fault_epoch: u64,
-    supersteps: u64,
     /// One worker per rank (rank 0 on the driving thread), created on the
     /// first operation and joined on drop.
     pool: Option<WorkerPool>,
@@ -105,10 +101,7 @@ impl<S: Send> ThreadedMachine<S> {
             states,
             acct: Accounting::new(true),
             elapsed_wall_s: 0.0,
-            compute_wall_s: 0.0,
             timeout: DEFAULT_RECV_TIMEOUT,
-            fault_epoch: 0,
-            supersteps: 0,
             pool: None,
         }
     }
@@ -135,9 +128,7 @@ impl<S: Send> ThreadedMachine<S> {
         R: Send,
         F: Fn(usize, &mut S, Mailbox<M>) -> R + Sync,
     {
-        let step = self.supersteps;
-        self.supersteps += 1;
-        let epoch = self.fault_epoch;
+        let (step, epoch) = (self.acct.superstep, self.acct.epoch);
         let start = Instant::now();
         let p = self.cfg.ranks;
         let mut mailboxes = make_mailboxes::<M>(p, self.timeout);
@@ -174,9 +165,12 @@ impl<S: Send> ThreadedMachine<S> {
         let wall_s = wall.as_secs_f64();
         let start = self.elapsed_wall_s;
         self.elapsed_wall_s += wall_s;
-        self.acct
-            .begin(phase, self.fault_epoch, start)
-            .set_collective(&self.cfg, CollectiveShape::Doubling, share_bytes, wall_s);
+        self.acct.begin(phase, start).set_collective(
+            &self.cfg,
+            CollectiveShape::Doubling,
+            share_bytes,
+            wall_s,
+        );
         self.acct.commit();
     }
 
@@ -190,7 +184,7 @@ impl<S: Send> ThreadedMachine<S> {
         let wall_s = wall.as_secs_f64();
         let start = self.elapsed_wall_s;
         self.elapsed_wall_s += wall_s;
-        let rec = self.acct.begin(phase, self.fault_epoch, start);
+        let rec = self.acct.begin(phase, start);
         rec.elapsed_s = wall_s;
         for (rank, rep) in reports.iter().enumerate() {
             let sent = rep.sent_pairs.iter().map(|&(to, bytes)| (rank, to, bytes));
@@ -205,7 +199,6 @@ impl<S: Send> ThreadedMachine<S> {
                 ..rep.entry
             });
         }
-        self.compute_wall_s += rec.max_compute_s();
         self.acct.commit();
     }
 }
@@ -235,10 +228,6 @@ impl<S: Send> SpmdEngine<S> for ThreadedMachine<S> {
         self.elapsed_wall_s
     }
 
-    fn compute_s(&self) -> f64 {
-        self.compute_wall_s
-    }
-
     fn stats(&self) -> &StatsLog {
         &self.acct.stats
     }
@@ -248,7 +237,7 @@ impl<S: Send> SpmdEngine<S> for ThreadedMachine<S> {
     }
 
     fn set_fault_epoch(&mut self, epoch: u64) {
-        self.fault_epoch = epoch;
+        self.acct.epoch = epoch;
     }
 
     fn instruments(&self) -> &Instruments {

@@ -2,18 +2,19 @@
 //!
 //! The paper's entire evaluation is a story about *where time goes* —
 //! scatter volume, redistribution overhead, idle time.  [`StatsLog`](crate::StatsLog)
-//! (one aggregated record per superstep) is the raw material for the
-//! reproduced figures; this module adds the layer underneath it: a
-//! stream of **structured events** emitted by both executors and the
-//! simulation driver, consumed through a pluggable [`Recorder`].
+//! (one aggregated row per superstep) is the raw material for the
+//! reproduced figures; this module adds a stream of **structured
+//! events** emitted by both executors and the simulation driver,
+//! consumed through a pluggable [`Recorder`].  The stream carries the
+//! log's rows themselves, plus the per-rank spans underneath them.
 //!
 //! ## Event model
 //!
 //! | event | emitted by | one per |
 //! |---|---|---|
 //! | [`SpanEvent`] | both executors | (rank, superstep/collective) |
-//! | [`SuperstepEvent`] | both executors | superstep or collective |
-//! | [`IterationEvent`] | the PIC driver | completed iteration |
+//! | [`SuperstepStats`] | both executors | superstep or collective (the `StatsLog` row) |
+//! | [`IterationRecord`] | the PIC driver | completed iteration (the record `step` returns) |
 //! | [`RedistributionEvent`] | the PIC driver | redistribution (incl. setup) |
 //! | [`FaultEvent`] | driver + recovery | surfaced [`SpmdError`](crate::SpmdError) |
 //! | [`CheckpointEvent`] | the recovery loop | snapshot saved / restored |
@@ -69,8 +70,10 @@ use std::io::{self, BufWriter, Write};
 use std::path::Path;
 use std::sync::{Arc, Mutex};
 
+use serde::{Deserialize, Serialize};
+
 use crate::record::SuperstepRecord;
-use crate::stats::PhaseKind;
+use crate::stats::{PhaseKind, SuperstepStats};
 
 /// One rank's slice of one superstep or collective.
 ///
@@ -82,7 +85,7 @@ pub struct SpanEvent {
     pub rank: usize,
     /// Phase the enclosing superstep implements.
     pub phase: PhaseKind,
-    /// Engine-wide superstep/collective sequence number.
+    /// Engine-wide operation index, as in the superstep's row.
     pub superstep: u64,
     /// Driver fault epoch (the PIC driver stamps its iteration number).
     pub epoch: u64,
@@ -106,51 +109,36 @@ pub struct SpanEvent {
     pub bytes_recv: u64,
 }
 
-/// One whole superstep or collective, aggregated over ranks (the trace
-/// twin of [`SuperstepStats`](crate::SuperstepStats), with a start
-/// time and sequence attribution added).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SuperstepEvent {
-    /// Phase the superstep implements.
-    pub phase: PhaseKind,
-    /// Engine-wide superstep/collective sequence number.
-    pub superstep: u64,
-    /// Driver fault epoch at emission time.
-    pub epoch: u64,
-    /// Engine elapsed seconds when the superstep began.
-    pub start_s: f64,
-    /// Superstep duration (max over ranks; barrier to barrier).
-    pub elapsed_s: f64,
-    /// Maximum computation seconds over ranks.
-    pub max_compute_s: f64,
-    /// Maximum communication seconds over ranks.
-    pub max_comm_s: f64,
-    /// Total off-rank messages across ranks.
-    pub total_msgs: u64,
-    /// Total off-rank bytes across ranks.
-    pub total_bytes: u64,
-    /// True when the superstep was a collective (`allgatherv`, or the
-    /// modeled machine's element-wise allreduce) rather than an exchange
-    /// superstep — also on the threaded machine, whose `allgatherv` runs
-    /// over an exchange but is accounted as the collective it is.
-    pub collective: bool,
-}
-
-/// One completed driver iteration (scatter → solve → gather → push).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct IterationEvent {
+/// One iteration's measurements — the rows behind Figures 17, 18 and
+/// 19.  Times are engine seconds: modeled on the BSP machine, wall-clock
+/// on the threaded one.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct IterationRecord {
     /// Iteration number (1-based).
-    pub iter: u64,
-    /// Phase time of the iteration (excludes redistribution).
+    pub iter: usize,
+    /// Execution time of the four phases (excludes any redistribution
+    /// this iteration triggered).
     pub time_s: f64,
     /// Computation component (max over ranks, summed per superstep).
     pub compute_s: f64,
     /// Communication + idle component.
     pub comm_s: f64,
+    /// Maximum bytes any rank sent in the scatter phase (Figure 18).
+    pub scatter_max_bytes_sent: u64,
+    /// Maximum bytes any rank received in the scatter phase.
+    pub scatter_max_bytes_recv: u64,
+    /// Maximum messages any rank sent in the scatter phase (Figure 19).
+    pub scatter_max_msgs_sent: u64,
+    /// Maximum messages any rank received in the scatter phase.
+    pub scatter_max_msgs_recv: u64,
+    /// Whether a redistribution ran after this iteration.
+    pub redistributed: bool,
+    /// Cost of that redistribution (0 when none ran).
+    pub redistribute_s: f64,
     /// Largest per-rank particle count at the end of the iteration.
-    pub max_particles: u64,
+    pub max_particles: usize,
     /// Smallest per-rank particle count.
-    pub min_particles: u64,
+    pub min_particles: usize,
 }
 
 /// Why a redistribution ran.
@@ -258,7 +246,7 @@ pub struct PolicyDecisionEvent {
 
 /// Per-rank particle counts at the end of one driver iteration — the
 /// raw series behind load-imbalance curves (dashboard and Perfetto
-/// counter tracks).  [`IterationEvent`] only carries the min/max.
+/// counter tracks).  [`IterationRecord`] only carries the min/max.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RankLoadEvent {
     /// Iteration number (1-based).
@@ -274,10 +262,11 @@ pub struct RankLoadEvent {
 pub enum TraceEvent {
     /// Per-rank slice of a superstep.
     Span(SpanEvent),
-    /// Aggregated superstep / collective record.
-    Superstep(SuperstepEvent),
+    /// Aggregated superstep / collective row, as logged in the
+    /// [`StatsLog`](crate::StatsLog).
+    Superstep(SuperstepStats),
     /// Completed driver iteration.
-    Iteration(IterationEvent),
+    Iteration(IterationRecord),
     /// Redistribution decision.
     Redistribution(RedistributionEvent),
     /// Surfaced failure.
@@ -314,7 +303,7 @@ impl TraceEvent {
     }
 
     /// The superstep payload, when this is a superstep event.
-    pub fn superstep(&self) -> Option<&SuperstepEvent> {
+    pub fn superstep(&self) -> Option<&SuperstepStats> {
         match self {
             TraceEvent::Superstep(s) => Some(s),
             _ => None,
@@ -369,7 +358,8 @@ impl TraceEvent {
                     s,
                     ",\"phase\":\"{}\",\"superstep\":{},\"epoch\":{},\"start_s\":{},\
                      \"elapsed_s\":{},\"max_compute_s\":{},\"max_comm_s\":{},\
-                     \"total_msgs\":{},\"total_bytes\":{},\"collective\":{}",
+                     \"max_msgs_sent\":{},\"max_msgs_recv\":{},\"max_bytes_sent\":{},\
+                     \"max_bytes_recv\":{},\"total_msgs\":{},\"total_bytes\":{},\"collective\":{}",
                     e.phase.label(),
                     e.superstep,
                     e.epoch,
@@ -377,6 +367,10 @@ impl TraceEvent {
                     json_f64(e.elapsed_s),
                     json_f64(e.max_compute_s),
                     json_f64(e.max_comm_s),
+                    e.max_msgs_sent,
+                    e.max_msgs_recv,
+                    e.max_bytes_sent,
+                    e.max_bytes_recv,
                     e.total_msgs,
                     e.total_bytes,
                     e.collective
@@ -386,11 +380,20 @@ impl TraceEvent {
                 let _ = write!(
                     s,
                     ",\"iter\":{},\"time_s\":{},\"compute_s\":{},\"comm_s\":{},\
+                     \"scatter_max_bytes_sent\":{},\"scatter_max_bytes_recv\":{},\
+                     \"scatter_max_msgs_sent\":{},\"scatter_max_msgs_recv\":{},\
+                     \"redistributed\":{},\"redistribute_s\":{},\
                      \"max_particles\":{},\"min_particles\":{}",
                     e.iter,
                     json_f64(e.time_s),
                     json_f64(e.compute_s),
                     json_f64(e.comm_s),
+                    e.scatter_max_bytes_sent,
+                    e.scatter_max_bytes_recv,
+                    e.scatter_max_msgs_sent,
+                    e.scatter_max_msgs_recv,
+                    e.redistributed,
+                    json_f64(e.redistribute_s),
                     e.max_particles,
                     e.min_particles
                 );
@@ -659,37 +662,30 @@ impl<R: Recorder> Recorder for SharedRecorder<R> {
     }
 }
 
-/// Emit one operation's events: a span per rank, then the aggregated
-/// superstep event, all numbered `step`.
-pub(crate) fn record_superstep(recorder: &mut dyn Recorder, rec: &SuperstepRecord, step: u64) {
+/// Emit one operation's events: a span per rank, then its row as the
+/// superstep event; every span carries the row's index and epoch.
+pub(crate) fn record_superstep(
+    recorder: &mut dyn Recorder,
+    rec: &SuperstepRecord,
+    row: SuperstepStats,
+) {
     for (rank, e) in rec.ranks.iter().enumerate() {
         recorder.record(&TraceEvent::Span(SpanEvent {
             rank,
-            phase: rec.phase,
-            superstep: step,
-            epoch: rec.epoch,
-            start_s: rec.start_s,
+            phase: row.phase,
+            superstep: row.superstep,
+            epoch: row.epoch,
+            start_s: row.start_s,
             compute_s: e.compute_s,
             comm_s: e.comm_s,
-            end_s: rec.start_s + e.compute_s + e.comm_s,
+            end_s: row.start_s + e.compute_s + e.comm_s,
             msgs_sent: e.msgs_sent,
             msgs_recv: e.msgs_recv,
             bytes_sent: e.bytes_sent,
             bytes_recv: e.bytes_recv,
         }));
     }
-    recorder.record(&TraceEvent::Superstep(SuperstepEvent {
-        phase: rec.phase,
-        superstep: step,
-        epoch: rec.epoch,
-        start_s: rec.start_s,
-        elapsed_s: rec.elapsed_s,
-        max_compute_s: rec.max_compute_s(),
-        max_comm_s: rec.max_comm_s(),
-        total_msgs: rec.total_msgs(),
-        total_bytes: rec.total_bytes(),
-        collective: rec.collective_share.is_some(),
-    }));
+    recorder.record(&TraceEvent::Superstep(row));
 }
 
 // ---------------------------------------------------------------------------
@@ -721,7 +717,7 @@ pub fn chrome_trace(events: &[TraceEvent]) -> String {
     };
     // Per-rank bytes sent in the superstep currently being scanned; the
     // engines emit a superstep's rank spans immediately before its
-    // aggregate SuperstepEvent, so flushing on the aggregate turns the
+    // aggregate superstep row, so flushing on the aggregate turns the
     // contiguous span run into one counter sample.
     let mut step_bytes: std::collections::BTreeMap<usize, u64> = std::collections::BTreeMap::new();
     for ev in events {
@@ -919,7 +915,7 @@ pub struct MetricsReport {
 }
 
 impl MetricsReport {
-    /// Aggregate the [`SuperstepEvent`]s in `events` by phase (ordered
+    /// Aggregate the superstep rows in `events` by phase (ordered
     /// by descending total time).
     pub fn from_events(events: &[TraceEvent]) -> Self {
         let mut phases = Vec::new();
@@ -1031,17 +1027,12 @@ mod tests {
     }
 
     fn step(phase: PhaseKind, elapsed: f64) -> TraceEvent {
-        TraceEvent::Superstep(SuperstepEvent {
-            phase,
-            superstep: 0,
-            epoch: 0,
-            start_s: 0.0,
+        TraceEvent::Superstep(SuperstepStats {
             elapsed_s: elapsed,
             max_compute_s: elapsed,
-            max_comm_s: 0.0,
             total_msgs: 2,
             total_bytes: 16,
-            collective: false,
+            ..SuperstepStats::empty(phase)
         })
     }
 
@@ -1074,11 +1065,17 @@ mod tests {
         let events = [
             span(0, PhaseKind::Push, 1.0),
             step(PhaseKind::Push, 1.0),
-            TraceEvent::Iteration(IterationEvent {
+            TraceEvent::Iteration(IterationRecord {
                 iter: 1,
                 time_s: 1.0,
                 compute_s: 0.5,
                 comm_s: 0.5,
+                scatter_max_bytes_sent: 64,
+                scatter_max_bytes_recv: 64,
+                scatter_max_msgs_sent: 2,
+                scatter_max_msgs_recv: 2,
+                redistributed: false,
+                redistribute_s: 0.0,
                 max_particles: 10,
                 min_particles: 10,
             }),

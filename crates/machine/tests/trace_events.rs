@@ -2,16 +2,18 @@
 //! the metrics registry agree.
 //!
 //! All three are derived from one per-operation record, so they agree by
-//! construction; these tests keep that a checked fact.  The per-rank
-//! spans are folded here (max/sum over ranks) and compared with the
-//! [`StatsLog`](pic_machine::StatsLog) row, and the three sinks are
-//! compared phase by phase on both executors.  Any disagreement means a
-//! derivation dropped a rank, double-charged a collective, or mixed up
-//! supersteps.
+//! construction; these tests keep that a checked fact.  The recorder's
+//! superstep events are the [`StatsLog`](pic_machine::StatsLog) rows
+//! themselves, the per-rank spans are folded here (max/sum over ranks)
+//! and compared with those rows, and the three sinks are compared phase
+//! by phase on both executors.  Any disagreement means a derivation
+//! dropped a rank, double-charged a collective, or mixed up supersteps.
+
+use std::sync::Arc;
 
 use pic_machine::{
-    Machine, MachineConfig, MemoryRecorder, Outbox, PhaseKind, SharedMetrics, SharedRecorder,
-    SpmdEngine, StatsLog, ThreadedMachine, TraceEvent,
+    FaultPlan, Machine, MachineConfig, MemoryRecorder, Outbox, PhaseKind, SharedMetrics,
+    SharedRecorder, SpmdEngine, StatsLog, SuperstepStats, ThreadedMachine, TraceEvent,
 };
 use proptest::prelude::*;
 
@@ -22,6 +24,15 @@ fn cfg(p: usize) -> MachineConfig {
         mu: 0.01,
         delta: 0.001,
     }
+}
+
+/// The recorder's superstep events, in emission order.
+fn rows(events: &[TraceEvent]) -> Vec<SuperstepStats> {
+    events
+        .iter()
+        .filter_map(TraceEvent::superstep)
+        .copied()
+        .collect()
 }
 
 /// Group span events by superstep id, in emission order.
@@ -41,10 +52,10 @@ fn spans_by_step(events: &[TraceEvent]) -> Vec<(u64, Vec<&pic_machine::SpanEvent
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// For every modeled superstep: the per-rank spans reproduce the
-    /// `SuperstepStats` record bit-for-bit — max compute, max comm,
-    /// total messages and total bytes over ranks, and the superstep
-    /// event's elapsed time.
+    /// For every modeled superstep: the superstep event is the
+    /// `SuperstepStats` row, and the per-rank spans reproduce it
+    /// bit-for-bit — max compute, max comm, total messages and total
+    /// bytes over ranks — inside its time window.
     #[test]
     fn modeled_span_totals_equal_superstep_stats(
         p in 1usize..9,
@@ -80,18 +91,9 @@ proptest! {
         prop_assert_eq!(grouped.len(), records.len());
         prop_assert_eq!(grouped.len(), steps);
 
-        let superstep_events: Vec<_> = events
-            .iter()
-            .filter_map(|e| match e {
-                TraceEvent::Superstep(s) => Some(s),
-                _ => None,
-            })
-            .collect();
-        prop_assert_eq!(superstep_events.len(), records.len());
+        prop_assert_eq!(&rows(&events), &records);
 
-        for (((_, spans), rec), agg) in
-            grouped.iter().zip(&records).zip(&superstep_events)
-        {
+        for ((step, spans), rec) in grouped.iter().zip(&records) {
             prop_assert_eq!(spans.len(), p);
             let max_compute = spans.iter().map(|s| s.compute_s).fold(0.0, f64::max);
             let max_comm = spans.iter().map(|s| s.comm_s).fold(0.0, f64::max);
@@ -106,16 +108,12 @@ proptest! {
             // every off-rank send is received exactly once
             prop_assert_eq!(recv_msgs, rec.total_msgs);
             prop_assert_eq!(recv_bytes, rec.total_bytes);
-            prop_assert_eq!(agg.max_compute_s, rec.max_compute_s);
-            prop_assert_eq!(agg.max_comm_s, rec.max_comm_s);
-            prop_assert_eq!(agg.elapsed_s, rec.elapsed_s);
-            prop_assert_eq!(agg.total_msgs, rec.total_msgs);
-            prop_assert_eq!(agg.total_bytes, rec.total_bytes);
-            prop_assert!(!agg.collective);
-            // spans fit inside the superstep window
+            prop_assert!(!rec.collective);
+            // spans carry the row's index and fit inside its window
+            prop_assert_eq!(*step, rec.superstep);
             for s in spans {
-                prop_assert_eq!(s.start_s, agg.start_s);
-                prop_assert!(s.end_s <= agg.start_s + agg.elapsed_s + 1e-12);
+                prop_assert_eq!(s.start_s, rec.start_s);
+                prop_assert!(s.end_s <= rec.start_s + rec.elapsed_s + 1e-12);
             }
         }
     }
@@ -154,20 +152,13 @@ proptest! {
             prop_assert_eq!(s.comm_s, rec.max_comm_s);
             prop_assert_eq!(s.compute_s, 0.0);
         }
-        let agg = events.iter().find_map(|e| match e {
-            TraceEvent::Superstep(s) => Some(s),
-            _ => None,
-        });
-        let agg = agg.expect("collective superstep event");
-        prop_assert!(agg.collective);
-        prop_assert_eq!(agg.total_msgs, rec.total_msgs);
-        prop_assert_eq!(agg.total_bytes, rec.total_bytes);
+        prop_assert_eq!(rows(&events), vec![rec]);
+        prop_assert!(rec.collective);
     }
 }
 
 /// The threaded executor emits the same event shapes: one span per rank
-/// per superstep (wall-clock times), plus superstep and collective
-/// aggregates consistent with its stats log.
+/// per superstep (wall-clock times), plus its stats log's rows.
 #[test]
 fn threaded_recorder_captures_spans_and_collectives() {
     let p = 4;
@@ -208,19 +199,11 @@ fn threaded_recorder_captures_spans_and_collectives() {
         assert!(s.end_s >= s.start_s);
         assert!(s.compute_s >= 0.0 && s.comm_s >= 0.0);
     }
-    let aggs: Vec<_> = events
-        .iter()
-        .filter_map(|e| match e {
-            TraceEvent::Superstep(s) => Some(s),
-            _ => None,
-        })
-        .collect();
+    let aggs = rows(&events);
+    assert_eq!(aggs, m.stats().records());
     assert_eq!(aggs.len(), 2);
     assert!(!aggs[0].collective);
     assert!(aggs[1].collective);
-    let stats = m.stats().records().to_vec();
-    assert_eq!(aggs[0].total_msgs, stats[0].total_msgs);
-    assert_eq!(aggs[0].total_bytes, stats[0].total_bytes);
     // supersteps are numbered consecutively within one executor
     assert_eq!(aggs[0].superstep + 1, aggs[1].superstep);
 }
@@ -352,16 +335,13 @@ fn every_sink_agrees_on_both_executors() {
             let reg = metrics.snapshot();
             // 7 accounted operations per round
             assert_eq!(stats.records().len(), 14, "{name} p={p}");
+            // the recorder saw the log's rows, one for one and in order
+            assert_eq!(rows(events), stats.records(), "{name} p={p}");
             for phase in PhaseKind::ALL {
                 let rows: Vec<_> = stats
                     .records()
                     .iter()
                     .filter(|r| r.phase == phase)
-                    .collect();
-                let steps: Vec<_> = events
-                    .iter()
-                    .filter_map(TraceEvent::superstep)
-                    .filter(|e| e.phase == phase)
                     .collect();
                 let spans: Vec<_> = events
                     .iter()
@@ -370,21 +350,10 @@ fn every_sink_agrees_on_both_executors() {
                     .collect();
                 let fam = reg.phase(phase);
                 let ctx = format!("{name} p={p} {}", phase.label());
-                assert_eq!(steps.len(), rows.len(), "{ctx}");
                 assert_eq!(fam.supersteps, rows.len() as u64, "{ctx}");
                 assert_eq!(spans.len(), rows.len() * p, "{ctx}");
                 let msgs: u64 = rows.iter().map(|r| r.total_msgs).sum();
                 let bytes: u64 = rows.iter().map(|r| r.total_bytes).sum();
-                assert_eq!(
-                    steps.iter().map(|e| e.total_msgs).sum::<u64>(),
-                    msgs,
-                    "{ctx}"
-                );
-                assert_eq!(
-                    steps.iter().map(|e| e.total_bytes).sum::<u64>(),
-                    bytes,
-                    "{ctx}"
-                );
                 assert_eq!(
                     spans.iter().map(|e| e.msgs_sent).sum::<u64>(),
                     msgs,
@@ -419,4 +388,41 @@ fn every_sink_agrees_on_both_executors() {
         let matrix = |m: &SharedMetrics| m.snapshot().comm().csv_rows();
         assert_eq!(matrix(&modeled.2), matrix(&threaded.2), "p={p}");
     }
+}
+
+/// Rows, spans, superstep events and errors carry one operation index,
+/// counted from the engine's first operation whenever the recorder was
+/// installed; a failed operation commits no row, and its error carries
+/// the index the next row gets.
+fn one_operation_index<E: SpmdEngine<(u64, Vec<f64>)>>(mut m: E) {
+    mixed_program(&mut m);
+    let k = m.stats().records().len() as u64;
+    let recorder = SharedRecorder::new(MemoryRecorder::new());
+    m.instruments_mut().recorder = Some(Box::new(recorder.clone()));
+    mixed_program(&mut m);
+    let events = recorder.with(|r| r.take());
+    let first_span = events.iter().find_map(TraceEvent::span).expect("spans");
+    let first_row = events.iter().find_map(TraceEvent::superstep).expect("rows");
+    assert_eq!((first_span.superstep, first_row.superstep), (k, k));
+    for (i, row) in m.stats().records().iter().enumerate() {
+        assert_eq!(row.superstep, i as u64);
+    }
+
+    m.set_fault_epoch(9);
+    m.instruments_mut().fault_plan = Some(Arc::new(FaultPlan::new(1).kill(1, 9)));
+    let step = |m: &mut E| m.local_step(PhaseKind::Push, |_r, s, _ctx| s.0 += 1);
+    let err = step(&mut m).expect_err("the kill fires");
+    assert!(err.is_injected_kill(), "{err}");
+    let last = m.stats().records().last().expect("rows").superstep;
+    assert_eq!((err.superstep, err.epoch), (Some(last + 1), Some(9)));
+    step(&mut m).expect("kills are one-shot");
+    let row = m.stats().records().last().expect("rows");
+    assert_eq!((row.superstep, row.epoch), (last + 1, 9));
+}
+
+#[test]
+fn one_operation_index_on_both_executors() {
+    let states = || (0..4).map(|r| (r, Vec::new())).collect::<Vec<_>>();
+    one_operation_index(Machine::new(cfg(4), states()));
+    one_operation_index(ThreadedMachine::new(cfg(4), states()));
 }
