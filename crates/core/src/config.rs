@@ -7,11 +7,15 @@ use pic_partition::PolicyKind;
 use serde::{Deserialize, Serialize};
 
 /// How duplicate off-processor accesses are removed in the scatter phase
-/// (paper Section 3.2, Figure 8).
+/// (paper Section 3.2, Figure 8).  Both kinds index the same dense entry
+/// list and share one drain, so they put the same bits on the wire; they
+/// differ in memory and in the modeled cost per access
+/// ([`crate::costs::GHOST_ADD_HASH`] against
+/// [`crate::costs::GHOST_ADD_DIRECT`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum DedupKind {
-    /// Hash table: memory proportional to the ghost set, extra search
-    /// time per access.
+    /// Hash table (open addressing, linear probing): memory proportional
+    /// to the ghost set, a probe sequence per access.
     Hash,
     /// Direct address table: memory proportional to the number of mesh
     /// grid points, one indexed access.

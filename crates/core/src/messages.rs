@@ -3,16 +3,96 @@
 //! Wire sizes model what the 1996 code would pack into CMMD messages:
 //! 4-byte packed grid indices, 8-byte doubles — see [`crate::costs`].
 
+use std::ops::{Deref, Range};
 use std::sync::Arc;
 
 use pic_machine::Payload;
 
 use crate::costs::{GHOST_CURRENT_BYTES, GHOST_FIELD_BYTES, PARTICLE_MSG_BYTES};
+use crate::ghost::GhostEntry;
+
+/// A `[start, end)` window of a sender's pack buffer.
+///
+/// A rank packs every message of a superstep once, back to back, into
+/// one `Arc`-held buffer of its [`crate::ScratchArena`], and sends each
+/// destination a window of it.  The buffer is refilled in place by the
+/// next superstep that packs into it, once every receiver has dropped
+/// its window.  Cloning a window clones an `Arc` and two indices.
+#[derive(Debug, Clone)]
+pub struct Window<T> {
+    buf: Arc<Vec<T>>,
+    start: usize,
+    end: usize,
+}
+
+impl<T> Window<T> {
+    /// The `range` window of `buf`.
+    ///
+    /// # Panics
+    /// Panics if `range` exceeds the buffer.
+    pub fn new(buf: &Arc<Vec<T>>, range: Range<usize>) -> Self {
+        assert!(
+            range.start <= range.end && range.end <= buf.len(),
+            "window out of range"
+        );
+        Self {
+            buf: Arc::clone(buf),
+            start: range.start,
+            end: range.end,
+        }
+    }
+
+    /// Consecutive windows of `buf`, one per `(to, len)` run, paired
+    /// with their destination.
+    pub fn split<'a>(
+        buf: &'a Arc<Vec<T>>,
+        runs: impl IntoIterator<Item = (usize, usize)> + 'a,
+    ) -> impl Iterator<Item = (usize, Self)> + 'a {
+        runs.into_iter().scan(0, move |start, (to, len)| {
+            let range = *start..*start + len;
+            *start += len;
+            Some((to, Self::new(buf, range)))
+        })
+    }
+}
+
+impl<T> Deref for Window<T> {
+    type Target = [T];
+
+    fn deref(&self) -> &[T] {
+        &self.buf[self.start..self.end]
+    }
+}
+
+/// An empty window.
+impl<T> Default for Window<T> {
+    fn default() -> Self {
+        Vec::new().into()
+    }
+}
+
+/// A window over a whole freshly built buffer.
+impl<T> From<Vec<T>> for Window<T> {
+    fn from(v: Vec<T>) -> Self {
+        let end = v.len();
+        Self {
+            buf: Arc::new(v),
+            start: 0,
+            end,
+        }
+    }
+}
+
+impl<T: PartialEq> PartialEq for Window<T> {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
 
 /// Scatter-phase ghost contributions: `(packed vertex index, [Jx, Jy, Jz])`
 /// per off-block grid point, coalesced into one message per destination.
 #[derive(Debug, Clone, PartialEq)]
-pub struct GhostCurrents(pub Vec<(u32, [f64; 3])>);
+pub struct GhostCurrents(pub Window<GhostEntry>);
 
 impl Payload for GhostCurrents {
     fn size_bytes(&self) -> usize {
@@ -22,7 +102,7 @@ impl Payload for GhostCurrents {
 
 /// Gather-phase replies: `(packed vertex index, [Ex, Ey, Ez, Bx, By, Bz])`.
 #[derive(Debug, Clone, PartialEq)]
-pub struct GhostFields(pub Vec<(u32, [f64; 6])>);
+pub struct GhostFields(pub Window<(u32, [f64; 6])>);
 
 impl Payload for GhostFields {
     fn size_bytes(&self) -> usize {
@@ -33,7 +113,7 @@ impl Payload for GhostFields {
 /// Field-solve halo data: three components per boundary cell, packed in
 /// the plan's deterministic cell order.
 #[derive(Debug, Clone, PartialEq)]
-pub struct HaloData(pub Vec<f64>);
+pub struct HaloData(pub Window<f64>);
 
 impl Payload for HaloData {
     fn size_bytes(&self) -> usize {
@@ -44,37 +124,16 @@ impl Payload for HaloData {
 /// A batch of migrating particles: curve keys plus five phase-space
 /// doubles each, in sorted key order.
 ///
-/// Zero-copy view into shared flat buffers: the sending rank packs *all*
-/// outgoing particles once (grouped by destination) into one key buffer
-/// and one interleaved phase-space buffer, and every per-destination
-/// batch is an `Arc`-backed `[start, end)` window of those — no
-/// per-destination `Vec` clones on the wire.  Cloning a batch clones two
-/// `Arc`s and two indices.
-#[derive(Debug, Clone)]
+/// The sending rank packs *all* outgoing particles once (grouped by
+/// destination) into one key buffer and one interleaved phase-space
+/// buffer, and every per-destination batch is a [`Window`] of each — no
+/// per-destination `Vec` clones on the wire.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ParticleBatch {
-    keys: Arc<Vec<u64>>,
+    keys: Window<u64>,
     /// Interleaved phase space, five doubles per particle:
     /// x, y, ux, uy, uz.
-    data: Arc<Vec<f64>>,
-    start: usize,
-    end: usize,
-}
-
-impl Default for ParticleBatch {
-    fn default() -> Self {
-        Self {
-            keys: Arc::new(Vec::new()),
-            data: Arc::new(Vec::new()),
-            start: 0,
-            end: 0,
-        }
-    }
-}
-
-impl PartialEq for ParticleBatch {
-    fn eq(&self, other: &Self) -> bool {
-        self.keys() == other.keys() && self.interleaved() == other.interleaved()
-    }
+    data: Window<f64>,
 }
 
 impl ParticleBatch {
@@ -83,35 +142,31 @@ impl ParticleBatch {
     ///
     /// # Panics
     /// Panics if the window exceeds either buffer.
-    pub fn view(keys: Arc<Vec<u64>>, data: Arc<Vec<f64>>, start: usize, end: usize) -> Self {
-        assert!(start <= end && end <= keys.len(), "key window out of range");
-        assert!(end * 5 <= data.len(), "data window out of range");
+    pub fn view(keys: &Arc<Vec<u64>>, data: &Arc<Vec<f64>>, start: usize, end: usize) -> Self {
         Self {
-            keys,
-            data,
-            start,
-            end,
+            keys: Window::new(keys, start..end),
+            data: Window::new(data, start * 5..end * 5),
         }
     }
 
     /// Number of particles in the batch.
     pub fn len(&self) -> usize {
-        self.end - self.start
+        self.keys.len()
     }
 
     /// True when the batch is empty.
     pub fn is_empty(&self) -> bool {
-        self.start == self.end
+        self.keys.is_empty()
     }
 
     /// The batch's curve keys, ascending.
     pub fn keys(&self) -> &[u64] {
-        &self.keys[self.start..self.end]
+        &self.keys
     }
 
     /// The interleaved phase-space window (five doubles per particle).
     pub fn interleaved(&self) -> &[f64] {
-        &self.data[self.start * 5..self.end * 5]
+        &self.data
     }
 
     /// Append one particle (test/construction convenience — a batch
@@ -121,25 +176,21 @@ impl ParticleBatch {
     /// # Panics
     /// Panics if the batch is a strict window of larger pack buffers.
     pub fn push(&mut self, key: u64, coords: [f64; 5]) {
+        let (keys, data) = (&mut self.keys, &mut self.data);
         assert!(
-            self.start == 0 && self.end == self.keys.len(),
+            keys.start == 0 && keys.end == keys.buf.len(),
             "cannot push into a sliced batch view"
         );
-        Arc::make_mut(&mut self.keys).push(key);
-        Arc::make_mut(&mut self.data).extend_from_slice(&coords);
-        self.end += 1;
+        Arc::make_mut(&mut keys.buf).push(key);
+        Arc::make_mut(&mut data.buf).extend_from_slice(&coords);
+        keys.end += 1;
+        data.end += 5;
     }
 
     /// The `i`-th particle's phase-space coordinates.
     pub fn coords(&self, i: usize) -> [f64; 5] {
-        let o = (self.start + i) * 5;
-        [
-            self.data[o],
-            self.data[o + 1],
-            self.data[o + 2],
-            self.data[o + 3],
-            self.data[o + 4],
-        ]
+        let c = &self.data[i * 5..i * 5 + 5];
+        [c[0], c[1], c[2], c[3], c[4]]
     }
 }
 
@@ -155,14 +206,36 @@ mod tests {
 
     #[test]
     fn ghost_current_wire_size() {
-        let m = GhostCurrents(vec![(0, [0.0; 3]); 10]);
+        let m = GhostCurrents(vec![(0, [0.0; 3]); 10].into());
         assert_eq!(m.size_bytes(), 280);
     }
 
     #[test]
     fn ghost_field_wire_size() {
-        let m = GhostFields(vec![(0, [0.0; 6]); 10]);
+        let m = GhostFields(vec![(0, [0.0; 6]); 10].into());
         assert_eq!(m.size_bytes(), 520);
+    }
+
+    #[test]
+    fn windows_split_one_buffer_in_run_order() {
+        let buf = Arc::new((0..10).map(f64::from).collect::<Vec<f64>>());
+        let msgs: Vec<(usize, HaloData)> = Window::split(&buf, [(3, 4), (1, 0), (0, 6)])
+            .map(|(to, w)| (to, HaloData(w)))
+            .collect();
+        assert_eq!(msgs[0].0, 3);
+        assert_eq!(*msgs[0].1 .0, [0.0, 1.0, 2.0, 3.0]);
+        assert!(msgs[1].1 .0.is_empty());
+        assert_eq!(msgs[2].1.size_bytes(), 6 * 8);
+        assert_eq!(msgs[2].1 .0[0], 4.0);
+        assert_eq!(Arc::strong_count(&buf), 4, "windows share the buffer");
+        drop(msgs);
+        assert_eq!(Arc::strong_count(&buf), 1, "dropped windows free it");
+    }
+
+    #[test]
+    #[should_panic(expected = "window out of range")]
+    fn window_past_the_buffer_rejected() {
+        let _ = Window::new(&Arc::new(vec![1u32, 2]), 1..3);
     }
 
     #[test]
@@ -185,8 +258,8 @@ mod tests {
     fn sliced_views_share_one_buffer() {
         let keys = Arc::new(vec![1u64, 2, 3, 4]);
         let data = Arc::new((0..20).map(f64::from).collect::<Vec<f64>>());
-        let a = ParticleBatch::view(keys.clone(), data.clone(), 0, 1);
-        let b = ParticleBatch::view(keys.clone(), data.clone(), 1, 4);
+        let a = ParticleBatch::view(&keys, &data, 0, 1);
+        let b = ParticleBatch::view(&keys, &data, 1, 4);
         assert_eq!(a.keys(), &[1]);
         assert_eq!(b.keys(), &[2, 3, 4]);
         assert_eq!(b.coords(0), [5.0, 6.0, 7.0, 8.0, 9.0]);
@@ -202,7 +275,7 @@ mod tests {
     fn push_into_slice_rejected() {
         let keys = Arc::new(vec![1u64, 2]);
         let data = Arc::new(vec![0.0; 10]);
-        let mut b = ParticleBatch::view(keys, data, 0, 1);
+        let mut b = ParticleBatch::view(&keys, &data, 0, 1);
         b.push(9, [0.0; 5]);
     }
 }

@@ -15,20 +15,20 @@ use pic_field::{CellSlot, FieldSet, Grid2, HaloPlan, Rect};
 use pic_machine::{Outbox, PhaseCtx, PhaseKind, SpmdEngine, SpmdError};
 
 use crate::costs;
-use crate::messages::HaloData;
+use crate::messages::{HaloData, Window};
 use crate::phases::PhaseEnv;
+use crate::scratch::reuse_arc_buf;
 use crate::state::RankState;
 
-/// Pack three field components of the plan's cells in order.
-fn pack(grids: [&Grid2<f64>; 3], rect: &Rect, cells: &[CellSlot]) -> Vec<f64> {
-    let mut data = Vec::with_capacity(cells.len() * 3);
+/// Append three field components of the plan's cells, in order, to
+/// `data`.
+fn pack(grids: [&Grid2<f64>; 3], rect: &Rect, cells: &[CellSlot], data: &mut Vec<f64>) {
     for &((sx, sy), _) in cells {
         let (lx, ly) = (sx - rect.x0 + 1, sy - rect.y0 + 1);
         for g in grids {
             data.push(g[(lx, ly)]);
         }
     }
-    data
 }
 
 /// Unpack three field components into the plan's padded slots.
@@ -53,9 +53,10 @@ fn self_fill(mut grids: [&mut Grid2<f64>; 3], rect: &Rect, copies: &[CellSlot]) 
     }
 }
 
-/// One halo superstep: every rank sends the `triple` ghost cells its
-/// neighbours need; on delivery it unpacks them, fills its self-wrap
-/// slots and runs `update` on its padded block.
+/// One halo superstep: every rank packs the `triple` ghost cells its
+/// neighbours need into its halo pack buffer and sends each neighbour
+/// its window; on delivery it unpacks them, fills its self-wrap slots
+/// and runs `update` on its padded block.
 fn halo_superstep<E, U>(
     machine: &mut E,
     halo: &HaloPlan,
@@ -70,10 +71,14 @@ where
     machine.superstep(
         PhaseKind::FieldSolve,
         move |r, st, ctx, ob: &mut Outbox<HaloData>| {
+            let data = reuse_arc_buf(&mut st.scratch.halo_pack);
             for msg in halo.sends(r) {
                 ctx.charge_ops(msg.cells.len() as f64 * costs::HALO_CELL);
-                let data = pack(triple(&st.fields), &st.rect, &msg.cells);
-                ob.send(msg.to, HaloData(data));
+                pack(triple(&st.fields), &st.rect, &msg.cells, data);
+            }
+            let runs = halo.sends(r).iter().map(|m| (m.to, m.cells.len() * 3));
+            for (to, data) in Window::split(&st.scratch.halo_pack, runs) {
+                ob.send(to, HaloData(data));
             }
         },
         move |r, st, ctx, inbox| {

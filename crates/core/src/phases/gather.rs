@@ -6,18 +6,21 @@
 //! except that two fields, E and B, instead of one are the objects to be
 //! transferred" (paper Section 4).  Owners *push* field values along the
 //! `ghost_serving` lists recorded during scatter delivery, so no request
-//! round-trip is needed; the delivery half interpolates E and B at every
-//! particle.  As in scatter, a stencil inside the rank's block reads the
-//! six field planes at the four offsets of [`Cic::interior_offsets`];
-//! any other stencil goes vertex by vertex through the block or the
-//! ghost cache.
+//! round-trip is needed.  The replies are packed back to back into the
+//! rank's field pack buffer, one window per requester, and the scatter
+//! messages are dropped once answered.  The delivery half interpolates E
+//! and B at every particle.  As in scatter, a stencil inside the rank's
+//! block reads the six field planes at the four offsets of
+//! [`Cic::interior_offsets`]; any other stencil goes vertex by vertex
+//! through the block or the ghost cache.
 
 use pic_machine::{Outbox, PhaseKind, SpmdEngine, SpmdError};
 use pic_particles::Cic;
 
 use crate::costs;
-use crate::messages::GhostFields;
+use crate::messages::{GhostFields, Window};
 use crate::phases::PhaseEnv;
+use crate::scratch::reuse_arc_buf;
 use crate::state::RankState;
 
 /// Run one gather superstep.
@@ -28,18 +31,27 @@ pub fn run<E: SpmdEngine<RankState>>(machine: &mut E, env: &PhaseEnv) -> Result<
         PhaseKind::Gather,
         move |_r, st, ctx, ob: &mut Outbox<GhostFields>| {
             let nxu = nx as u32;
-            for (requester, keys) in &st.ghost_serving {
-                ctx.charge_ops(keys.len() as f64 * costs::GHOST_APPLY);
-                let entries: Vec<(u32, [f64; 6])> = keys
-                    .iter()
-                    .map(|&key| {
-                        let (gx, gy) = ((key % nxu) as usize, (key / nxu) as usize);
-                        let (lx, ly) = (gx - st.rect.x0 + 1, gy - st.rect.y0 + 1);
-                        (key, st.fields.at(lx, ly))
-                    })
-                    .collect();
-                ob.send(*requester, GhostFields(entries));
+            let RankState {
+                ghost_serving,
+                scratch,
+                fields,
+                rect,
+                ..
+            } = st;
+            let pack = reuse_arc_buf(&mut scratch.field_pack);
+            for (_, msg) in ghost_serving.iter() {
+                ctx.charge_ops(msg.0.len() as f64 * costs::GHOST_APPLY);
+                pack.extend(msg.0.iter().map(|&(key, _)| {
+                    let (gx, gy) = ((key % nxu) as usize, (key / nxu) as usize);
+                    let (lx, ly) = (gx - rect.x0 + 1, gy - rect.y0 + 1);
+                    (key, fields.at(lx, ly))
+                }));
             }
+            let runs = ghost_serving.iter().map(|(from, msg)| (*from, msg.0.len()));
+            for (requester, entries) in Window::split(&scratch.field_pack, runs) {
+                ob.send(requester, GhostFields(entries));
+            }
+            ghost_serving.clear();
         },
         move |_r, st, ctx, inbox| {
             let nxu = nx as u32;
@@ -57,7 +69,7 @@ pub fn run<E: SpmdEngine<RankState>>(machine: &mut E, env: &PhaseEnv) -> Result<
             let cache = &mut scratch.ghost_cache;
             cache.begin(nx * ny);
             for (_, GhostFields(entries)) in inbox {
-                for (k, v) in entries {
+                for &(k, v) in entries.iter() {
                     cache.insert(k, v);
                 }
             }

@@ -9,9 +9,11 @@
 //! under Hilbert alignment — skips the per-vertex wrap and ownership
 //! tests: [`Cic::interior_offsets`] gives the four flat offsets at once.
 //! Either way each vertex sums `(q·v)·w` in particle order, so both paths
-//! give the same bits.  The delivery half applies incoming ghost
-//! contributions and records who sent which vertices (`ghost_serving`) —
-//! the gather phase answers along exactly those lists.
+//! give the same bits.  The ghost table drains into the rank's ghost
+//! pack buffer, and each owner receives a window of it.  The delivery
+//! half applies incoming ghost contributions and keeps the messages as
+//! `ghost_serving` — the gather phase answers along exactly those
+//! vertex lists.
 
 use pic_machine::{Outbox, PhaseKind, SpmdEngine, SpmdError};
 use pic_particles::push::gamma_of;
@@ -78,24 +80,23 @@ pub fn run<E: SpmdEngine<RankState>>(machine: &mut E, env: &PhaseEnv) -> Result<
                     }
                 }
             }
-            for (owner, entries) in st.ghost.drain_by_owner(layout) {
-                ctx.charge_ops(entries.len() as f64 * costs::GHOST_APPLY);
-                ob.send(owner, GhostCurrents(entries));
-            }
+            st.drain_ghosts(layout, |owner, msg| {
+                ctx.charge_ops(msg.0.len() as f64 * costs::GHOST_APPLY);
+                ob.send(owner, msg);
+            });
         },
         move |_r, st, ctx, inbox| {
             let nxu = nx as u32;
-            for (from, GhostCurrents(entries)) in inbox {
-                ctx.charge_ops(entries.len() as f64 * costs::GHOST_APPLY);
-                st.ghost_serving
-                    .push((from, entries.iter().map(|e| e.0).collect()));
-                for (key, val) in entries {
+            for (from, msg) in inbox {
+                ctx.charge_ops(msg.0.len() as f64 * costs::GHOST_APPLY);
+                for &(key, val) in msg.0.iter() {
                     let (gx, gy) = ((key % nxu) as usize, (key / nxu) as usize);
                     let (lx, ly) = (gx - st.rect.x0, gy - st.rect.y0);
                     st.currents.jx[(lx, ly)] += val[0];
                     st.currents.jy[(lx, ly)] += val[1];
                     st.currents.jz[(lx, ly)] += val[2];
                 }
+                st.ghost_serving.push((from, msg));
             }
         },
     )

@@ -10,6 +10,12 @@
 //! kernels perform zero heap allocations (verified by the
 //! counting-allocator test in `tests/alloc_free.rs`).
 //!
+//! Every message payload is a window of one of the arena's `Arc`-held
+//! pack buffers: particle batches, ghost currents, ghost field replies
+//! and halo data.  A sender packs all its messages of a superstep into
+//! one buffer; `reuse_arc_buf` refills it in place once the receivers
+//! have dropped their windows, which in steady state they always have.
+//!
 //! Gather reads the rank's own field block in place: a staging copy of
 //! the fields here would cost `O(padded cells)` every iteration, however
 //! few particles the rank holds.
@@ -21,6 +27,8 @@
 use std::sync::Arc;
 
 use pic_partition::RadixScratch;
+
+use crate::ghost::GhostEntry;
 
 /// Reusable per-rank buffers; see the module docs.
 #[derive(Debug, Default)]
@@ -45,6 +53,14 @@ pub struct ScratchArena {
     pub pack_keys: Arc<Vec<u64>>,
     /// Outgoing phase-space pack, five interleaved doubles per mover.
     pub pack_data: Arc<Vec<f64>>,
+    /// Scatter-phase ghost entries, grouped by owner (the ghost table's
+    /// drain target).  Receivers keep their windows as `ghost_serving`
+    /// until the gather phase has answered them.
+    pub ghost_pack: Arc<Vec<GhostEntry>>,
+    /// Gather-phase field replies, grouped by requester.
+    pub field_pack: Arc<Vec<(u32, [f64; 6])>>,
+    /// Field-solve halo cells, grouped by neighbour.
+    pub halo_pack: Arc<Vec<f64>>,
     /// Gather-phase ghost field cache (vertex key -> E,B), rebuilt every
     /// iteration but keeping its table capacity.
     pub ghost_cache: GhostFieldCache,
@@ -69,7 +85,10 @@ impl ScratchArena {
             + self.visited.capacity() * size_of::<bool>()
             + self.counts.capacity() * size_of::<usize>()
             + self.pack_keys.capacity() * size_of::<u64>()
-            + self.pack_data.capacity() * size_of::<f64>();
+            + self.pack_data.capacity() * size_of::<f64>()
+            + self.ghost_pack.capacity() * size_of::<GhostEntry>()
+            + self.field_pack.capacity() * size_of::<(u32, [f64; 6])>()
+            + self.halo_pack.capacity() * size_of::<f64>();
         bytes += self.radix.idx.capacity() * size_of::<usize>()
             + self.radix.counts.capacity() * size_of::<usize>();
         bytes += self.ghost_cache.stamp.capacity() * size_of::<u32>()
@@ -80,10 +99,12 @@ impl ScratchArena {
 
 /// Direct-address ghost field cache with generation stamping — the same
 /// memory-for-time trade the paper's Figure 8 direct table makes for the
-/// scatter accumulator, applied to the gather phase's vertex lookups.  A
-/// `HashMap` here puts a SipHash in the innermost interpolation loop;
-/// this table answers in one stamp compare + one indexed load, and
-/// "clearing" it is a generation bump, not an `O(mesh)` sweep.
+/// scatter accumulator, applied to the gather phase's vertex lookups.
+/// Unlike the scatter table, whose kind is configured, this cache is
+/// always direct: it is read once per off-block corner in the innermost
+/// interpolation loop, where one stamp compare + one indexed load beats
+/// any probe sequence, and "clearing" it is a generation bump, not an
+/// `O(mesh)` sweep.
 #[derive(Debug, Default)]
 pub struct GhostFieldCache {
     /// Per-vertex generation stamp; a stale stamp means "absent".

@@ -1,12 +1,12 @@
 //! Per-rank state of the parallel PIC simulation.
 
-use pic_field::{CurrentSet, FieldSet, Rect};
+use pic_field::{BlockLayout, CurrentSet, FieldSet, Rect};
 use pic_particles::Particles;
 use pic_partition::BucketIncrementalSorter;
 
 use crate::config::SimConfig;
 use crate::ghost::{make_accumulator, GhostAccumulator};
-use crate::messages::ParticleBatch;
+use crate::messages::{GhostCurrents, ParticleBatch, Window};
 use crate::scratch::{reuse_arc_buf, ScratchArena};
 
 /// Everything one virtual processor owns.
@@ -33,11 +33,12 @@ pub struct RankState {
     pub bounds: Vec<u64>,
     /// Ghost accumulation table for the scatter phase.
     pub ghost: Box<dyn GhostAccumulator + Send>,
-    /// Which ghost vertex indices each other rank deposited here this
-    /// iteration — the gather phase pushes field values back along these
-    /// lists ("the communication behavior is just the inverse of the
-    /// scatter phase").
-    pub ghost_serving: Vec<(usize, Vec<u32>)>,
+    /// The ghost contributions each other rank deposited here this
+    /// iteration, as received — the gather phase pushes field values
+    /// back along their vertex lists ("the communication behavior is
+    /// just the inverse of the scatter phase") and then drops them, so
+    /// the senders can refill their pack buffers.
+    pub ghost_serving: Vec<(usize, GhostCurrents)>,
     /// Interpolated E at each particle (filled by the gather phase).
     pub e_at: Vec<[f64; 3]>,
     /// Interpolated B at each particle.
@@ -79,6 +80,21 @@ impl RankState {
     /// True when the rank holds no particles.
     pub fn is_empty(&self) -> bool {
         self.particles.is_empty()
+    }
+
+    /// Drain the ghost table into the arena's ghost pack buffer and hand
+    /// `send` one [`GhostCurrents`] window of it per owner rank, owners
+    /// ascending.  Once warm, this allocates nothing.
+    pub fn drain_ghosts(
+        &mut self,
+        layout: &BlockLayout,
+        mut send: impl FnMut(usize, GhostCurrents),
+    ) {
+        let pack = &mut self.scratch.ghost_pack;
+        let runs = self.ghost.drain_by_owner(layout, reuse_arc_buf(pack));
+        for (owner, entries) in Window::split(pack, runs.iter().copied()) {
+            send(owner, GhostCurrents(entries));
+        }
     }
 
     /// Zero-copy outgoing exchange: consume `scratch.dests` (destination
@@ -158,15 +174,14 @@ impl RankState {
         self.particles.truncate(w);
         // counts[d] is now dest d's END offset; regions tile [0, movers)
         // in ascending dest order, so a cursor walk recovers the windows
-        let keys_arc = self.scratch.pack_keys.clone();
-        let data_arc = self.scratch.pack_data.clone();
+        let scratch = &self.scratch;
         let mut start = 0usize;
         for d in 0..nranks {
-            let end = self.scratch.counts[d];
+            let end = scratch.counts[d];
             if end > start {
                 send(
                     d,
-                    ParticleBatch::view(keys_arc.clone(), data_arc.clone(), start, end),
+                    ParticleBatch::view(&scratch.pack_keys, &scratch.pack_data, start, end),
                 );
             }
             start = end;

@@ -4,15 +4,19 @@
 //! is warm, the per-iteration particle kernels — key refresh, bound
 //! classification, pack/exchange, incremental radix sort, the
 //! cycle-decomposition permutation and the order-maintaining balance
-//! merge — and the Maxwell field update
-//! (`update_b_padded` + `update_e_padded`, in place on the rank's padded
-//! block) perform **zero** heap allocations.  Everything lives in buffers
-//! owned by [`pic_core::ScratchArena`] and the rank's own arrays, whose
-//! capacity is retained across iterations.
+//! merge — the scatter phase's ghost path (table adds, the drain into
+//! the arena's ghost pack buffer, one window per owner) and the Maxwell
+//! field update (`update_b_padded` + `update_e_padded`, in place on the
+//! rank's padded block) perform **zero** heap allocations.  Everything
+//! lives in buffers owned by [`pic_core::ScratchArena`], the ghost table
+//! and the rank's own arrays, whose capacity is retained across
+//! iterations.  Message payloads are windows of the arena's pack
+//! buffers, so sending one allocates nothing either.
 //!
-//! The boundary is deliberate: the *message layer* (ghost-entry vectors,
-//! per-superstep channel plumbing) still allocates per iteration, so the
-//! full simulation is checked only for *bounded, non-growing* counts.
+//! The boundary is deliberate: the *executors* still allocate per
+//! superstep — each rank's outbox, the routed inboxes, the worker pool's
+//! job and result vectors, the statistics rows — so the full simulation
+//! is checked only for *bounded, non-growing* counts.
 //!
 //! Debug builds run the radix-vs-comparison oracle, which clones the
 //! index buffer per sort; the strict zero assertion therefore applies to
@@ -23,9 +27,9 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use pic_core::messages::ParticleBatch;
+use pic_core::messages::{GhostCurrents, ParticleBatch};
 use pic_core::{ParallelPicSim, RankState, SimConfig};
-use pic_field::{MaxwellSolver, Rect};
+use pic_field::{BlockLayout, MaxwellSolver, Rect};
 use pic_index::{CellIndexer, HilbertIndexer};
 use pic_partition::{assign_keys_into, classify_by_bounds_into};
 
@@ -72,14 +76,17 @@ fn count_allocs(f: impl FnOnce()) -> u64 {
 /// neighbouring ranks and come straight back as their batches, which the
 /// merge appends and rotates into place.  Mirrors the redistribute
 /// phase's use of the arena exactly, with the exchanges looped back
-/// locally.
+/// locally.  Then the scatter phase's ghost path: every particle adds
+/// to the four corners of its cell, and the table drains into one ghost
+/// message per owner of `layout`.
 fn kernel_cycle(
     st: &mut RankState,
     indexer: &dyn CellIndexer,
-    dx: f64,
-    dy: f64,
+    (dx, dy): (f64, f64),
     bounds: &[u64],
+    layout: &BlockLayout,
     stash: &mut Vec<(usize, ParticleBatch)>,
+    ghosts: &mut Vec<(usize, GhostCurrents)>,
 ) {
     let mut keys = std::mem::take(&mut st.keys);
     assign_keys_into(&st.particles, indexer, dx, dy, &mut keys);
@@ -107,6 +114,20 @@ fn kernel_cycle(
     stash.clear();
 
     st.rebuild_sorter();
+
+    let (nx, ny) = (layout.nx() as u32, layout.ny() as u32);
+    for i in 0..st.len() {
+        let (cx, cy) = (
+            (st.particles.x[i] / dx) as u32,
+            (st.particles.y[i] / dy) as u32,
+        );
+        for (gx, gy) in [(cx, cy), (cx + 1, cy), (cx, cy + 1), (cx + 1, cy + 1)] {
+            st.ghost.add(gx % nx, gy % ny, [0.25, -0.5, 1.0]);
+        }
+    }
+    st.drain_ghosts(layout, |owner, msg| ghosts.push((owner, msg)));
+    assert!(ghosts.len() > 1, "the ghost entries span several owners");
+    ghosts.clear(); // delivered: drop the windows so the pack buffer is reused
 }
 
 /// Upper bound for debug builds: the radix oracle clones the index
@@ -143,14 +164,33 @@ fn steady_state_kernels_do_not_allocate() {
     let mid = indexer.index(cfg.nx / 2, cfg.ny / 2);
     let bounds = vec![mid, u64::MAX];
     let mut stash: Vec<(usize, ParticleBatch)> = Vec::new();
+    // scatter targets: a 2x2 block grid, so every rank owns some corners
+    let layout = BlockLayout::new_2d(cfg.nx, cfg.ny, 2, 2);
+    let mut ghosts: Vec<(usize, GhostCurrents)> = Vec::new();
 
     // two warm-up cycles grow every buffer to its steady capacity
     for _ in 0..2 {
-        kernel_cycle(&mut st, &indexer, dx, dy, &bounds, &mut stash);
+        kernel_cycle(
+            &mut st,
+            &indexer,
+            (dx, dy),
+            &bounds,
+            &layout,
+            &mut stash,
+            &mut ghosts,
+        );
     }
     let allocs = count_allocs(|| {
         for _ in 0..3 {
-            kernel_cycle(&mut st, &indexer, dx, dy, &bounds, &mut stash);
+            kernel_cycle(
+                &mut st,
+                &indexer,
+                (dx, dy),
+                &bounds,
+                &layout,
+                &mut stash,
+                &mut ghosts,
+            );
         }
     });
     assert_eq!(st.len(), n, "loopback exchange must conserve particles");
@@ -185,7 +225,7 @@ fn steady_state_kernels_do_not_allocate() {
     );
 
     // ---- Part 2: the full modeled simulation stays bounded ----
-    // The message layer allocates per superstep, so a full iteration is
+    // The executors allocate per superstep, so a full iteration is
     // not zero-alloc; the regression gate is that steady-state
     // iterations do not allocate *more* over time (no per-iteration
     // leak/growth).  The modeled machine is deterministic and a periodic

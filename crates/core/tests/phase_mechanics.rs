@@ -3,6 +3,7 @@
 //! analytic values, and the scatter and gather kernels checked bit for
 //! bit against a per-corner reference on hostile layouts.
 
+use pic_core::messages::GhostCurrents;
 use pic_core::phases::{self, PhaseEnv};
 use pic_core::{GenericPicSim, ParallelPicSim, RankState, SimConfig};
 use pic_machine::{MachineConfig, MemoryRecorder, SharedRecorder, SpmdEngine, TraceEvent};
@@ -156,8 +157,10 @@ fn field_solve_matches_sequential_reference_per_step() {
 /// `[Ex,Ey,Ez,Bx,By,Bz]` copy of the padded field block.  The production
 /// kernels must reproduce them bit for bit.
 mod reference {
+    use std::sync::Arc;
+
     use pic_core::costs;
-    use pic_core::messages::{GhostCurrents, GhostFields};
+    use pic_core::messages::{GhostCurrents, GhostFields, Window};
     use pic_core::phases::PhaseEnv;
     use pic_core::RankState;
     use pic_machine::{Outbox, PhaseKind, SpmdEngine};
@@ -202,24 +205,29 @@ mod reference {
                             }
                         }
                     }
-                    for (owner, entries) in st.ghost.drain_by_owner(layout) {
-                        ctx.charge_ops(entries.len() as f64 * costs::GHOST_APPLY);
-                        ob.send(owner, GhostCurrents(entries));
+                    // a fresh buffer per superstep and one message per owner
+                    let mut out = Vec::new();
+                    let runs = st.ghost.drain_by_owner(layout, &mut out).to_vec();
+                    let out = Arc::new(out);
+                    let mut start = 0;
+                    for (owner, len) in runs {
+                        ctx.charge_ops(len as f64 * costs::GHOST_APPLY);
+                        ob.send(owner, GhostCurrents(Window::new(&out, start..start + len)));
+                        start += len;
                     }
                 },
                 move |_r, st, ctx, inbox| {
                     let nxu = nx as u32;
-                    for (from, GhostCurrents(entries)) in inbox {
-                        ctx.charge_ops(entries.len() as f64 * costs::GHOST_APPLY);
-                        st.ghost_serving
-                            .push((from, entries.iter().map(|e| e.0).collect()));
-                        for (key, val) in entries {
+                    for (from, msg) in inbox {
+                        ctx.charge_ops(msg.0.len() as f64 * costs::GHOST_APPLY);
+                        for &(key, val) in msg.0.iter() {
                             let (gx, gy) = ((key % nxu) as usize, (key / nxu) as usize);
                             let (lx, ly) = (gx - st.rect.x0, gy - st.rect.y0);
                             st.currents.jx[(lx, ly)] += val[0];
                             st.currents.jy[(lx, ly)] += val[1];
                             st.currents.jz[(lx, ly)] += val[2];
                         }
+                        st.ghost_serving.push((from, msg));
                     }
                 },
             )
@@ -234,17 +242,18 @@ mod reference {
                 PhaseKind::Gather,
                 move |_r, st, ctx, ob: &mut Outbox<GhostFields>| {
                     let nxu = nx as u32;
-                    for (requester, keys) in &st.ghost_serving {
-                        ctx.charge_ops(keys.len() as f64 * costs::GHOST_APPLY);
-                        let entries: Vec<(u32, [f64; 6])> = keys
+                    for (requester, msg) in std::mem::take(&mut st.ghost_serving) {
+                        ctx.charge_ops(msg.0.len() as f64 * costs::GHOST_APPLY);
+                        let entries: Vec<(u32, [f64; 6])> = msg
+                            .0
                             .iter()
-                            .map(|&key| {
+                            .map(|&(key, _)| {
                                 let (gx, gy) = ((key % nxu) as usize, (key / nxu) as usize);
                                 let (lx, ly) = (gx - st.rect.x0 + 1, gy - st.rect.y0 + 1);
                                 (key, st.fields.at(lx, ly))
                             })
                             .collect();
-                        ob.send(*requester, GhostFields(entries));
+                        ob.send(requester, GhostFields(entries.into()));
                     }
                 },
                 move |_r, st, ctx, inbox| {
@@ -252,7 +261,7 @@ mod reference {
                     let cache = &mut st.scratch.ghost_cache;
                     cache.begin(nx * ny);
                     for (_, GhostFields(entries)) in inbox {
-                        for (k, v) in entries {
+                        for &(k, v) in entries.iter() {
                             cache.insert(k, v);
                         }
                     }
@@ -317,12 +326,13 @@ enum Kernels {
 
 /// A hostile but valid layout: a config and where its particles sit.
 struct Case {
-    name: &'static str,
+    name: String,
     cfg: SimConfig,
     /// Global particle positions, dealt round-robin over the ranks.
     positions: Vec<(f64, f64)>,
 }
 
+/// Every hostile layout, once under each ghost table kind.
 fn hostile_cases() -> Vec<Case> {
     let base = |nx, ny, ranks| SimConfig {
         nx,
@@ -377,44 +387,57 @@ fn hostile_cases() -> Vec<Case> {
         dx: 0.7,
         dy: 0.3,
         dt: 0.1,
-        dedup: pic_core::DedupKind::Direct,
         ..base(50, 30, 7)
     };
     let two = base(8, 4, 2);
     let four = base(16, 16, 4);
     let mut g = Lcg(5);
-    vec![
+    let layouts = vec![
         Case {
-            name: "one rank",
+            name: "one rank".into(),
             positions: [random(&one_rank, 60, 1), edges(&one_rank)].concat(),
             cfg: one_rank,
         },
         Case {
-            name: "1x1-cell blocks",
+            name: "1x1-cell blocks".into(),
             positions: [random(&unit_blocks, 60, 2), edges(&unit_blocks)].concat(),
             cfg: unit_blocks,
         },
         Case {
-            name: "50x30 mesh on 7 ranks",
+            name: "50x30 mesh on 7 ranks".into(),
             positions: [random(&odd, 1500, 3), edges(&odd)].concat(),
             cfg: odd,
         },
         Case {
-            name: "block edges on 2 ranks",
+            name: "block edges on 2 ranks".into(),
             positions: edges(&two),
             cfg: two,
         },
         Case {
-            name: "all in one cell at a 4-block corner",
+            name: "all in one cell at a 4-block corner".into(),
             positions: (0..200).map(|_| (7.0 + g.next(), 7.0 + g.next())).collect(),
             cfg: four.clone(),
         },
         Case {
-            name: "all in one block-interior cell",
+            name: "all in one block-interior cell".into(),
             positions: (0..200).map(|_| (2.0 + g.next(), 3.0 + g.next())).collect(),
             cfg: four,
         },
-    ]
+    ];
+    let kinds = [pic_core::DedupKind::Hash, pic_core::DedupKind::Direct];
+    layouts
+        .into_iter()
+        .flat_map(|case| {
+            kinds.map(|dedup| Case {
+                name: format!("{} ({dedup:?} table)", case.name),
+                cfg: SimConfig {
+                    dedup,
+                    ..case.cfg.clone()
+                },
+                positions: case.positions.clone(),
+            })
+        })
+        .collect()
 }
 
 /// The case's engine after two ordinary iterations, with the particles
@@ -446,12 +469,17 @@ fn prepared<E: SpmdEngine<RankState>>(case: &Case, only: Option<usize>) -> E {
     sim.into_machine()
 }
 
+/// Every rank's `ghost_serving` as `(sender, vertices)` lists.
+type Serving = Vec<Vec<(usize, Vec<u32>)>>;
+
+/// Run the scatter kernel, then the gather kernel if `gather`.  Returns
+/// the ghost lists scatter left for gather, which gather consumes.
 fn run_kernels<E: SpmdEngine<RankState>>(
     m: &mut E,
     cfg: &SimConfig,
     kernels: Kernels,
     gather: bool,
-) {
+) -> Serving {
     let layout = pic_partition::sfc_block_layout(cfg.nx, cfg.ny, cfg.machine.ranks, cfg.scheme);
     let halo = pic_field::HaloPlan::build(&layout);
     let indexer = cfg.scheme.build(cfg.nx, cfg.ny);
@@ -464,19 +492,30 @@ fn run_kernels<E: SpmdEngine<RankState>>(
         solver: &solver,
     };
     match kernels {
-        Kernels::Production => {
-            phases::scatter::run(m, &env).expect("scatter");
-            if gather {
-                phases::gather::run(m, &env).expect("gather");
-            }
+        Kernels::Production => phases::scatter::run(m, &env).expect("scatter"),
+        Kernels::Reference => reference::scatter(m, &env),
+    }
+    let serving = m
+        .ranks()
+        .iter()
+        .map(|st| {
+            let keys = |msg: &GhostCurrents| msg.0.iter().map(|e| e.0).collect();
+            st.ghost_serving
+                .iter()
+                .map(|(from, msg)| (*from, keys(msg)))
+                .collect()
+        })
+        .collect();
+    if gather {
+        match kernels {
+            Kernels::Production => phases::gather::run(m, &env).expect("gather"),
+            Kernels::Reference => reference::gather(m, &env),
         }
-        Kernels::Reference => {
-            reference::scatter(m, &env);
-            if gather {
-                reference::gather(m, &env);
-            }
+        for st in m.ranks() {
+            assert!(st.ghost_serving.is_empty(), "gather answers every list");
         }
     }
+    serving
 }
 
 /// What one scatter + gather leaves on a rank, floats as bits.
@@ -496,19 +535,20 @@ fn outcome<E: SpmdEngine<RankState>>(
     let mut m: E = prepared(case, None);
     let trace = SharedRecorder::new(MemoryRecorder::new());
     m.instruments_mut().recorder = Some(Box::new(trace.clone()));
-    run_kernels(&mut m, &case.cfg, kernels, true);
+    let serving = run_kernels(&mut m, &case.cfg, kernels, true);
     let bits = |g: &pic_field::Grid2<f64>| g.as_slice().iter().map(|x| x.to_bits()).collect();
     let bits3 = |v: &[[f64; 3]]| v.iter().map(|a| a.map(f64::to_bits)).collect();
     let ranks = m
         .ranks()
         .iter()
-        .map(|st| RankOutcome {
+        .zip(serving)
+        .map(|(st, ghost_serving)| RankOutcome {
             j: [
                 bits(&st.currents.jx),
                 bits(&st.currents.jy),
                 bits(&st.currents.jz),
             ],
-            ghost_serving: st.ghost_serving.clone(),
+            ghost_serving,
             e_at: bits3(&st.e_at),
             b_at: bits3(&st.b_at),
         })
@@ -528,9 +568,9 @@ fn outgoing<E: SpmdEngine<RankState>>(case: &Case, kernels: Kernels) -> Vec<Ghos
     let mut out = Vec::new();
     for s in 0..case.cfg.machine.ranks {
         let mut m: E = prepared(case, Some(s));
-        run_kernels(&mut m, &case.cfg, kernels, false);
-        for (r, st) in m.ranks().iter().enumerate() {
-            for (from, keys) in &st.ghost_serving {
+        let serving = run_kernels(&mut m, &case.cfg, kernels, false);
+        for (r, (st, lists)) in m.ranks().iter().zip(serving).enumerate() {
+            for (from, keys) in &lists {
                 assert_eq!(*from, s, "{}: only rank {s} scattered", case.name);
                 let entries = keys
                     .iter()

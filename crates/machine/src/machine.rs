@@ -117,6 +117,9 @@ pub struct Machine<S> {
     width: usize,
     /// One worker per chunk of ranks, started on first use.
     pool: Option<WorkerPool>,
+    /// The router's per-destination message counts, reused across
+    /// supersteps.
+    inbox_sizes: Vec<usize>,
 }
 
 impl<S: Send> Machine<S> {
@@ -148,6 +151,7 @@ impl<S: Send> Machine<S> {
             acct: Accounting::new(false),
             width,
             pool: None,
+            inbox_sizes: Vec::new(),
         }
     }
 
@@ -316,7 +320,17 @@ impl<S: Send> SpmdEngine<S> for Machine<S> {
             let start = m.clocks.first().map_or(0.0, Clock::total_s);
             let rec = m.acct.begin(phase, start);
             rec.ranks.resize(p, RankEntry::default());
-            let mut inboxes: Vec<Vec<(usize, M)>> = (0..p).map(|_| Vec::new()).collect();
+            // each inbox is allocated once, at its final size
+            m.inbox_sizes.clear();
+            m.inbox_sizes.resize(p, 0);
+            for (to, _) in outputs.iter().flat_map(|(msgs, _)| msgs) {
+                m.inbox_sizes[*to] += 1;
+            }
+            let mut inboxes: Vec<Vec<(usize, M)>> = m
+                .inbox_sizes
+                .iter()
+                .map(|&n| Vec::with_capacity(n))
+                .collect();
             for (from, (msgs, ops)) in outputs.into_iter().enumerate() {
                 // op units until `settle` charges them
                 rec.ranks[from].compute_s = ops;

@@ -16,57 +16,15 @@ impl Payload for Vec<f64> {
     }
 }
 
-impl Payload for Vec<f32> {
-    fn size_bytes(&self) -> usize {
-        self.len() * 4
-    }
-}
-
 impl Payload for Vec<u64> {
     fn size_bytes(&self) -> usize {
         self.len() * 8
     }
 }
 
-impl Payload for Vec<u32> {
-    fn size_bytes(&self) -> usize {
-        self.len() * 4
-    }
-}
-
 impl Payload for Vec<u8> {
     fn size_bytes(&self) -> usize {
         self.len()
-    }
-}
-
-/// `(grid index, value)` pairs — the scatter phase's coalesced ghost-point
-/// updates (4-byte packed index + 8-byte value, as a 1996 code would pack).
-impl Payload for Vec<(u32, f64)> {
-    fn size_bytes(&self) -> usize {
-        self.len() * 12
-    }
-}
-
-/// `(grid index, Ex, Ey, Ez, Bx, By, Bz)` — gather-phase field replies.
-impl Payload for Vec<(u32, [f64; 6])> {
-    fn size_bytes(&self) -> usize {
-        self.len() * (4 + 48)
-    }
-}
-
-/// Shared payloads are free to clone and charge the inner wire size:
-/// zero-copy fan-out wraps one packed buffer in an `Arc` and sends the
-/// same bytes to several destinations (each still pays μ per byte).
-impl<T: Payload + Send + Sync> Payload for std::sync::Arc<T> {
-    fn size_bytes(&self) -> usize {
-        self.as_ref().size_bytes()
-    }
-}
-
-impl<A: Payload, B: Payload> Payload for (A, B) {
-    fn size_bytes(&self) -> usize {
-        self.0.size_bytes() + self.1.size_bytes()
     }
 }
 
@@ -83,15 +41,8 @@ mod tests {
     #[test]
     fn vec_sizes_reflect_element_width() {
         assert_eq!(vec![1.0f64; 3].size_bytes(), 24);
-        assert_eq!(vec![1.0f32; 3].size_bytes(), 12);
+        assert_eq!(vec![1u64; 2].size_bytes(), 16);
         assert_eq!(vec![1u8; 5].size_bytes(), 5);
-        assert_eq!(vec![(7u32, 1.0f64); 2].size_bytes(), 24);
-    }
-
-    #[test]
-    fn tuple_sums_components() {
-        let p = (vec![0u32; 2], vec![0.0f64; 1]);
-        assert_eq!(p.size_bytes(), 8 + 8);
     }
 
     #[test]
