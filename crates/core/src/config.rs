@@ -11,7 +11,9 @@ use serde::{Deserialize, Serialize};
 /// list and share one drain, so they put the same bits on the wire; they
 /// differ in memory and in the modeled cost per access
 /// ([`crate::costs::GHOST_ADD_HASH`] against
-/// [`crate::costs::GHOST_ADD_DIRECT`]).
+/// [`crate::costs::GHOST_ADD_DIRECT`]).  The gather phase finds the
+/// owners' field replies through the same table, so the kind sets the
+/// memory of both phases.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum DedupKind {
     /// Hash table (open addressing, linear probing): memory proportional

@@ -14,12 +14,14 @@
 //! Jz])` in first-touch order, and share one drain: it tags each entry
 //! with its owner rank, sorts the list in place by `(owner, vertex)` and
 //! copies it into the caller's pack buffer, which the scatter phase then
-//! slices into one message per owner.  The hash table
+//! slices into one message per owner.  The drain leaves each vertex
+//! mapped to its index there, where the gather phase finds the owners'
+//! replies, so the Figure 8 trade holds for both phases.  The hash table
 //! is open addressing over a power-of-two slot array (linear probing,
 //! multiplicative hash of the packed vertex); its slots hold `(vertex,
 //! entry index)`, so its memory stays proportional to the ghost set.
-//! Every buffer keeps its capacity across drains: a warm table adds and
-//! drains without touching the heap.
+//! Every buffer keeps its capacity across rounds: a warm table adds,
+//! drains and looks up without touching the heap.
 
 use pic_field::BlockLayout;
 
@@ -30,20 +32,29 @@ use crate::config::DedupKind;
 pub type GhostEntry = (u32, [f64; 3]);
 
 /// Accumulates off-block vertex contributions, deduplicating by vertex.
+/// A round is `clear`, `add`s, `drain_by_owner`, then `position` lookups.
 pub trait GhostAccumulator {
     /// Add a contribution to the global vertex `(gx, gy)`.
     fn add(&mut self, gx: u32, gy: u32, val: [f64; 3]);
 
-    /// Number of distinct ghost vertices accumulated.
+    /// Number of distinct ghost vertices accumulated and not yet drained.
     fn distinct(&self) -> usize;
 
     /// Op units charged per `add` (differs between implementations).
     fn add_cost(&self) -> f64;
 
-    /// Drain the table into `out` (cleared first), sorted by owner rank
+    /// Start a new round: forget every vertex.  Keeps capacity.
+    fn clear(&mut self);
+
+    /// Index of vertex `(gx, gy)` in the last drain's output, or `None`
+    /// if it was not drained since the last `clear`.
+    fn position(&self, gx: u32, gy: u32) -> Option<usize>;
+
+    /// Drain the entries into `out` (cleared first), sorted by owner rank
     /// and, within an owner, by packed vertex index (deterministic wire
     /// order).  Returns the `(owner, entry count)` runs of `out`, owners
-    /// ascending.  The accumulator is left empty and reusable.
+    /// ascending.  The table then answers `position` for every drained
+    /// vertex; call `clear` before adding again.
     fn drain_by_owner(
         &mut self,
         layout: &BlockLayout,
@@ -59,7 +70,7 @@ struct Entries {
     /// sum)`.  The drain fills in the owner (the slot is free padding
     /// next to the vertex) and sorts the list in place.
     list: Vec<(u32, u32, [f64; 3])>,
-    /// `(owner, entry count)` runs of the last drain.
+    /// `(owner, entry count)` runs of the last drain; empty once cleared.
     runs: Vec<(usize, usize)>,
 }
 
@@ -83,6 +94,7 @@ impl Entries {
     /// Start a new entry; returns its index.
     #[inline]
     fn push(&mut self, key: u32, val: [f64; 3]) -> u32 {
+        debug_assert!(self.runs.is_empty(), "add after a drain without clear");
         self.list.push((key, 0, val));
         (self.list.len() - 1) as u32
     }
@@ -120,8 +132,8 @@ const MIN_SLOTS: usize = 16;
 #[derive(Debug)]
 pub struct HashTableAccumulator {
     entries: Entries,
-    /// `(packed vertex, entry index)`, or `(EMPTY, _)`; power-of-two
-    /// length, kept across drains.
+    /// `(packed vertex, entry index, then drain position)`, or `(EMPTY,
+    /// _)`; power-of-two length, kept across rounds.
     slots: Vec<(u32, u32)>,
     /// `32 - log2(slots.len())`: the multiplicative hash keeps the top
     /// bits of the product.
@@ -138,11 +150,16 @@ impl HashTableAccumulator {
         }
     }
 
-    /// Home slot of `key` (Fibonacci hashing: vertices that share their
-    /// low bits still spread over the table).
+    /// The slot holding `key`, or the free slot where it goes; Fibonacci
+    /// hashing spreads vertices that share their low bits.
     #[inline]
-    fn home(key: u32, shift: u32) -> usize {
-        (key.wrapping_mul(0x9E37_79B9) >> shift) as usize
+    fn probe(slots: &[(u32, u32)], shift: u32, key: u32) -> usize {
+        let mask = slots.len() - 1;
+        let mut s = (key.wrapping_mul(0x9E37_79B9) >> shift) as usize;
+        while slots[s].0 != key && slots[s].0 != EMPTY {
+            s = (s + 1) & mask;
+        }
+        s
     }
 
     /// Double the slot array and re-insert every live entry.
@@ -151,12 +168,8 @@ impl HashTableAccumulator {
         self.shift -= 1;
         self.slots.clear();
         self.slots.resize(cap, (EMPTY, 0));
-        let mask = cap - 1;
         for (i, &(key, _, _)) in self.entries.list.iter().enumerate() {
-            let mut s = Self::home(key, self.shift);
-            while self.slots[s].0 != EMPTY {
-                s = (s + 1) & mask;
-            }
+            let s = Self::probe(&self.slots, self.shift, key);
             self.slots[s] = (key, i as u32);
         }
     }
@@ -165,22 +178,14 @@ impl HashTableAccumulator {
 impl GhostAccumulator for HashTableAccumulator {
     fn add(&mut self, gx: u32, gy: u32, val: [f64; 3]) {
         let key = gy * self.entries.nx + gx;
-        let mask = self.slots.len() - 1;
-        let mut s = Self::home(key, self.shift);
-        loop {
-            let (k, i) = self.slots[s];
-            if k == key {
-                self.entries.accumulate(i, val);
-                return;
+        let s = Self::probe(&self.slots, self.shift, key);
+        if self.slots[s].0 == key {
+            self.entries.accumulate(self.slots[s].1, val);
+        } else {
+            self.slots[s] = (key, self.entries.push(key, val));
+            if self.entries.list.len() * 2 > self.slots.len() {
+                self.grow();
             }
-            if k == EMPTY {
-                self.slots[s] = (key, self.entries.push(key, val));
-                if self.entries.list.len() * 2 > self.slots.len() {
-                    self.grow();
-                }
-                return;
-            }
-            s = (s + 1) & mask;
         }
     }
 
@@ -192,13 +197,29 @@ impl GhostAccumulator for HashTableAccumulator {
         crate::costs::GHOST_ADD_HASH
     }
 
+    fn clear(&mut self) {
+        self.slots.fill((EMPTY, 0));
+        self.entries.list.clear();
+        self.entries.runs.clear();
+    }
+
+    fn position(&self, gx: u32, gy: u32) -> Option<usize> {
+        let key = gy * self.entries.nx + gx;
+        let (k, i) = self.slots[Self::probe(&self.slots, self.shift, key)];
+        (k == key).then_some(i as usize)
+    }
+
     fn drain_by_owner(
         &mut self,
         layout: &BlockLayout,
         out: &mut Vec<GhostEntry>,
     ) -> &[(usize, usize)] {
-        self.slots.fill((EMPTY, 0));
-        self.entries.drain(layout, out)
+        let runs = self.entries.drain(layout, out);
+        for (pos, &(key, _)) in out.iter().enumerate() {
+            let s = Self::probe(&self.slots, self.shift, key);
+            self.slots[s].1 = pos as u32;
+        }
+        runs
     }
 }
 
@@ -211,7 +232,7 @@ pub struct DirectTableAccumulator {
     entries: Entries,
     /// Per-vertex generation stamp; a stale stamp means "empty".
     stamp: Vec<u32>,
-    /// Per-vertex entry index when the stamp is current.
+    /// Per-vertex entry index, then drain position, if the stamp is current.
     slot: Vec<u32>,
     generation: u32,
 }
@@ -249,18 +270,32 @@ impl GhostAccumulator for DirectTableAccumulator {
         crate::costs::GHOST_ADD_DIRECT
     }
 
-    fn drain_by_owner(
-        &mut self,
-        layout: &BlockLayout,
-        out: &mut Vec<GhostEntry>,
-    ) -> &[(usize, usize)] {
+    fn clear(&mut self) {
         self.generation = self.generation.wrapping_add(1);
         if self.generation == 0 {
             // stamp wrap-around: reset to a clean state
             self.stamp.fill(0);
             self.generation = 1;
         }
-        self.entries.drain(layout, out)
+        self.entries.list.clear();
+        self.entries.runs.clear();
+    }
+
+    fn position(&self, gx: u32, gy: u32) -> Option<usize> {
+        let k = (gy * self.entries.nx + gx) as usize;
+        (self.stamp[k] == self.generation).then_some(self.slot[k] as usize)
+    }
+
+    fn drain_by_owner(
+        &mut self,
+        layout: &BlockLayout,
+        out: &mut Vec<GhostEntry>,
+    ) -> &[(usize, usize)] {
+        let runs = self.entries.drain(layout, out);
+        for (pos, &(key, _)) in out.iter().enumerate() {
+            self.slot[key as usize] = pos as u32;
+        }
+        runs
     }
 }
 
@@ -324,6 +359,7 @@ mod tests {
         accumulate(&mut acc);
         let first = drain(&mut acc);
         assert_eq!(acc.distinct(), 0);
+        acc.clear();
         accumulate(&mut acc);
         assert_eq!(first, drain(&mut acc));
     }
@@ -334,6 +370,7 @@ mod tests {
         accumulate(&mut acc);
         let first = drain(&mut acc);
         assert_eq!(acc.distinct(), 0);
+        acc.clear();
         accumulate(&mut acc);
         assert_eq!(first, drain(&mut acc));
     }
@@ -366,6 +403,8 @@ mod tests {
             assert_eq!(v, [f64::from(k) + 1.0; 3]);
         }
         assert_eq!(acc.slots.len(), cap, "capacity kept across drains");
+        acc.clear();
+        assert_eq!(acc.slots.len(), cap, "capacity kept across rounds");
         assert!(acc.slots.iter().all(|s| s.0 == EMPTY));
     }
 
@@ -374,12 +413,16 @@ mod tests {
         let mut acc = DirectTableAccumulator::new(8, 8);
         accumulate(&mut acc);
         let first = drain(&mut acc);
+        acc.clear();
         acc.generation = u32::MAX;
         accumulate(&mut acc);
         assert_eq!(first, drain(&mut acc));
+        acc.clear();
         assert_eq!(acc.generation, 1, "wrapped to a clean table");
+        assert_eq!(acc.position(1, 1), None, "no stamp survives the wrap");
         accumulate(&mut acc);
         assert_eq!(first, drain(&mut acc));
+        assert_eq!(acc.position(5, 5), Some(1));
     }
 
     #[test]
@@ -472,10 +515,12 @@ mod tests {
 
         proptest! {
             /// A mesh of at least 64 vertices (often not a power of two
-            /// wide) on a block grid, and three drains in a row on one
+            /// wide) on a block grid, and three rounds in a row on one
             /// table of each kind.  The first batch starts with a sweep
             /// over at least 64 distinct vertices: three growths of the
-            /// hash table.
+            /// hash table.  After each drain every drained vertex sits at
+            /// its index in the output and no other vertex is found;
+            /// after `clear` no vertex is found.
             #[test]
             fn both_tables_drain_like_an_ordered_map(
                 (nx, ny, pr, pc) in (8usize..40, 8usize..40, 1usize..4, 1usize..4),
@@ -485,6 +530,7 @@ mod tests {
                 let mut hash = HashTableAccumulator::new(nx);
                 let mut direct = DirectTableAccumulator::new(nx, ny);
                 let (nxu, m) = (nx as u32, (nx * ny) as u32);
+                let pos = |t: &dyn GhostAccumulator, k: u32| t.position(k % nxu, k / nxu);
                 for (i, batch) in batches.iter().enumerate() {
                     let sweep = (0..if i == 0 { m.min(200) } else { 0 })
                         .map(|k| (k, [f64::from(k) * 0.5, -1.0, 0.25]));
@@ -499,10 +545,21 @@ mod tests {
                         prop_assert!(hash.slots.len() >= 128, "three growths from 16 slots");
                     }
                     let want = reference(&adds, nxu, &layout);
+                    let at: BTreeMap<u32, usize> =
+                        want.0.iter().enumerate().map(|(j, e)| (e.0, j)).collect();
                     prop_assert_eq!(bits(&mut hash, &layout), want.clone());
                     prop_assert_eq!(bits(&mut direct, &layout), want);
                     prop_assert_eq!(hash.distinct(), 0);
                     prop_assert_eq!(direct.distinct(), 0);
+                    for table in [&mut hash as &mut dyn GhostAccumulator, &mut direct] {
+                        for key in 0..m {
+                            prop_assert_eq!(pos(&*table, key), at.get(&key).copied());
+                        }
+                        table.clear();
+                        for key in 0..m {
+                            prop_assert_eq!(pos(&*table, key), None);
+                        }
+                    }
                 }
             }
         }

@@ -8,11 +8,13 @@
 //! `ghost_serving` lists recorded during scatter delivery, so no request
 //! round-trip is needed.  The replies are packed back to back into the
 //! rank's field pack buffer, one window per requester, and the scatter
-//! messages are dropped once answered.  The delivery half interpolates E
-//! and B at every particle.  As in scatter, a stencil inside the rank's
+//! messages are dropped once answered.  Concatenated in sender order, the
+//! replies line up with the scatter drain, so the delivery half reads a
+//! ghost vertex at the position its ghost table kept, then interpolates
+//! E and B at every particle.  As in scatter, a stencil inside the rank's
 //! block reads the six field planes at the four offsets of
 //! [`Cic::interior_offsets`]; any other stencil goes vertex by vertex
-//! through the block or the ghost cache.
+//! through the block or the ghost table.
 
 use pic_machine::{Outbox, PhaseKind, SpmdEngine, SpmdError};
 use pic_particles::Cic;
@@ -55,10 +57,9 @@ pub fn run<E: SpmdEngine<RankState>>(machine: &mut E, env: &PhaseEnv) -> Result<
         },
         move |_r, st, ctx, inbox| {
             let nxu = nx as u32;
-            // the vertex cache lives in the arena: cleared every
-            // iteration, table capacity kept
             let RankState {
                 scratch,
+                ghost,
                 particles,
                 rect,
                 fields,
@@ -66,12 +67,10 @@ pub fn run<E: SpmdEngine<RankState>>(machine: &mut E, env: &PhaseEnv) -> Result<
                 b_at,
                 ..
             } = st;
-            let cache = &mut scratch.ghost_cache;
-            cache.begin(nx * ny);
-            for (_, GhostFields(entries)) in inbox {
-                for &(k, v) in entries.iter() {
-                    cache.insert(k, v);
-                }
+            let replies = &mut scratch.ghost_fields;
+            replies.clear();
+            for (_, GhostFields(entries)) in &inbox {
+                replies.extend_from_slice(entries);
             }
             let pw = fields.width();
             let planes = [
@@ -112,12 +111,15 @@ pub fn run<E: SpmdEngine<RankState>>(machine: &mut E, env: &PhaseEnv) -> Result<
                             planes.map(|plane| plane[o])
                         } else {
                             let key = cy as u32 * nxu + cx as u32;
-                            cache.get(key).unwrap_or_else(|| {
+                            let at = ghost.position(cx as u32, cy as u32).unwrap_or_else(|| {
                                 panic!(
                                     "gather: ghost vertex {key} (cell {cx},{cy}) missing \
                                      from scatter round"
                                 )
-                            })
+                            });
+                            let (k, vals) = replies[at];
+                            assert!(k == key, "gather: reply {k} where vertex {key} was asked");
+                            vals
                         };
                         for (acc, val) in eb.iter_mut().zip(vals) {
                             *acc += w * val;

@@ -10,7 +10,8 @@
 //! tests: [`Cic::interior_offsets`] gives the four flat offsets at once.
 //! Either way each vertex sums `(q·v)·w` in particle order, so both paths
 //! give the same bits.  The ghost table drains into the rank's ghost
-//! pack buffer, and each owner receives a window of it.  The delivery
+//! pack buffer, and each owner receives a window of it; the table keeps
+//! each vertex's position there for the gather phase.  The delivery
 //! half applies incoming ghost contributions and keeps the messages as
 //! `ghost_serving` — the gather phase answers along exactly those
 //! vertex lists.
@@ -34,6 +35,7 @@ pub fn run<E: SpmdEngine<RankState>>(machine: &mut E, env: &PhaseEnv) -> Result<
         move |_r, st, ctx, ob: &mut Outbox<GhostCurrents>| {
             st.currents.clear();
             st.ghost_serving.clear();
+            st.ghost.clear();
             let RankState {
                 particles,
                 currents,

@@ -3,8 +3,8 @@
 //!
 //! Every phase kernel that used to allocate a fresh `Vec` per iteration
 //! (permutation buffers, bucket histograms, destination classification,
-//! send staging, the gather-phase ghost cache) now draws on one
-//! [`ScratchArena`] owned by its [`crate::state::RankState`].  After a
+//! send staging, the gather phase's received ghost fields) now draws on
+//! one [`ScratchArena`] owned by its [`crate::state::RankState`].  After a
 //! warm-up iteration the buffers have grown to the rank's working-set
 //! size and steady-state iterations of the sort/classify/permute/pack
 //! kernels perform zero heap allocations (verified by the
@@ -18,7 +18,8 @@
 //!
 //! Gather reads the rank's own field block in place: a staging copy of
 //! the fields here would cost `O(padded cells)` every iteration, however
-//! few particles the rank holds.
+//! few particles the rank holds.  It finds replied ghost values through
+//! the rank's scatter ghost table, so no per-vertex table lives here.
 //!
 //! The arena is *transient* state: it is never snapshotted by
 //! checkpoints and never crosses the wire, so adding or resizing buffers
@@ -61,9 +62,9 @@ pub struct ScratchArena {
     pub field_pack: Arc<Vec<(u32, [f64; 6])>>,
     /// Field-solve halo cells, grouped by neighbour.
     pub halo_pack: Arc<Vec<f64>>,
-    /// Gather-phase ghost field cache (vertex key -> E,B), rebuilt every
-    /// iteration but keeping its table capacity.
-    pub ghost_cache: GhostFieldCache,
+    /// Gather-phase field replies in sender order, so in the order of the
+    /// scatter drain that the ghost table's `position` indexes.
+    pub ghost_fields: Vec<(u32, [f64; 6])>,
 }
 
 impl ScratchArena {
@@ -88,66 +89,11 @@ impl ScratchArena {
             + self.pack_data.capacity() * size_of::<f64>()
             + self.ghost_pack.capacity() * size_of::<GhostEntry>()
             + self.field_pack.capacity() * size_of::<(u32, [f64; 6])>()
-            + self.halo_pack.capacity() * size_of::<f64>();
+            + self.halo_pack.capacity() * size_of::<f64>()
+            + self.ghost_fields.capacity() * size_of::<(u32, [f64; 6])>();
         bytes += self.radix.idx.capacity() * size_of::<usize>()
             + self.radix.counts.capacity() * size_of::<usize>();
-        bytes += self.ghost_cache.stamp.capacity() * size_of::<u32>()
-            + self.ghost_cache.vals.capacity() * size_of::<[f64; 6]>();
         bytes as u64
-    }
-}
-
-/// Direct-address ghost field cache with generation stamping — the same
-/// memory-for-time trade the paper's Figure 8 direct table makes for the
-/// scatter accumulator, applied to the gather phase's vertex lookups.
-/// Unlike the scatter table, whose kind is configured, this cache is
-/// always direct: it is read once per off-block corner in the innermost
-/// interpolation loop, where one stamp compare + one indexed load beats
-/// any probe sequence, and "clearing" it is a generation bump, not an
-/// `O(mesh)` sweep.
-#[derive(Debug, Default)]
-pub struct GhostFieldCache {
-    /// Per-vertex generation stamp; a stale stamp means "absent".
-    stamp: Vec<u32>,
-    /// Per-vertex `[Ex, Ey, Ez, Bx, By, Bz]`, valid when stamped.
-    vals: Vec<[f64; 6]>,
-    generation: u32,
-}
-
-impl GhostFieldCache {
-    /// Start a fresh iteration over a mesh of `m` packed vertex slots:
-    /// grows the table on first use (or mesh growth), then invalidates
-    /// every entry by bumping the generation.
-    pub fn begin(&mut self, m: usize) {
-        if self.stamp.len() < m {
-            self.stamp.resize(m, 0);
-            self.vals.resize(m, [0.0; 6]);
-        }
-        self.generation = self.generation.wrapping_add(1);
-        if self.generation == 0 {
-            // stamp wrap-around: reset to a clean state
-            self.stamp.fill(0);
-            self.generation = 1;
-        }
-    }
-
-    /// Record the field values of packed vertex `key`.
-    #[inline]
-    pub fn insert(&mut self, key: u32, val: [f64; 6]) {
-        let k = key as usize;
-        self.stamp[k] = self.generation;
-        self.vals[k] = val;
-    }
-
-    /// Field values of packed vertex `key`, if recorded this iteration.
-    #[inline]
-    pub fn get(&self, key: u32) -> Option<[f64; 6]> {
-        let k = key as usize;
-        if self.stamp.get(k) == Some(&self.generation) {
-            Some(self.vals[k])
-        } else {
-            None
-        }
     }
 }
 

@@ -31,7 +31,7 @@ pub struct RankState {
     /// Exclusive upper key bound of every rank (`globalBound` in paper
     /// Figure 12), identical on all ranks after a redistribution.
     pub bounds: Vec<u64>,
-    /// Ghost accumulation table for the scatter phase.
+    /// Ghost table of the scatter phase, read again by gather.
     pub ghost: Box<dyn GhostAccumulator + Send>,
     /// The ghost contributions each other rank deposited here this
     /// iteration, as received — the gather phase pushes field values

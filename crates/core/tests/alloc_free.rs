@@ -4,10 +4,11 @@
 //! is warm, the per-iteration particle kernels — key refresh, bound
 //! classification, pack/exchange, incremental radix sort, the
 //! cycle-decomposition permutation and the order-maintaining balance
-//! merge — the scatter phase's ghost path (table adds, the drain into
-//! the arena's ghost pack buffer, one window per owner) and the Maxwell
-//! field update (`update_b_padded` + `update_e_padded`, in place on the
-//! rank's padded block) perform **zero** heap allocations.  Everything
+//! merge — the ghost path (table adds, the drain into the arena's ghost
+//! pack buffer, one window per owner, the gather phase's reply copy and
+//! lookups through the same table) and the Maxwell field update
+//! (`update_b_padded` + `update_e_padded`, in place on the rank's padded
+//! block) perform **zero** heap allocations.  Everything
 //! lives in buffers owned by [`pic_core::ScratchArena`], the ghost table
 //! and the rank's own arrays, whose capacity is retained across
 //! iterations.  Message payloads are windows of the arena's pack
@@ -76,9 +77,11 @@ fn count_allocs(f: impl FnOnce()) -> u64 {
 /// neighbouring ranks and come straight back as their batches, which the
 /// merge appends and rotates into place.  Mirrors the redistribute
 /// phase's use of the arena exactly, with the exchanges looped back
-/// locally.  Then the scatter phase's ghost path: every particle adds
-/// to the four corners of its cell, and the table drains into one ghost
-/// message per owner of `layout`.
+/// locally.  Then the ghost path of the scatter and gather phases: every
+/// particle adds to the four corners of its cell, the table drains into
+/// one ghost message per owner of `layout`, the replies are copied into
+/// the arena's reply buffer, and every corner finds its reply through
+/// the table's `position`.
 fn kernel_cycle(
     st: &mut RankState,
     indexer: &dyn CellIndexer,
@@ -116,18 +119,42 @@ fn kernel_cycle(
     st.rebuild_sorter();
 
     let (nx, ny) = (layout.nx() as u32, layout.ny() as u32);
-    for i in 0..st.len() {
+    let corners = |st: &RankState, i: usize| {
         let (cx, cy) = (
             (st.particles.x[i] / dx) as u32,
             (st.particles.y[i] / dy) as u32,
         );
-        for (gx, gy) in [(cx, cy), (cx + 1, cy), (cx, cy + 1), (cx + 1, cy + 1)] {
-            st.ghost.add(gx % nx, gy % ny, [0.25, -0.5, 1.0]);
+        [(cx, cy), (cx + 1, cy), (cx, cy + 1), (cx + 1, cy + 1)].map(|(gx, gy)| (gx % nx, gy % ny))
+    };
+    st.ghost.clear();
+    for i in 0..st.len() {
+        for (gx, gy) in corners(st, i) {
+            st.ghost.add(gx, gy, [0.25, -0.5, 1.0]);
         }
     }
     st.drain_ghosts(layout, |owner, msg| ghosts.push((owner, msg)));
     assert!(ghosts.len() > 1, "the ghost entries span several owners");
+    // the owners' replies as the gather phase receives them: one per
+    // drained entry, in drain order
+    let replies = &mut st.scratch.ghost_fields;
+    replies.clear();
+    for (_, msg) in ghosts.iter() {
+        replies.extend(
+            msg.0
+                .iter()
+                .map(|&(key, j)| (key, [j[0], j[1], j[2], 0.0, 0.0, 0.0])),
+        );
+    }
     ghosts.clear(); // delivered: drop the windows so the pack buffer is reused
+    for i in 0..st.len() {
+        for (gx, gy) in corners(st, i) {
+            let at = st
+                .ghost
+                .position(gx, gy)
+                .expect("every added vertex is drained");
+            assert_eq!(st.scratch.ghost_fields[at].0, gy * nx + gx);
+        }
+    }
 }
 
 /// Upper bound for debug builds: the radix oracle clones the index

@@ -153,10 +153,13 @@ fn field_solve_matches_sequential_reference_per_step() {
 
 /// The per-corner scatter and gather kernels that every particle went
 /// through before the interior-stencil path: `%`-wrapped corners, an
-/// ownership test per corner, `Grid2` indexing, and an interleaved
-/// `[Ex,Ey,Ez,Bx,By,Bz]` copy of the padded field block.  The production
-/// kernels must reproduce them bit for bit.
+/// ownership test per corner, `Grid2` indexing, an interleaved
+/// `[Ex,Ey,Ez,Bx,By,Bz]` copy of the padded field block, and ghost field
+/// values looked up by vertex in an ordered map of the replies, not
+/// through the ghost table.  The production kernels must reproduce them
+/// bit for bit.
 mod reference {
+    use std::collections::BTreeMap;
     use std::sync::Arc;
 
     use pic_core::costs;
@@ -183,6 +186,7 @@ mod reference {
                 move |_r, st, ctx, ob: &mut Outbox<GhostCurrents>| {
                     st.currents.clear();
                     st.ghost_serving.clear();
+                    st.ghost.clear();
                     let q = st.particles.charge;
                     let ghost_cost = st.ghost.add_cost();
                     for i in 0..st.particles.len() {
@@ -258,8 +262,7 @@ mod reference {
                 },
                 move |_r, st, ctx, inbox| {
                     let nxu = nx as u32;
-                    let cache = &mut st.scratch.ghost_cache;
-                    cache.begin(nx * ny);
+                    let mut cache: BTreeMap<u32, [f64; 6]> = BTreeMap::new();
                     for (_, GhostFields(entries)) in inbox {
                         for &(k, v) in entries.iter() {
                             cache.insert(k, v);
@@ -285,9 +288,7 @@ mod reference {
                                 let (lx, ly) = (cx - st.rect.x0 + 1, cy - st.rect.y0 + 1);
                                 aos[ly * pw + lx]
                             } else {
-                                cache
-                                    .get(cy as u32 * nxu + cx as u32)
-                                    .expect("ghost vertex")
+                                cache[&(cy as u32 * nxu + cx as u32)]
                             };
                             for c in 0..3 {
                                 e[c] += w * vals[c];

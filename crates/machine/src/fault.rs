@@ -190,11 +190,6 @@ impl FaultPlan {
         Self::new(seed).with_noise(FaultNoise::aggressive())
     }
 
-    /// The plan's seed (labels chaos-test output).
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// Re-arm all one-shot kills (tests that reuse a plan).
     pub fn rearm(&self) {
         for f in &self.fired {

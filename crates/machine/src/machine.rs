@@ -51,12 +51,6 @@ impl PhaseCtx {
         debug_assert!(units >= 0.0, "negative op charge {units}");
         self.ops += units;
     }
-
-    /// Units charged so far this superstep.
-    #[inline]
-    pub fn ops(&self) -> f64 {
-        self.ops
-    }
 }
 
 /// Message staging area for one rank during the compute half-step.
